@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 
 from .artrans import classify_module, tau, tau_inverse, tau_orbit
 from .cartan import DatumError, datum_from_json, delta
@@ -51,6 +52,13 @@ def _parse_field(text):
         return Field.prime(int(m.group(1)))
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _fraction_arg(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("expected an integer or p/q, got %r" % text)
 
 
 _NAME_RE = re.compile(r"(A11|A12|BC|BD|CD|B|C|F41|F42|G21|G22|At)(\d+)?(?:m(\d+))?\Z")
@@ -144,17 +152,25 @@ def _emit_module(M, path):
     _dump_json(rep_to_json(M, embed_datum=True), path)
 
 
+def _affine_delta(datum, path):
+    try:
+        return delta(datum)
+    except DatumError as exc:
+        raise MathFailure("%s: %s" % (path, exc))
+
+
 def _cmd_check_cartan(args):
     datum = _load_datum(args.datum)
     _header("check-cartan", datum.name)
-    print("ok name=%s vertices=%d delta=%s" % (datum.name or "custom", datum.n, _csv(delta(datum))))
+    dlt = _affine_delta(datum, args.datum)
+    print("ok name=%s vertices=%d delta=%s" % (datum.name or "custom", datum.n, _csv(dlt)))
     return 0
 
 
 def _cmd_delta(args):
     datum = _load_datum(args.datum)
     _header("delta", datum.name)
-    print(_csv(delta(datum)))
+    print(_csv(_affine_delta(datum, args.datum)))
     return 0
 
 
@@ -196,6 +212,9 @@ def _cmd_coxeter(args):
         vec = _parse_vector(args.vector, datum.n)
         print(_csv(cd.c_apply(vec, args.apply)))
         return 0
+    if cd.N is None:
+        raise MathFailure("%s: datum is not affine: the Coxeter transformation has no "
+                          "period N" % args.datum)
     print("sequence=%s" % _csv(cd.sequence))
     print("N=%d" % cd.N)
     print("nu=%s" % _csv(cd.nu))
@@ -349,7 +368,7 @@ def _build_parser():
     p.add_argument("--m", type=int)
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
-    p.add_argument("--lam")
+    p.add_argument("--lam", type=_fraction_arg)
     p.add_argument("--height", type=int, default=25)
     p.add_argument("--field")
     p.add_argument("--json")

@@ -7,12 +7,20 @@ representation, which is fast for the very sparse 0/+-1 systems that show
 up here, and convert to plain Python scalars (``Fraction`` or ``int``)
 only at the boundary.
 
+One elimination runs outside sympy: the nullspace over GF(p).  sympy takes
+a fraction-free path there that pays a modular inverse for every exact
+division, so ``Mat.nullspace_cols`` instead runs a sparse Gauss-Jordan
+(``_gfp_rref``) on plain ints with one inverse per pivot.  To return the
+very basis sympy returned, it scales the reduced rows by the product of the
+raw pivots, which is the denominator of sympy's fraction-free RREF.  Over
+QQ the nullspace, and every other elimination, stays with sympy.
+
 No floating point is used anywhere.
 """
 
 from fractions import Fraction
 
-from sympy import GF, QQ
+from sympy import GF, QQ, isprime
 from sympy.polys.matrices import DomainMatrix
 
 
@@ -25,8 +33,8 @@ class Field:
         if kind not in ("rational", "prime"):
             raise ValueError(f"unknown field kind {kind!r}")
         if kind == "prime":
-            if p is None or p < 2:
-                raise ValueError("prime field needs a prime p >= 2")
+            if p is None or not isprime(p):
+                raise ValueError("prime field needs a prime p, got %r" % (p,))
             self.domain = GF(p)
         else:
             self.domain = QQ
@@ -62,6 +70,8 @@ class Field:
             num, _, den = value.partition("/")
             value = Fraction(int(num), int(den)) if den else Fraction(int(num))
         if isinstance(value, Fraction) and self.kind == "prime":
+            if value.denominator % self.p == 0:
+                raise ValueError("%s has no value in %r" % (value, self))
             num = self.domain.convert(value.numerator)
             den = self.domain.convert(value.denominator)
             return num / den
@@ -246,9 +256,32 @@ class Mat:
         return Mat(self.field, R.to_sparse()), tuple(piv)
 
     def nullspace_cols(self):
-        """Matrix whose columns are a basis of {x : self @ x = 0}."""
-        ns = self.dm.nullspace()  # rows span the right nullspace
-        return Mat(self.field, ns.transpose().to_sparse())
+        """Matrix whose columns are a basis of {x : self @ x = 0}.
+
+        Over GF(p) this is sympy's ``DomainMatrix.nullspace()`` basis entry
+        for entry: one column per free column j, with ``den`` at j and
+        ``-den*R[i][j]`` at pivot column ``piv[i]``, where R is the RREF and
+        ``den`` the product of the raw pivots, which is the denominator of
+        sympy's fraction-free RREF.
+        """
+        if self.field.kind != "prime":
+            ns = self.dm.nullspace()  # rows span the right nullspace
+            return Mat(self.field, ns.transpose().to_sparse())
+        p = self.field.p
+        K = self.field.domain
+        # sparse storage holds neither zero entries nor empty rows
+        rows = {i: {j: int(v) % p for j, v in row.items()}
+                for i, row in self.dm.rep.to_sdm().items()}
+        R, den = _gfp_rref(rows, p)
+        n = self.ncols
+        free = [j for j in range(n) if j not in R]
+        index = {j: k for k, j in enumerate(free)}
+        data = {j: {k: K(den)} for k, j in enumerate(free)}
+        for pc, row in R.items():
+            out = {index[j]: K(-den * v % p) for j, v in row.items()}
+            if out:
+                data[pc] = out
+        return Mat(self.field, DomainMatrix(data, (n, len(free)), K))
 
     def column_space_cols(self):
         """Matrix whose columns are a basis of the column space."""
@@ -288,6 +321,59 @@ class Mat:
     def is_invertible(self):
         m, n = self.shape
         return m == n and self.rank() == n
+
+
+def _gfp_rref(rows, p):
+    """Sparse Gauss-Jordan over Z/p on ``{i: {j: int}}`` with entries in [0, p).
+
+    Rows are taken in order of their leading column (ties by row index) and
+    the pivot of each is the smallest column left after reduction, as in
+    sympy's ``sdm_rref_den``.  Returns ``(R, den)``: R maps each pivot column
+    to the rest of its normalised RREF row (pivot entry dropped, zeros
+    omitted), and ``den`` is the product mod p of the raw pivots.
+    """
+    R = {}
+    cols = {}  # column -> pivot columns of the rows of R that hold it
+    den = 1
+    for _, row in sorted(rows.items(), key=lambda item: (min(item[1]), item[0])):
+        row = dict(row)
+        for j in [j for j in row if j in R]:
+            _sub_scaled(row, row.pop(j), R[j], p)
+        if not row:
+            continue
+        j = min(row)
+        a = row.pop(j)
+        den = den * a % p
+        if a != 1:
+            inv = pow(a, -1, p)
+            row = {k: v * inv % p for k, v in row.items()}
+        # clear column j from the rows that hold it, keeping ``cols`` exact
+        for pc in cols.pop(j, ()):
+            other = R[pc]
+            c = other.pop(j)
+            for k, v in row.items():
+                x = (other.get(k, 0) - c * v) % p
+                if x:
+                    if k not in other:
+                        cols.setdefault(k, set()).add(pc)
+                    other[k] = x
+                else:
+                    del other[k]
+                    cols[k].discard(pc)
+        R[j] = row
+        for k in row:
+            cols.setdefault(k, set()).add(j)
+    return R, den
+
+
+def _sub_scaled(dst, c, src, p):
+    """dst -= c * src over Z/p, in place, keeping dst free of zeros."""
+    for k, v in src.items():
+        x = (dst.get(k, 0) - c * v) % p
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
 
 
 def mat_from_maps(field, dim_out, dim_in, entries):

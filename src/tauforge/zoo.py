@@ -348,7 +348,11 @@ def _mod_G21_homog(datum, field):
 
 
 def _mod_Bn_MlamB(datum, field, lam=1):
-    if field.to_scalar(field.convert(lam)) == 0:
+    try:
+        lam_value = field.to_scalar(field.convert(lam))
+    except ValueError as exc:
+        raise BadParams(str(exc))
+    if lam_value == 0:
         raise BadParams("the deformation parameter lam must be nonzero")
     n = datum.n - 1
     m = datum.d(1)

@@ -1,12 +1,20 @@
 """Command-line driver: exit codes, stdout payloads, JSON artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tauforge
 from tauforge.cli import main
 from tauforge.modrep import rank_vector, rep_from_json
 from tauforge.zoo import build_named
+
+
+_SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(tauforge.__file__).resolve().parents[1]))
 
 
 def run(capsys, *argv):
@@ -197,3 +205,63 @@ def test_bad_field_spec(capsys):
                        "--filter", "typeG1", "--field", "gf4")
     assert code == 2
     assert "error:" in err
+
+
+def test_composite_field_is_usage_error(capsys):
+    code, out, err = run(capsys, "zoo", "--build", "G21.T21", "--field", "p:4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_module_file_with_composite_modulus_is_usage_error(capsys, tmp_path):
+    mod_file = tmp_path / "t.json"
+    code, _, _ = run(capsys, "zoo", "--build", "G21.T21", "--field", "p:5",
+                     "--json", str(mod_file))
+    assert code == 0
+    blob = json.loads(mod_file.read_text())
+    assert blob["field"] == {"kind": "prime", "p": 5}
+    blob["field"]["p"] = 4
+    mod_file.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "mod", "tau", str(mod_file))
+    assert code == 2
+    assert out == ""
+    assert "malformed module file" in err
+
+
+@pytest.mark.parametrize("field", ["rational", "p:32003"])
+@pytest.mark.parametrize("lam", ["2", "3/4"])
+def test_zoo_build_with_lam(capsys, field, lam):
+    code, out, _ = run(capsys, "zoo", "--build", "Bn.MlamB", "--n", "3",
+                       "--lam", lam, "--field", field)
+    assert code == 0
+    assert out.startswith("rank=")
+
+
+@pytest.mark.parametrize("lam, field", [("1/5", "p:5"), ("1/0", "rational"), ("x", "rational")])
+def test_zoo_build_bad_lam_is_usage_error(capsys, lam, field):
+    code, _, err = run(capsys, "zoo", "--build", "Bn.MlamB", "--n", "3",
+                       "--lam", lam, "--field", field)
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("verb", ["check-cartan", "coxeter", "delta"])
+def test_finite_type_datum_is_math_failure(tmp_path, verb):
+    datum_file = tmp_path / "a2.json"
+    datum_file.write_text(json.dumps(
+        {"cartan": [[2, -1], [-1, 2]], "symmetriser": [1, 1], "orientation": [[2, 1]]}))
+    proc = subprocess.run([sys.executable, "-m", "tauforge.cli", verb, "--datum", str(datum_file)],
+                          capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("fail:")
+
+
+@pytest.mark.parametrize("check_id", ["main2.G21", "prop:homog"])
+def test_verify_over_prime_field(capsys, check_id):
+    code, out, _ = run(capsys, "verify", "--suite", "paper", "--filter", check_id,
+                       "--field", "p:32003")
+    assert code == 0
+    assert out.split() == [check_id, "pass"]
