@@ -29,6 +29,7 @@ from .zoo import (
     named_datum,
     named_module_ids,
     run_suite,
+    select_check_ids,
     theorem_a_spotcheck,
     verify_proposition,
 )
@@ -232,6 +233,9 @@ def _cmd_mod(args):
     print("rank=%s" % (_csv(rk) if rk is not None else "not-locally-free"))
     exit_code = 0
     if args.classify:
+        if rk is None:
+            raise MathFailure("%s: module is not locally free, so it has no rank vector to classify"
+                              % args.file)
         cls = classify_module(M)
         line = "classification=%s" % cls.kind
         if cls.kind in ("preprojective", "preinjective"):
@@ -310,7 +314,7 @@ def _cmd_zoo(args):
 def _cmd_verify(args):
     field = _parse_field(args.field)
     _header("verify suite=%s" % args.suite, None, field)
-    if args.filter and not any(args.filter in cid for cid in all_check_ids()):
+    if args.filter and not select_check_ids(args.filter):
         raise UsageError("--filter %r matches no check id" % args.filter)
     reports = run_suite(filter_id=args.filter, field=field, n=args.n)
     for report in reports:

@@ -375,7 +375,3 @@ def _sub_scaled(dst, c, src, p):
         else:
             del dst[k]
 
-
-def mat_from_maps(field, dim_out, dim_in, entries):
-    """Convenience: build dim_out x dim_in matrix from {(i,j): scalar}."""
-    return Mat.from_dict(field, (dim_out, dim_in), entries)

@@ -8,6 +8,18 @@ a matrix arr[(i,j,g)] : K^{dims[j]} -> K^{dims[i]}, subject to
   (H2)  eps_i ^ f_ji . alpha = alpha . eps_j ^ f_ij      for (i,j) in Omega.
 
 Everything here is exact; the field is rational by default or Z/p.
+
+Hom, Ext^1 cocycles and coboundaries are linear systems in families of
+matrix blocks, all built by ``_block_map``.  A family is a vector in the
+row-major vec layout: the blocks one after another, entry (r, c) of an
+n x m block at its offset + r*m + c.  For psi = (psi_v : M_v -> N_v) the
+coboundary is the cochain
+
+  delta(psi)[("eps", v)]   = psi_v . M.eps_v - N.eps_v . psi_v
+  delta(psi)[("arr", key)] = psi_i . M(a) - N(a) . psi_j      (a = key : j -> i)
+
+Hom(M, N) is its kernel, and an extension cocycle with the same keys is a
+coboundary exactly when it lies in its image.
 """
 
 import json
@@ -16,10 +28,10 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from sympy.polys.matrices import DomainMatrix
+
 from .cartan import build_quiver, datum_from_json, datum_to_json, opposite_datum
 from .linalg import Field, Mat
-
-FieldSpec = Field
 
 
 @dataclass
@@ -225,85 +237,116 @@ def _sparse_entries(mat):
             yield i, j, v
 
 
-def _intertwiner_matrix(M, N):
-    """Sparse system whose right kernel is Hom(M, N), with unknowns
-    vec(phi_v) (row-major) stacked vertex by vertex."""
-    datum, field = M.datum, M.field
-    base = {}
-    total = 0
-    for v in datum.vertices:
-        base[v] = total
-        total += N.dims[v] * M.dims[v]
-
-    rows = []
-
-    def unknown(v, r, c):
-        return base[v] + r * M.dims[v] + c
-
-    for v in datum.vertices:
-        A, B = M.eps[v], N.eps[v]
-        eq = {}
-        for k, c, val in _sparse_entries(A):        # phi[r][k] * A[k][c]
-            for r in range(N.dims[v]):
-                d = eq.setdefault((r, c), {})
-                d[unknown(v, r, k)] = d.get(unknown(v, r, k), field.domain.zero) + val
-        for r, k, val in _sparse_entries(B):        # - B[r][k] * phi[k][c]
-            for c in range(M.dims[v]):
-                d = eq.setdefault((r, c), {})
-                d[unknown(v, k, c)] = d.get(unknown(v, k, c), field.domain.zero) - val
-        rows.extend(eq.values())
-
-    for (i, j, g), A in M.arr.items():
-        B = N.arr[(i, j, g)]
-        eq = {}
-        for k, c, val in _sparse_entries(A):        # phi_i[r][k] * A[k][c]
-            for r in range(N.dims[i]):
-                d = eq.setdefault((r, c), {})
-                d[unknown(i, r, k)] = d.get(unknown(i, r, k), field.domain.zero) + val
-        for r, k, val in _sparse_entries(B):        # - B[r][k] * phi_j[k][c]
-            for c in range(M.dims[j]):
-                d = eq.setdefault((r, c), {})
-                d[unknown(j, k, c)] = d.get(unknown(j, k, c), field.domain.zero) - val
-        rows.extend(eq.values())
-
-    data = {idx: {u: val for u, val in row.items() if val}
-            for idx, row in enumerate(rows)}
-    data = {i: r for i, r in data.items() if r}
-    from sympy.polys.matrices import DomainMatrix
-    return Mat(field, DomainMatrix(data, (len(rows), total), field.domain)), base
+def _layout(blocks):
+    """Vec layout of named blocks ``[(key, nrows, ncols)]``: key -> (offset,
+    nrows, ncols), blocks one after another, each in row-major order."""
+    at, offset = {}, 0
+    for key, n, m in blocks:
+        at[key] = (offset, n, m)
+        offset += n * m
+    return at
 
 
-def _unvec(M, N, base, column):
-    blocks = {}
+def _size(at):
+    return sum(n * m for _, n, m in at.values())
+
+
+def _block_map(field, rows_at, cols_at, terms):
+    """Matrix of X -> Y, Y[out] = sum of sign * L @ X[slot] @ R over the
+    terms (out, slot, L, R, sign), with X in the layout cols_at and Y in
+    rows_at.  L or R is None for the identity; sign is +1 or -1."""
+    one = field.domain.one
+    data = {}
+    for out, slot, L, R, sign in terms:
+        r0, _, w = rows_at[out]
+        c0, n, m = cols_at[slot]
+        if L is None:       # (X R)[r][c] += X[r][b] R[b][c]
+            right = ((b, b, one) for b in range(m)) if R is None else _sparse_entries(R)
+            cells = ((r0 + r * w + c, c0 + r * m + b, v)
+                     for b, c, v in right for r in range(n))
+        elif R is None:     # (L X)[r][c] += L[r][a] X[a][c]
+            cells = ((r0 + r * w + c, c0 + a * m + c, v)
+                     for r, a, v in _sparse_entries(L) for c in range(m))
+        else:
+            right = list(_sparse_entries(R))
+            cells = ((r0 + r * w + c, c0 + a * m + b, lv * rv)
+                     for r, a, lv in _sparse_entries(L) for b, c, rv in right)
+        for i, j, v in cells:
+            if sign < 0:
+                v = -v
+            row = data.setdefault(i, {})
+            row[j] = row[j] + v if j in row else v
+    for i in list(data):
+        row = {j: v for j, v in data[i].items() if v}
+        if row:
+            data[i] = row
+        else:
+            del data[i]
+    return Mat(field, DomainMatrix(data, (_size(rows_at), _size(cols_at)), field.domain))
+
+
+def _unvec(field, at, cols):
+    """One family of blocks {key: Mat} per column of ``cols``, read in the
+    layout ``at``."""
+    vecs = cols.transpose().dm.rep.to_sdm()
+    out = []
+    for t in range(cols.ncols):
+        vec = vecs.get(t, {})
+        blocks = {}
+        for key, (offset, n, m) in at.items():
+            data = {}
+            for u in range(offset, offset + n * m):
+                if u in vec:
+                    r, c = divmod(u - offset, m)
+                    data.setdefault(r, {})[c] = vec[u]
+            blocks[key] = Mat(field, DomainMatrix(data, (n, m), field.domain))
+        out.append(blocks)
+    return out
+
+
+def _vec(field, at, blocks):
+    """The column vector of a family of blocks in the layout ``at``."""
+    data = {}
+    for key, (offset, _, m) in at.items():
+        for r, c, v in _sparse_entries(blocks[key]):
+            data[offset + r * m + c] = {0: v}
+    return Mat(field, DomainMatrix(data, (_size(at), 1), field.domain))
+
+
+def _cochain_layouts(M, N):
+    """Layouts of the vertexwise maps psi : M -> N and of the cochains c."""
+    vertices = M.datum.vertices
+    psi_at = _layout([(v, N.dims[v], M.dims[v]) for v in vertices])
+    chain_at = _layout([(("eps", v), N.dims[v], M.dims[v]) for v in vertices]
+                       + [(("arr", key), N.dims[key[0]], M.dims[key[1]])
+                          for key in build_quiver(M.datum).arrows])
+    return psi_at, chain_at
+
+
+def _coboundary(M, N):
+    """The coboundary map delta from psi to cochains, with both layouts."""
+    psi_at, chain_at = _cochain_layouts(M, N)
+    terms = []
     for v in M.datum.vertices:
-        n, m = N.dims[v], M.dims[v]
-        entries = {}
-        for r in range(n):
-            for c in range(m):
-                val = column[base[v] + r * m + c]
-                if val:
-                    entries[(r, c)] = val
-        blocks[v] = Mat.from_dict(M.field, (n, m), entries)
-    return blocks
+        terms += [(("eps", v), v, None, M.eps[v], 1), (("eps", v), v, N.eps[v], None, -1)]
+    for key in build_quiver(M.datum).arrows:
+        i, j, _ = key
+        terms += [(("arr", key), i, None, M.arr[key], 1), (("arr", key), j, N.arr[key], None, -1)]
+    return _block_map(M.field, chain_at, psi_at, terms), psi_at, chain_at
 
 
 def hom_basis(M, N):
     """Basis of Hom(M, N) as a list of Morphisms."""
     if M.datum != N.datum or M.field != N.field:
         raise ValueError("Hom between representations of different data/fields")
-    system, base = _intertwiner_matrix(M, N)
-    kernel = system.nullspace_cols()
-    out = []
-    cols = kernel.rows()
-    for t in range(kernel.ncols):
-        column = [cols[r][t] for r in range(kernel.nrows)]
-        out.append(Morphism(M, N, _unvec(M, N, base, column)))
-    return out
+    delta, psi_at, _ = _coboundary(M, N)
+    return [Morphism(M, N, blocks)
+            for blocks in _unvec(M.field, psi_at, delta.nullspace_cols())]
 
 
 def hom_dim(M, N):
-    system, _ = _intertwiner_matrix(M, N)
-    return system.ncols - system.rank()
+    delta, _, _ = _coboundary(M, N)
+    return delta.ncols - delta.rank()
 
 
 def kernel_rep(morph):
@@ -360,30 +403,9 @@ def end_analysis(M):
     if e == 0:
         return EndData(0, 0, 0, [], False)
 
-    # coordinates: stack vec(phi_v) over vertices
-    base = {}
-    total = 0
-    for v in M.datum.vertices:
-        base[v] = total
-        total += M.dims[v] * M.dims[v]
-
-    def vec(morph):
-        entries = {}
-        for v in M.datum.vertices:
-            m = M.dims[v]
-            for r, c, val in _sparse_entries(morph.blocks[v]):
-                entries[(base[v] + r * m + c, 0)] = val
-        return entries
-
-    V = Mat.from_dict(field, (total, e), {(r, t): val for t, b in enumerate(basis)
-                                          for (r, _), val in vec(b).items()})
-    prods = {}
-    for s, bs in enumerate(basis):
-        for t, bt in enumerate(basis):
-            comp = bs.compose(bt)
-            for (r, _), val in vec(comp).items():
-                prods[(r, s * e + t)] = val
-    P = Mat.from_dict(field, (total, e * e), prods)
+    at, _ = _cochain_layouts(M, M)
+    V = Mat.hstack(*(_vec(field, at, b.blocks) for b in basis))
+    P = Mat.hstack(*(_vec(field, at, bs.compose(bt).blocks) for bs in basis for bt in basis))
     coords = V.solve(P)
     if coords is None:
         raise RuntimeError("product of endomorphisms escaped End basis")
@@ -411,155 +433,44 @@ def end_analysis(M):
 # ---------------------------------------------------------------------------
 # extensions and Ext^1
 
-def _nilpotent_sum_terms(N_eps, M_eps, f):
-    """Pairs (N_eps^t, M_eps^{f-1-t}) for t < f."""
-    return [(N_eps.power(t), M_eps.power(f - 1 - t)) for t in range(f)]
+def _power(A, k):
+    """A^k, with None for the identity A^0."""
+    return A.power(k) if k else None
 
 
 def extension_cocycle_space(M, N):
     """Basis of the linear space of valid extension cocycles for
-    0 -> N -> E -> M -> 0 in block form [[N, c], [0, M]]."""
-    datum, field = M.datum, M.field
-    quiver = build_quiver(datum)
-    base = {}
-    total = 0
+    0 -> N -> E -> M -> 0 in block form [[N, c], [0, M]]: the cochains c for
+    which E satisfies (H1) and (H2)."""
+    datum = M.datum
+    _, at = _cochain_layouts(M, N)
+    terms = []
     for v in datum.vertices:
-        base[("eps", v)] = total
-        total += N.dims[v] * M.dims[v]
-    for key in quiver.arrows:
+        # E.eps_v^d = 0:  sum_t N.eps_v^t . c_eps_v . M.eps_v^(d-1-t) = 0
+        d = datum.d(v)
+        terms += [(("eps", v), ("eps", v), _power(N.eps[v], t), _power(M.eps[v], d - 1 - t), 1)
+                  for t in range(d)]
+    for key in build_quiver(datum).arrows:
         i, j, _ = key
-        base[("arr", key)] = total
-        total += N.dims[i] * M.dims[j]
-
-    rows = []
-
-    def accumulate(eq, slot, slot_cols, left, right, sign):
-        """eq[(r, c)] += sign * left[r, a] * right[b, c] at unknown (a, b)."""
-        for r, a, lval in _sparse_entries(left):
-            for b, c, rval in _sparse_entries(right):
-                d = eq.setdefault((r, c), {})
-                u = base[slot] + a * slot_cols + b
-                d[u] = d.get(u, M.field.domain.zero) + sign * lval * rval
-
-    for v in datum.vertices:
-        d_v = datum.d(v)
-        eq = {}
-        for left, right in _nilpotent_sum_terms(N.eps[v], M.eps[v], d_v):
-            accumulate(eq, ("eps", v), M.dims[v], left, right, field.domain.one)
-        rows.extend(eq.values())
-
-    one = field.domain.one
-    for key in quiver.arrows:
-        i, j, _ = key
-        f_out = datum.f(j, i)   # exponent on eps_i
-        f_in = datum.f(i, j)    # exponent on eps_j
-        eq = {}
-        # N.eps_i^f_out . c_arr  -  c_arr . M.eps_j^f_in
-        accumulate(eq, ("arr", key), M.dims[j], N.eps[i].power(f_out),
-                   Mat.identity(field, M.dims[j]), one)
-        accumulate(eq, ("arr", key), M.dims[j], Mat.identity(field, N.dims[i]),
-                   M.eps[j].power(f_in), -one)
+        f_out, f_in = datum.f(j, i), datum.f(i, j)
+        out = ("arr", key)
+        # N.eps_i^f_out . c_arr - c_arr . M.eps_j^f_in
+        terms += [(out, out, _power(N.eps[i], f_out), None, 1),
+                  (out, out, None, _power(M.eps[j], f_in), -1)]
         # + S_i(c_eps_i) . M(arrow)
-        for left, right in _nilpotent_sum_terms(N.eps[i], M.eps[i], f_out):
-            accumulate(eq, ("eps", i), M.dims[i], left, right @ M.arr[key], one)
+        terms += [(out, ("eps", i), _power(N.eps[i], t), M.eps[i].power(f_out - 1 - t) @ M.arr[key], 1)
+                  for t in range(f_out)]
         # - N(arrow) . S_j(c_eps_j)
-        for left, right in _nilpotent_sum_terms(N.eps[j], M.eps[j], f_in):
-            accumulate(eq, ("eps", j), M.dims[j], N.arr[key] @ left, right, -one)
-        rows.extend(eq.values())
-
-    data = {idx: {u: val for u, val in row.items() if val}
-            for idx, row in enumerate(rows)}
-    data = {i: r for i, r in data.items() if r}
-    from sympy.polys.matrices import DomainMatrix
-    system = Mat(field, DomainMatrix(data, (len(rows), total), field.domain))
-    kernel = system.nullspace_cols()
-    cols = kernel.rows()
-    out = []
-    for t in range(kernel.ncols):
-        cocycle = {}
-        for v in datum.vertices:
-            n, m = N.dims[v], M.dims[v]
-            entries = {}
-            for r in range(n):
-                for c in range(m):
-                    val = cols[base[("eps", v)] + r * m + c][t]
-                    if val:
-                        entries[(r, c)] = val
-            cocycle[("eps", v)] = Mat.from_dict(field, (n, m), entries)
-        for key in quiver.arrows:
-            i, j, _ = key
-            n, m = N.dims[i], M.dims[j]
-            entries = {}
-            for r in range(n):
-                for c in range(m):
-                    val = cols[base[("arr", key)] + r * m + c][t]
-                    if val:
-                        entries[(r, c)] = val
-            cocycle[("arr", key)] = Mat.from_dict(field, (n, m), entries)
-        out.append(cocycle)
-    return out
+        terms += [(out, ("eps", j), N.arr[key] @ N.eps[j].power(t), _power(M.eps[j], f_in - 1 - t), -1)
+                  for t in range(f_in)]
+    system = _block_map(M.field, at, at, terms)
+    return _unvec(M.field, at, system.nullspace_cols())
 
 
 def cocycle_is_coboundary(M, N, cocycle):
     """Does the cocycle come from a vertexwise map psi (c = psi.M - N.psi)?"""
-    datum, field = M.datum, M.field
-    quiver = build_quiver(datum)
-    base = {}
-    total = 0
-    for v in datum.vertices:
-        base[v] = total
-        total += N.dims[v] * M.dims[v]
-    rows = []
-    rhs = []
-
-    def unknown(v, r, c):
-        return base[v] + r * M.dims[v] + c
-
-    # c(eps_v) = psi_v . M.eps_v - N.eps_v . psi_v
-    for v in datum.vertices:
-        A, B = M.eps[v], N.eps[v]
-        eq = {}
-        for k, c, val in _sparse_entries(A):
-            for r in range(N.dims[v]):
-                d = eq.setdefault((r, c), {})
-                d[unknown(v, r, k)] = d.get(unknown(v, r, k), field.domain.zero) + val
-        for r, k, val in _sparse_entries(B):
-            for c in range(M.dims[v]):
-                d = eq.setdefault((r, c), {})
-                d[unknown(v, k, c)] = d.get(unknown(v, k, c), field.domain.zero) - val
-        target = cocycle[("eps", v)]
-        for r in range(N.dims[v]):
-            for c in range(M.dims[v]):
-                rows.append(eq.get((r, c), {}))
-                rhs.append(target.entry(r, c))
-    # c(arrow) = psi_i . M(arrow) - N(arrow) . psi_j
-    for key in quiver.arrows:
-        i, j, _ = key
-        A, B = M.arr[key], N.arr[key]
-        eq = {}
-        for k, c, val in _sparse_entries(A):
-            for r in range(N.dims[i]):
-                d = eq.setdefault((r, c), {})
-                d[unknown(i, r, k)] = d.get(unknown(i, r, k), field.domain.zero) + val
-        for r, k, val in _sparse_entries(B):
-            for c in range(M.dims[j]):
-                d = eq.setdefault((r, c), {})
-                d[unknown(j, k, c)] = d.get(unknown(j, k, c), field.domain.zero) - val
-        target = cocycle[("arr", key)]
-        for r in range(N.dims[i]):
-            for c in range(M.dims[j]):
-                rows.append(eq.get((r, c), {}))
-                rhs.append(target.entry(r, c))
-
-    data = {}
-    for idx, row in enumerate(rows):
-        r = {u: val for u, val in row.items() if val}
-        if r:
-            data[idx] = r
-    from sympy.polys.matrices import DomainMatrix
-    T = Mat(field, DomainMatrix(data, (len(rows), total), field.domain))
-    b = Mat.from_rows(field, [[x] for x in rhs], (len(rhs), 1))
-    return T.solve(b) is not None
+    delta, _, chain_at = _coboundary(M, N)
+    return delta.solve(_vec(M.field, chain_at, cocycle)) is not None
 
 
 def build_extension(M, N, cocycle):
@@ -582,15 +493,6 @@ def build_extension(M, N, cocycle):
     if bad:
         raise ValueError(f"cocycle does not satisfy the relations: {bad}")
     return E
-
-
-def nontrivial_extension(M, N):
-    """Some extension of M by N with a cocycle that is not a coboundary,
-    or None when Ext^1(M, N) = 0."""
-    for cocycle in extension_cocycle_space(M, N):
-        if not cocycle_is_coboundary(M, N, cocycle):
-            return build_extension(M, N, cocycle)
-    return None
 
 
 def ext1_dim(M, N):

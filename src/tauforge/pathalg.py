@@ -271,18 +271,6 @@ class AlgebraElement:
             return AlgebraElement.zero(self.src, self.tgt)
         return AlgebraElement(self.src, self.tgt, {m: c * x for m, x in self.terms.items()})
 
-    def mul(self, other, datum):
-        """self . other (other acts first)."""
-        if other.tgt != self.src:
-            raise ValueError("elements do not compose")
-        out = AlgebraElement.zero(other.src, self.tgt)
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(datum, m1, m2)
-                if m is not None:
-                    out = out.add(AlgebraElement.from_mono(m, c1 * c2))
-        return out
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -393,22 +381,8 @@ def build_injective(datum, field, i):
     return make_rep(datum, field, dims, eps, arr)
 
 
-def generator_coords(datum, i):
-    """Index of the unit path inside the vertex-i component of P_i."""
-    return algebra_basis(datum).index[unit(datum, i)]
-
-
-def element_to_vector(datum, field, elt, rows):
-    """Coordinates of an algebra element in the path basis ``rows``."""
-    basis = algebra_basis(datum)
-    entries = {}
-    for m, c in elt.terms.items():
-        entries[(basis.index[m], 0)] = c
-    return Mat.from_dict(field, (len(rows), 1), entries)
-
-
 def element_from_coords(datum, src, tgt, coords):
-    """Inverse of the above: scalar coordinates over paths(src, tgt)."""
+    """Algebra element from scalar coordinates over paths(src, tgt)."""
     basis = algebra_basis(datum)
     paths = basis.paths(src, tgt)
     terms = {}

@@ -49,6 +49,23 @@ def _slots(datum, k):
     return slots
 
 
+def _check_contract(datum, k, M, out, check_rank, where):
+    """Check the reflected module ``out`` against the algebra relations and,
+    when asked, its rank vector against s_k of the rank vector of M;
+    ``where`` names vertex k as a 'sink' or a 'source' in the messages."""
+    bad = check_relations(out)
+    if bad:
+        raise ContractViolation(f"reflected module violates relations: {bad}")
+    if check_rank:
+        r = rank_vector(M)
+        if r is not None and any(r[v - 1] for v in datum.vertices if v != k):
+            expected = simple_reflection(datum, k, r)
+            got = rank_vector(out)
+            if got != tuple(expected):
+                raise ContractViolation(
+                    f"rank transport failed at {where} {k}: {got} != s_{k}{tuple(r)}")
+
+
 def reflect_plus(datum, k, M, check_rank=True):
     if datum != M.datum:
         raise ValueError("module is not over the given datum")
@@ -59,7 +76,6 @@ def reflect_plus(datum, k, M, check_rank=True):
     slots = _slots(datum, k)
     slot_dims = [M.dims[j] for (j, _, _) in slots]
     pos = {s: t for t, s in enumerate(slots)}
-    total = sum(slot_dims)
 
     # multiplication map T -> M_k, slotwise M(eps_k)^a M(alpha^(g))
     mult_grid = {}
@@ -89,34 +105,17 @@ def reflect_plus(datum, k, M, check_rank=True):
     offsets = [0]
     for d in slot_dims:
         offsets.append(offsets[-1] + d)
-    urows = U.rows()
     for key in quiver_new.arrows:
         i, j, g = key
         if j == k:
             # projection onto slot (i, g, f(i,k)-1)
             t = pos[(i, g, datum.f(i, k) - 1)]
-            entries = {}
-            for r in range(M.dims[i]):
-                for c in range(new_dim_k):
-                    val = urows[offsets[t] + r][c]
-                    if val:
-                        entries[(r, c)] = val
-            arr[key] = Mat.from_dict(field, (M.dims[i], new_dim_k), entries)
+            arr[key] = Mat(field, U.dm[offsets[t]:offsets[t + 1], :])
         else:
             arr[key] = M.arr[key]
     out = make_rep(new_datum, field, dims, eps, arr)
 
-    bad = check_relations(out)
-    if bad:
-        raise ContractViolation(f"reflected module violates relations: {bad}")
-    if check_rank:
-        r = rank_vector(M)
-        if r is not None and any(r[v - 1] for v in datum.vertices if v != k):
-            expected = simple_reflection(datum, k, r)
-            got = rank_vector(out)
-            if got != tuple(expected):
-                raise ContractViolation(
-                    f"rank transport failed at sink {k}: {got} != s_{k}{tuple(r)}")
+    _check_contract(datum, k, M, out, check_rank, "sink")
     return out
 
 
@@ -132,17 +131,7 @@ def reflect_minus(datum, k, M, check_rank=True):
     back = dual_rep(refl)
     new_datum = reflect_orientation(datum, k)
     out = make_rep(new_datum, M.field, dict(back.dims), dict(back.eps), dict(back.arr))
-    bad = check_relations(out)
-    if bad:
-        raise ContractViolation(f"reflected module violates relations: {bad}")
-    if check_rank:
-        r = rank_vector(M)
-        if r is not None and any(r[v - 1] for v in datum.vertices if v != k):
-            expected = simple_reflection(datum, k, r)
-            got = rank_vector(out)
-            if got != tuple(expected):
-                raise ContractViolation(
-                    f"rank transport failed at source {k}: {got} != s_{k}{tuple(r)}")
+    _check_contract(datum, k, M, out, check_rank, "source")
     return out
 
 

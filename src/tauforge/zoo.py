@@ -1644,13 +1644,22 @@ def verify_proposition(check_id, field=None, **params):
     return fn(field, **merged)
 
 
+def select_check_ids(filter_id=None):
+    """The check ids a filter selects, in check-id order: the one check it
+    names exactly, otherwise every id that contains it."""
+    ids = all_check_ids()
+    if not filter_id:
+        return ids
+    if filter_id in ids:
+        return [filter_id]
+    return [cid for cid in ids if filter_id in cid]
+
+
 def run_suite(filter_id=None, field=None, n=None):
-    """Run every registered check (optionally substring-filtered), in
+    """Run the checks that ``select_check_ids(filter_id)`` picks, in
     deterministic check-id order."""
     reports = []
-    for check_id in all_check_ids():
-        if filter_id and filter_id not in check_id:
-            continue
+    for check_id in select_check_ids(filter_id):
         params = {}
         if n is not None and "n" in _CHECK_TABLE[check_id][1]:
             params["n"] = n

@@ -179,6 +179,16 @@ def test_verify_single_check(capsys):
     assert "typeG1" in out and "pass" in out
 
 
+@pytest.mark.parametrize("check_id", ["typeB", "typeC"])
+def test_verify_filter_equal_to_a_check_id_runs_only_it(capsys, tmp_path, check_id):
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--suite", "paper", "--filter", check_id,
+                       "--json", str(report))
+    assert code == 0
+    assert [entry["checkId"] for entry in json.loads(report.read_text())] == [check_id]
+    assert out.split() == [check_id, "pass"]
+
+
 def test_verify_unmatched_filter(capsys):
     code, _, err = run(capsys, "verify", "--suite", "paper",
                        "--filter", "nosuch")
@@ -265,3 +275,17 @@ def test_verify_over_prime_field(capsys, check_id):
                        "--field", "p:32003")
     assert code == 0
     assert out.split() == [check_id, "pass"]
+
+
+def test_classify_not_locally_free_is_math_failure(tmp_path):
+    module_file = tmp_path / "s2.json"
+    module_file.write_text(json.dumps(
+        {"datum": "B3", "field": {"kind": "rational"}, "dims": {"2": 1}, "maps": {}}))
+    proc = subprocess.run([sys.executable, "-m", "tauforge.cli", "mod", "tau", str(module_file),
+                           "--classify"],
+                          capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if not line.startswith("#")] == \
+        [proc.stderr.splitlines()[-1]]
+    assert proc.stderr.splitlines()[-1].startswith("fail:")

@@ -1,5 +1,6 @@
 """Representation layer: homs, extensions, duality, certificates, JSON."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,9 +35,10 @@ from tauforge.modrep import (
     zero_rep,
 )
 from tauforge.pathalg import loop, parse_path
-from tauforge.zoo import build_named, named_datum
+from tauforge.zoo import build_named, module_battery, named_datum
 
 Q = Field.rational()
+GF = Field.prime(32003)
 
 
 def b3(m=1):
@@ -111,10 +113,11 @@ def test_dual_lives_over_opposite_datum_and_is_involutive():
 # Ext^1: presentation route vs cocycle route
 
 
-def test_ext1_routes_agree():
-    cd, Z = build_named("Bn.Z", n=3)
-    E2 = free_simple(cd, Q, 2)
-    E3 = free_simple(cd, Q, 3)
+@pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
+def test_ext1_routes_agree(field):
+    cd, Z = build_named("Bn.Z", field=field, n=3)
+    E2 = free_simple(cd, field, 2)
+    E3 = free_simple(cd, field, 3)
     pairs = [(Z, Z), (Z, E2), (E2, Z), (E2, E3), (E3, E2), (E2, E2)]
     for M, N in pairs:
         assert ext1_dim(M, N) == ext1_dim_cocycle(M, N)
@@ -158,6 +161,39 @@ def test_coboundary_gives_split_middle():
     assert cocycle_is_coboundary(E2, E3, zero)
     E = build_extension(E2, E3, zero)
     assert rep_equal(E, direct_sum([E3, E2]))
+
+
+def _random_coboundary(rng, M, N):
+    """psi . M - N . psi for a random vertexwise map psi : M -> N."""
+    field, datum = M.field, M.datum
+    psi = {v: Mat.from_dict(field, (N.dims[v], M.dims[v]),
+                            {(r, c): rng.randint(-3, 3)
+                             for r in range(N.dims[v]) for c in range(M.dims[v])})
+           for v in datum.vertices}
+    cocycle = {("eps", v): psi[v] @ M.eps[v] - N.eps[v] @ psi[v] for v in datum.vertices}
+    for (i, j, g), A in M.arr.items():
+        cocycle[("arr", (i, j, g))] = psi[i] @ A - N.arr[(i, j, g)] @ psi[j]
+    return cocycle
+
+
+@pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
+def test_random_coboundaries_are_coboundaries(field):
+    rng = random.Random(4)
+    mods = [M for _, M in module_battery(b3(), field, size=8)]
+    for _ in range(12):
+        M, N = rng.choice(mods), rng.choice(mods)
+        cocycle = _random_coboundary(rng, M, N)
+        assert cocycle_is_coboundary(M, N, cocycle) is True
+        assert check_relations(build_extension(M, N, cocycle)) == []
+
+
+def test_hom_basis_valid_over_prime_field_battery():
+    mods = [M for _, M in module_battery(named_datum("G21"), GF, size=8)]
+    for M in mods:
+        for N in mods:
+            basis = hom_basis(M, N)
+            assert len(basis) == hom_dim(M, N)
+            assert all(f.is_valid() for f in basis)
 
 
 # ---------------------------------------------------------------------------
