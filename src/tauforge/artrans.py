@@ -8,6 +8,7 @@ same transport over the opposite algebra, conjugated by duality.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .cartan import build_quiver, opposite_datum
 from .linalg import Mat
@@ -155,7 +156,6 @@ def minimal_presentation(M):
 @dataclass
 class TauResult:
     module: Representation
-    direction: int
 
     @property
     def is_zero(self):
@@ -168,7 +168,7 @@ def tau(M):
     datum, field = M.datum, M.field
     pres = minimal_presentation(M)
     if not pres.gens1:
-        return TauResult(zero_rep(datum, field), +1)
+        return TauResult(zero_rep(datum, field))
     I1 = direct_sum([build_injective(datum, field, a) for a in pres.gens1])
     if pres.gens0:
         I0 = direct_sum([build_injective(datum, field, b) for b in pres.gens0])
@@ -178,7 +178,7 @@ def tau(M):
                             pres.entries)
     nu_map = Morphism(I1, I0, blocks)
     K, _ = kernel_rep(nu_map)
-    return TauResult(K, +1)
+    return TauResult(K)
 
 
 def tau_inverse(M):
@@ -188,18 +188,16 @@ def tau_inverse(M):
     t = tau(dM)
     back = dual_rep(t.module)
     restored = make_rep(datum, field, dict(back.dims), dict(back.eps), dict(back.arr))
-    return TauResult(restored, -1)
+    return TauResult(restored)
 
 
-def tau_power(M, k):
-    """tau^k for k >= 0, tau^{-|k|} for k < 0; stops at zero."""
-    cur = M
-    step = tau if k >= 0 else tau_inverse
-    for _ in range(abs(k)):
-        if is_zero_rep(cur):
-            return cur
+def tau_walk(M, step):
+    """Yield step(M), step(step(M)), ... for step tau or tau_inverse; the
+    walk ends before the first zero module."""
+    cur = step(M).module
+    while not is_zero_rep(cur):
+        yield cur
         cur = step(cur).module
-    return cur
 
 
 @dataclass
@@ -231,20 +229,12 @@ def tau_orbit(M, window=None):
     if window is None:
         window = default_window(datum)
     entries = [OrbitEntry(0, M, rank_vector(M))]
-    cur = M
     period = None
-    for k in range(1, window + 1):
-        cur = tau(cur).module
-        if is_zero_rep(cur):
-            break
+    for k, cur in enumerate(islice(tau_walk(M, tau), window), start=1):
         entries.append(OrbitEntry(k, cur, rank_vector(cur)))
         if period is None and is_isomorphic(cur, M).verdict == "yes":
             period = k
-    cur = M
-    for k in range(1, window + 1):
-        cur = tau_inverse(cur).module
-        if is_zero_rep(cur):
-            break
+    for k, cur in enumerate(islice(tau_walk(M, tau_inverse), window), start=1):
         entries.append(OrbitEntry(-k, cur, rank_vector(cur)))
     entries.sort(key=lambda e: e.k)
     return TauOrbit(entries, period)
@@ -253,8 +243,7 @@ def tau_orbit(M, window=None):
 @dataclass
 class FreenessReport:
     status: str               # 'verified' | 'verified_on_window' | 'fails'
-    period: int = None
-    terminated: bool = False
+    period: int = None        # None with 'verified': both walks ended at zero
     fail_k: int = None
     fail_vertex: int = None
 
@@ -279,36 +268,18 @@ def is_tau_locally_free(M, window=None, check_indecomposable=True):
     bad = check(M, 0)
     if bad:
         return bad
-    forward_closed = False
-    period = None
-    cur = M
-    for k in range(1, window + 1):
-        cur = tau(cur).module
-        if is_zero_rep(cur):
-            forward_closed = True
-            break
-        bad = check(cur, k)
-        if bad:
-            return bad
-        if is_isomorphic(cur, M).verdict == "yes":
-            period = k
-            forward_closed = True
-            break
-    if period is not None:
-        return FreenessReport("verified", period=period)
-    backward_closed = False
-    cur = M
-    for k in range(1, window + 1):
-        cur = tau_inverse(cur).module
-        if is_zero_rep(cur):
-            backward_closed = True
-            break
-        bad = check(cur, -k)
-        if bad:
-            return bad
-    if forward_closed and backward_closed:
-        return FreenessReport("verified", terminated=True)
-    return FreenessReport("verified_on_window")
+    closed = 0
+    for sign, step in ((1, tau), (-1, tau_inverse)):
+        walked = 0
+        for k, cur in enumerate(islice(tau_walk(M, step), window), start=1):
+            bad = check(cur, sign * k)
+            if bad:
+                return bad
+            if sign > 0 and is_isomorphic(cur, M).verdict == "yes":
+                return FreenessReport("verified", period=k)
+            walked = k
+        closed += walked < window
+    return FreenessReport("verified" if closed == 2 else "verified_on_window")
 
 
 def classify_module(M):
@@ -325,11 +296,7 @@ def tau_period(M, cap=None):
     if cap is None:
         cox = coxeter_data(datum)
         cap = cox.N if cox.N else 2 * datum.n
-    cur = M
-    for r in range(1, cap + 1):
-        cur = tau(cur).module
-        if is_zero_rep(cur):
-            return None
+    for r, cur in enumerate(islice(tau_walk(M, tau), cap), start=1):
         if is_isomorphic(cur, M).verdict == "yes":
             return r
     return None

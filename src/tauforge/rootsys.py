@@ -234,6 +234,8 @@ def classify_positive_root(datum, v):
 def enumerate_positive_roots(datum, max_height):
     """All positive roots of height <= max_height, by reflection closure of
     the simples plus the imaginary multiples of delta."""
+    if max_height < 1:
+        return []
     n = datum.n
     found = set()
     frontier = [_unit(n, i) for i in datum.vertices]

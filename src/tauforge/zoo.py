@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .artrans import is_tau_locally_free, is_zero_rep, tau, tau_inverse, tau_period
+from .artrans import is_tau_locally_free, is_zero_rep, tau, tau_inverse, tau_period, tau_walk
 from .cartan import admissible_sequence, delta, validate_datum
 from .linalg import Field, Mat
 from .modrep import (
@@ -763,57 +763,24 @@ def _mod_F41_Z(datum, field):
     return b.build()
 
 
-def _explicit_rep(datum, field, dims, eps_rows, arr_rows):
-    eps = {v: Mat.from_rows(field, rows) for v, rows in eps_rows.items()}
-    arr = {key: Mat.from_rows(field, rows) for key, rows in arr_rows.items()}
-    rep = make_rep(datum, field, dims, eps, arr)
-    bad = check_relations(rep)
-    if bad:
-        raise ValueError("module table violates the relations: %s" % (bad[0],))
-    return rep
-
-
 def _mod_F41_Y(datum, field):
-    dims = {1: 1, 2: 4, 3: 5, 4: 6, 5: 2}
-    shift2 = [[0, 0], [1, 0]]
-    eps = {
-        4: [
-            [0, 0, 0, 0, 0, 0],
-            [1, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 1, 0],
-        ],
-        5: shift2,
+    b = _RepBuilder(datum, field)
+    for v, dim in ((1, 1), (2, 4), (3, 5), (4, 6), (5, 2)):
+        for k in range(dim):
+            b.basis(v, k)
+    for k in (0, 2, 4):
+        b.tower(4, [k, k + 1])
+    b.tower(5, [0, 1])
+    arrows = {
+        (2, 1): [(0, 0)],
+        (3, 2): [(0, 0), (1, 1), (2, 3), (3, 4)],
+        (4, 3): [(0, 0), (1, 2), (2, 3), (3, 4), (4, 5)],
+        (4, 5): [(0, 0), (1, 1), (0, 3), (0, 4), (1, 5)],
     }
-    arr = {
-        (2, 1, 1): [[1], [0], [0], [0]],
-        (3, 2, 1): [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 0],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-        ],
-        (4, 3, 1): [
-            [1, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-            [0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1],
-        ],
-        (4, 5, 1): [
-            [1, 0],
-            [0, 1],
-            [0, 0],
-            [1, 0],
-            [1, 0],
-            [0, 1],
-        ],
-    }
-    return _explicit_rep(datum, field, dims, eps, arr)
+    for (target, source), pairs in arrows.items():
+        for src, dst in pairs:
+            b.arrow(target, source, src, dst)
+    return b.build()
 
 
 def _mod_G21_Z(datum, field):
@@ -829,29 +796,20 @@ def _mod_G21_Z(datum, field):
 
 
 def _mod_G21_Y(datum, field):
-    dims = {1: 1, 2: 5, 3: 6}
-    eps = {
-        3: [
-            [0, 0, 0, 0, 0, 0],
-            [1, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 1, 0],
-        ],
+    b = _RepBuilder(datum, field)
+    for v, dim in ((1, 1), (2, 5), (3, 6)):
+        for k in range(dim):
+            b.basis(v, k)
+    b.tower(3, [0, 1, 2])
+    b.tower(3, [3, 4, 5])
+    arrows = {
+        (2, 1): [(0, 1), (0, 2)],
+        (3, 2): [(0, 0), (1, 1), (2, 3), (3, 4), (4, 5)],
     }
-    arr = {
-        (2, 1, 1): [[0], [1], [1], [0], [0]],
-        (3, 2, 1): [
-            [1, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1],
-        ],
-    }
-    return _explicit_rep(datum, field, dims, eps, arr)
+    for (target, source), pairs in arrows.items():
+        for src, dst in pairs:
+            b.arrow(target, source, src, dst)
+    return b.build()
 
 
 def _mod_Atilde_interval(datum, field, i=None, j=None):
@@ -1032,22 +990,21 @@ def _certify_tube(mouths, expected_ranks, expected_end):
             problems.append("%s: dim End = %d, stated %d" % (label, ed.dim, expected_end))
     order = [mouths[0][0]]
     remaining = list(mouths[1:])
-    cur = mouths[0][1]
+    walk = tau_walk(mouths[0][1], tau)
     closed = False
-    for _ in range(len(mouths) - 1):
-        cur = tau(cur).module
+    while remaining:
+        cur = next(walk, None)
         hit = None
-        for idx, (label, cand) in enumerate(remaining):
-            if is_isomorphic(cur, cand).verdict == "yes":
-                hit = idx
-                break
+        if cur is not None:
+            hit = next((idx for idx, (_, cand) in enumerate(remaining)
+                        if is_isomorphic(cur, cand).verdict == "yes"), None)
         if hit is None:
             problems.append("tau-orbit left the stated mouth set after %s" % order[-1])
             break
         order.append(remaining.pop(hit)[0])
     else:
-        cur = tau(cur).module
-        closed = is_isomorphic(cur, mouths[0][1]).verdict == "yes"
+        cur = next(walk, None)
+        closed = cur is not None and is_isomorphic(cur, mouths[0][1]).verdict == "yes"
         if not closed:
             problems.append("tau-orbit failed to close after %d steps" % len(mouths))
     evidence = {
@@ -1300,16 +1257,17 @@ def _check_lem0(field, family="Bn", n=3):
             continue
         periodic.append({"vertex": i, "period": r})
         M = free_simple(datum, field, i)
-        cur = M
-        for step in range(1, r + 1):
-            cur = tau(cur).module
+        closed = False
+        for step, cur in enumerate(itertools.islice(tau_walk(M, tau), r), start=1):
             if rank_vector(cur) is None:
                 problems.append("E%d: tau^%d iterate is not locally free" % (i, step))
                 break
-            if step < r and not is_rigid(cur):
+            if step == r:
+                closed = is_isomorphic(cur, M).verdict == "yes"
+            elif not is_rigid(cur):
                 problems.append("E%d: tau^%d iterate is not rigid" % (i, step))
         else:
-            if is_isomorphic(cur, M).verdict != "yes":
+            if not closed:
                 problems.append("E%d: tau^%d E is not isomorphic to E" % (i, r))
         if not is_rigid(M):
             problems.append("E%d: not rigid" % i)
@@ -1462,19 +1420,16 @@ def module_battery(datum, field, size=30):
     inj = {v: build_injective(datum, field, v) for v in datum.vertices}
     mods += [("P%d" % v, proj[v]) for v in datum.vertices]
     mods += [("I%d" % v, inj[v]) for v in datum.vertices]
+    # affine type: the walks from projectives and injectives never reach zero
+    walks = [("tau^-%d.P%d", v, tau_walk(proj[v], tau_inverse)) for v in datum.vertices]
+    walks += [("tau^%d.I%d", v, tau_walk(inj[v], tau)) for v in datum.vertices]
     k = 0
     while len(mods) < size:
         k += 1
-        for v in datum.vertices:
+        for label, v, walk in walks:
             if len(mods) >= size:
                 break
-            proj[v] = tau_inverse(proj[v]).module
-            mods.append(("tau^-%d.P%d" % (k, v), proj[v]))
-        for v in datum.vertices:
-            if len(mods) >= size:
-                break
-            inj[v] = tau(inj[v]).module
-            mods.append(("tau^%d.I%d" % (k, v), inj[v]))
+            mods.append((label % (k, v), next(walk)))
     mods = mods[:size]
     _battery_cache[key] = mods
     return mods
@@ -1578,12 +1533,9 @@ def _check_prop2_7(field, n=3, size=38, powers=3):
         comparisons = 0
         for label, M in module_battery(datum, field, size):
             base = rank_vector(M)
-            cur = M
             steps = 0
-            for k in range(1, powers + 1):
-                cur = tau(cur).module
-                if is_zero_rep(cur):
-                    break  # projectives die; the identity is vacuous past this
+            # projectives die; the identity is vacuous past the end of the walk
+            for k, cur in enumerate(itertools.islice(tau_walk(M, tau), powers), start=1):
                 want = cd.c_apply(base, k)
                 got = rank_vector(cur)
                 if got is None or tuple(got) != tuple(want):
@@ -1751,13 +1703,12 @@ def theorem_a_spotcheck(type_id, n=None, height_bound=25, field=None):
         count = 0
         for vertex in sorted(needs):
             wanted = sorted(needs[vertex])
-            cur = seed(vertex)
-            by_depth = {0: rank_vector(cur)}
-            for depth in range(1, wanted[-1][0] + 1):
-                cur = step(cur).module
-                by_depth[depth] = rank_vector(cur)
+            start = seed(vertex)
+            walk = itertools.islice(tau_walk(start, step), wanted[-1][0])
+            ranks = [rank_vector(start)] + [rank_vector(M) for M in walk]
             for depth, root in wanted:
-                got = by_depth.get(depth)
+                # past the end of the walk the translates are zero
+                got = ranks[depth] if depth < len(ranks) else (0,) * datum.n
                 if got is None or tuple(got) != tuple(root):
                     problems.append(
                         "root %s: translate depth %d of vertex %d realized rank %s" % (root, depth, vertex, got)

@@ -49,6 +49,11 @@ def _random_raw_path(datum, quiver_arrows, rng, max_len=4):
     return src, tuple(arrows), exps
 
 
+def _changed(reports, unchanged_report):
+    return ["%s report differs from its pinned digest" % r.check_id
+            for r in reports if not unchanged_report(r)]
+
+
 def _verdict(num, label, ok, detail=""):
     print("criterion %d (%s): %s%s" % (num, label, "PASS" if ok else "FAIL",
                                        " " + detail if detail else ""))
@@ -72,14 +77,15 @@ def test_criterion_1_delta_values():
     _verdict(1, "kernel vectors", not bad, str(bad) if bad else "")
 
 
-def test_criterion_2_bilinear_form_vs_homology():
+def test_criterion_2_bilinear_form_vs_homology(unchanged_report):
     report = verify_proposition("prop2.1")
-    ok = report.passed and report.evidence["pairs"] >= 50
+    changed = _changed([report], unchanged_report)
+    ok = report.passed and report.evidence["pairs"] >= 50 and not changed
     _verdict(2, "form = hom - ext on %d pairs" % report.evidence["pairs"], ok,
-             report.evidence.get("failures", ""))
+             report.evidence.get("failures", "") or "; ".join(changed))
 
 
-def test_criterion_3_good_tubes():
+def test_criterion_3_good_tubes(unchanged_report):
     single = {
         ("typeB", 3): 3,
         ("typeB", 4): 4,
@@ -89,22 +95,25 @@ def test_criterion_3_good_tubes():
         ("typeG2", None): 2,
     }
     problems = []
+    pinned = {}     # check id -> report at its suite defaults (typeB: n=3)
     for (cid, n), period in single.items():
         rep = verify_proposition(cid, n=n) if n else verify_proposition(cid)
+        if n in (None, 3):
+            pinned[cid] = rep
         if not rep.passed:
             problems.append("%s failed" % cid)
         elif rep.evidence["period"] != period:
             problems.append("%s period %s" % (cid, rep.evidence["period"]))
         elif not all(m["rigid"] for m in rep.evidence["mouths"]):
             problems.append("%s non-rigid mouth" % cid)
-    g1 = verify_proposition("typeG1")
+    g1 = pinned["typeG1"]
     if [m["endDim"] for m in g1.evidence["mouths"]] != [3, 3]:
         problems.append("typeG1 end dims")
     for pair, want in [(("typeBD1", "typeBD2"), {3, 2}),
                        (("typeCD1", "typeCD2"), {3, 2})]:
         got = set()
         for cid in pair:
-            rep = verify_proposition(cid)
+            rep = pinned[cid] = verify_proposition(cid)
             if not rep.passed:
                 problems.append("%s failed" % cid)
             else:
@@ -112,7 +121,7 @@ def test_criterion_3_good_tubes():
         if got != want:
             problems.append("%s periods %s" % ("/".join(pair), sorted(got)))
     for cid in ("typeF1", "typeF22"):
-        rep = verify_proposition(cid)
+        rep = pinned[cid] = verify_proposition(cid)
         if not rep.passed:
             problems.append("%s failed" % cid)
             continue
@@ -121,14 +130,17 @@ def test_criterion_3_good_tubes():
             problems.append("%s tube periods %s" % (cid, periods))
         if not all(m["rigid"] for t in rep.evidence["tubes"] for m in t["mouths"]):
             problems.append("%s non-rigid mouth" % cid)
-    f22 = verify_proposition("typeF22")
-    rank3 = next(t for t in f22.evidence["tubes"] if t["period"] == 3)
+    rank3 = next(t for t in pinned["typeF22"].evidence["tubes"] if t["period"] == 3)
     if [m["endDim"] for m in rank3["mouths"]] != [1, 1, 1]:
         problems.append("typeF22 rank-3 end dims")
+    pinned["typeA"] = verify_proposition("typeA")
+    if not pinned["typeA"].passed:
+        problems.append("typeA failed")
+    problems += _changed(pinned.values(), unchanged_report)
     _verdict(3, "good tubes with certificates", not problems, "; ".join(problems))
 
 
-def test_criterion_4_homogeneous_modules():
+def test_criterion_4_homogeneous_modules(unchanged_report):
     report = verify_proposition("prop:homog")
     expected_rank = {
         "A11.homog": (2, 1),
@@ -152,10 +164,11 @@ def test_criterion_4_homogeneous_modules():
     lams = sorted({e["lam"] for e in entries if e["id"] == "Bn.MlamB"})
     if len(lams) < 2:
         problems.append("only one lambda value: %s" % lams)
+    problems += _changed([report], unchanged_report)
     _verdict(4, "homogeneous tau-fixed modules", not problems, "; ".join(problems))
 
 
-def test_criterion_5_nonrigid_counterexamples():
+def test_criterion_5_nonrigid_counterexamples(unchanged_report):
     table = {
         "main2.Bn": (3, 3),
         "main2.CDn": (2, 3),
@@ -165,6 +178,7 @@ def test_criterion_5_nonrigid_counterexamples():
     problems = []
     for cid, (z_period, y_end) in table.items():
         rep = verify_proposition(cid)
+        problems += _changed([rep], unchanged_report)
         if not rep.passed:
             problems.append("%s failed" % cid)
             continue
@@ -182,10 +196,11 @@ def test_criterion_5_nonrigid_counterexamples():
     _verdict(5, "non-rigid tau-periodic families", not problems, "; ".join(problems))
 
 
-def test_criterion_6_functor_contracts():
+def test_criterion_6_functor_contracts(unchanged_report):
     problems = []
     for cid in ("prop2.4", "prop2.6", "prop2.7"):
         rep = verify_proposition(cid)
+        problems += _changed([rep], unchanged_report)
         if not rep.passed:
             problems.append("%s failed" % cid)
             continue

@@ -1,5 +1,7 @@
 """Translation machinery: presentations, tau in both directions, orbits."""
 
+from itertools import islice
+
 import pytest
 
 from tauforge.artrans import (
@@ -13,13 +15,14 @@ from tauforge.artrans import (
     tau_inverse,
     tau_orbit,
     tau_period,
-    tau_power,
+    tau_walk,
 )
 from tauforge.linalg import Field
 from tauforge.modrep import (
     direct_sum,
     free_simple,
     image_dims,
+    make_rep,
     rank_vector,
     rep_equal,
     is_isomorphic,
@@ -80,12 +83,23 @@ def test_tau_rank_is_coxeter_image():
     assert rank_vector(cur) == rank_vector(E2)
 
 
-def test_tau_power_matches_iteration():
+def test_tau_walk_matches_iteration():
     _, Z = build_named("G21.Z")
     one = tau(Z).module
     two = tau(one).module
-    assert rep_equal(tau_power(Z, 2), two)
+    walked = list(islice(tau_walk(Z, tau), 2))
+    assert rep_equal(walked[0], one) and rep_equal(walked[1], two)
     assert is_isomorphic(two, Z).verdict == "yes"
+
+
+def test_tau_walk_ends_before_zero():
+    cd = b3()
+    P1 = build_projective(cd, Q, 1)
+    assert list(tau_walk(P1, tau)) == []
+    walked = list(islice(tau_walk(P1, tau_inverse), 5))
+    assert len(walked) == 5
+    assert not any(is_zero_rep(M) for M in walked)
+    assert rep_equal(walked[0], tau_inverse(P1).module)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +156,22 @@ def test_is_tau_locally_free_verified_with_period():
     report = is_tau_locally_free(E2)
     assert report.status == "verified"
     assert report.period == 3
+
+
+def test_is_tau_locally_free_fails_at_the_start():
+    cd = named_datum("G21")
+    S3 = make_rep(cd, Q, {3: 1})            # d_3 = 3, so not free at vertex 3
+    report = is_tau_locally_free(S3)
+    assert report.status == "fails"
+    assert (report.fail_k, report.fail_vertex) == (0, 3)
+
+
+def test_is_tau_locally_free_on_an_open_window():
+    cd = b3()
+    P1 = build_projective(cd, Q, 1)         # tau P1 = 0, tau^-k P1 never is
+    report = is_tau_locally_free(P1, window=3)
+    assert report.status == "verified_on_window"
+    assert report.period is None
 
 
 def test_is_tau_locally_free_rejects_decomposable():

@@ -10,8 +10,10 @@ import pytest
 
 import tauforge
 from tauforge.cli import main
-from tauforge.modrep import rank_vector, rep_from_json
-from tauforge.zoo import build_named
+from tauforge.linalg import Field
+from tauforge.modrep import rank_vector, rep_from_json, rep_to_json
+from tauforge.pathalg import build_projective
+from tauforge.zoo import build_named, named_datum
 
 
 _SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(tauforge.__file__).resolve().parents[1]))
@@ -46,6 +48,13 @@ def test_roots_negative_height_is_usage_error(capsys):
     code, _, err = run(capsys, "roots", "--datum", "B3", "--height", "-3")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("height, lines", [(0, 0), (1, 4)])
+def test_roots_line_count_follows_the_height(capsys, height, lines):
+    code, out, _ = run(capsys, "roots", "--datum", "B3", "--height", str(height))
+    assert code == 0
+    assert len(out.splitlines()) == lines
 
 
 def test_roots_classify_lines(capsys):
@@ -99,6 +108,30 @@ def test_mod_tau_orbit_reports_period(capsys, tmp_path):
     code, out, _ = run(capsys, "mod", "tau", str(mod_file), "--orbit", "4")
     assert code == 0
     assert "period=2" in out
+
+
+_ORBIT_BN_Z = "rank=1,1,1,1\n" + "".join("tau^%d rank=1,1,1,1\n" % k for k in range(-6, 7)) + "period=3\n"
+_ORBIT_B3_P1 = """rank=1,1,1,2
+tau^-6 rank=5,5,5,6
+tau^-5 rank=3,4,4,4
+tau^-4 rank=3,3,4,4
+tau^-3 rank=3,3,3,4
+tau^-2 rank=1,2,2,2
+tau^-1 rank=1,1,2,2
+tau^0 rank=1,1,1,2
+period=none
+"""
+
+
+def test_mod_tau_orbit_stdout(capsys, tmp_path):
+    z_file, p_file = tmp_path / "z.json", tmp_path / "p1.json"
+    run(capsys, "zoo", "--build", "Bn.Z", "--n", "3", "--json", str(z_file))
+    P1 = build_projective(named_datum("Bn", n=3), Field.rational(), 1)
+    p_file.write_text(json.dumps(rep_to_json(P1, embed_datum=True)))
+    for path, want in ((z_file, _ORBIT_BN_Z), (p_file, _ORBIT_B3_P1)):
+        code, out, _ = run(capsys, "mod", "tau", str(path), "--orbit", "6")
+        assert code == 0
+        assert out == want
 
 
 def test_mod_classify_not_root_exit(capsys, tmp_path):

@@ -109,6 +109,13 @@ def test_enumeration_height_and_positivity():
         assert min(root) >= 0
 
 
+def test_enumeration_respects_a_height_below_one():
+    datum = named_datum("Bn", n=3)
+    assert enumerate_positive_roots(datum, 0) == []
+    assert enumerate_positive_roots(datum, -1) == []
+    assert enumerate_positive_roots(datum, 1) == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+
+
 @pytest.mark.parametrize("family,n", [("Bn", 3), ("A11", None)])
 def test_classification_is_a_partition(family, n):
     datum = named_datum(family, n=n) if n else named_datum(family)

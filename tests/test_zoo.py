@@ -148,8 +148,10 @@ def test_main2_bn_evidence():
     assert y["extensionRoute"] is True
 
 
-def test_report_json_schema():
-    blob = verify_proposition("lem0", n=3).to_json()
+def test_report_json_schema(unchanged_report):
+    report = verify_proposition("lem0", n=3)
+    assert unchanged_report(report)
+    blob = report.to_json()
     assert set(blob) == {"checkId", "status", "evidence"}
     assert blob["checkId"] == "lem0"
     assert blob["status"] == "pass"
