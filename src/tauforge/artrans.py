@@ -10,13 +10,13 @@ same transport over the opposite algebra, conjugated by duality.
 from dataclasses import dataclass
 from itertools import islice
 
-from .cartan import build_quiver, opposite_datum
+from .cartan import build_quiver
 from .linalg import Mat
 from .modrep import (Morphism, Representation, direct_sum, dual_rep, end_analysis,
-                     hom_dim, is_isomorphic, kernel_rep, local_free_rank, make_rep,
-                     rank_vector, zero_rep, apply_monomial)
-from .pathalg import (AlgebraElement, algebra_basis, build_injective,
-                      build_projective, element_from_coords, mono_mul)
+                     is_isomorphic, kernel_rep, local_free_rank, make_rep,
+                     rank_vector, zero_rep)
+from .pathalg import (algebra_basis, build_injective, build_projective,
+                      element_from_coords, mono_mul, mono_target)
 from .rootsys import classify_positive_root, coxeter_data
 
 
@@ -30,27 +30,12 @@ def is_zero_rep(rep):
 
 def _radical_complement(rep, v):
     """Columns of M_v completing the radical part to a basis (a lift of the
-    top at v)."""
-    quiver = build_quiver(rep.datum)
-    pieces = [rep.eps[v]]
-    for key in quiver.arrows_into(v):
-        pieces.append(rep.arr[key])
-    stacked = pieces[0]
-    for p in pieces[1:]:
-        stacked = stacked.hstack(p)
-    rad = stacked.column_space_cols()
-    dim = rep.dims[v]
-    out = []
-    current = rad
-    rank = current.rank()
-    for k in range(dim):
-        e = Mat.from_dict(rep.field, (dim, 1), {(k, 0): 1})
-        trial = current.hstack(e)
-        if trial.rank() > rank:
-            out.append(e)
-            current = trial
-            rank += 1
-    return out
+    top at v): the unit vectors e_k that are pivots of [radical | I]."""
+    arrows = build_quiver(rep.datum).arrows_into(v)
+    stacked = rep.eps[v].hstack(*(rep.arr[key] for key in arrows))
+    dim, n = rep.dims[v], stacked.ncols
+    _, piv = stacked.hstack(Mat.identity(rep.field, dim)).rref()
+    return [Mat.from_dict(rep.field, (dim, 1), {(j - n, 0): 1}) for j in piv if j >= n]
 
 
 def _generators(rep):
@@ -60,6 +45,29 @@ def _generators(rep):
         for col in _radical_complement(rep, v):
             gens.append((v, col))
     return gens
+
+
+def _path_images(M, basis, b, u):
+    """{w: the columns p @ u for the basis paths p from b to w}.  Each path
+    is applied through its parent: p with one loop less at the end, or else
+    without its last arrow; parents are basis paths too, as their exponent
+    bounds are weaker."""
+    images = {}
+
+    def image(p):
+        if p not in images:
+            if p.exps[-1]:
+                parent = p._replace(exps=p.exps[:-1] + (p.exps[-1] - 1,))
+                images[p] = M.eps[mono_target(p)] @ image(parent)
+            elif p.arrows:
+                parent = p._replace(arrows=p.arrows[:-1], exps=p.exps[:-1])
+                images[p] = M.arr[p.arrows[-1]] @ image(parent)
+            else:
+                images[p] = u
+        return images[p]
+
+    return {w: Mat.zeros(M.field, M.dims[w], 0).hstack(*(image(p) for p in basis.paths(b, w)))
+            for w in M.datum.vertices}
 
 
 def projective_cover(M):
@@ -73,19 +81,8 @@ def projective_cover(M):
                                                  for v in datum.vertices}), verts
     basis = algebra_basis(datum)
     P0 = direct_sum([build_projective(datum, field, v) for v in verts])
-    blocks = {}
-    for w in datum.vertices:
-        cols = []
-        for b, u in gens:
-            for p in basis.paths(b, w):
-                cols.append(apply_monomial(M, p) @ u)
-        if cols:
-            acc = cols[0]
-            for c in cols[1:]:
-                acc = acc.hstack(c)
-        else:
-            acc = Mat.zeros(field, M.dims[w], 0)
-        blocks[w] = acc
+    per_gen = [_path_images(M, basis, b, u) for b, u in gens]
+    blocks = {w: per_gen[0][w].hstack(*(g[w] for g in per_gen[1:])) for w in datum.vertices}
     cover = Morphism(P0, M, blocks)
     for v in datum.vertices:
         if blocks[v].rank() != M.dims[v]:

@@ -31,7 +31,6 @@ from .zoo import (
     run_suite,
     select_check_ids,
     theorem_a_spotcheck,
-    verify_proposition,
 )
 
 

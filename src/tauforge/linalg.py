@@ -109,6 +109,8 @@ class Mat:
     def from_rows(cls, field, rows, shape=None):
         if shape is None:
             shape = (len(rows), len(rows[0]) if rows else 0)
+        if len(rows) != shape[0]:
+            raise ValueError("expected %d matrix rows, got %d" % (shape[0], len(rows)))
         data = {}
         for i, row in enumerate(rows):
             if len(row) != shape[1]:
@@ -282,18 +284,6 @@ class Mat:
             if out:
                 data[pc] = out
         return Mat(self.field, DomainMatrix(data, (n, len(free)), K))
-
-    def column_space_cols(self):
-        """Matrix whose columns are a basis of the column space."""
-        R, piv = self.dm.rref()
-        cols = list(piv)
-        data = {}
-        sdm = self.dm.rep.to_sdm()
-        for i, row in sdm.items():
-            for idx, j in enumerate(cols):
-                if j in row:
-                    data.setdefault(i, {})[idx] = row[j]
-        return Mat(self.field, DomainMatrix(data, (self.nrows, len(cols)), self.field.domain))
 
     def solve(self, rhs):
         """A particular solution X of self @ X = rhs, or None if inconsistent."""

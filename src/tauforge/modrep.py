@@ -22,10 +22,9 @@ Hom(M, N) is its kernel, and an extension cocycle with the same keys is a
 coboundary exactly when it lies in its image.
 """
 
-import json
 import random
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from sympy.polys.matrices import DomainMatrix
@@ -575,8 +574,6 @@ def is_isomorphic(M, N, samples=20, seed=0):
     basis = hom_basis(M, N)
     if not basis:
         return IsoResult("no", reason="Hom(M, N) = 0 with equal dimensions")
-    if hom_dim(N, M) != len(basis) or hom_dim(M, M) != hom_dim(N, N):
-        return IsoResult("no", reason="Hom dimensions are asymmetric")
 
     def attempt(coeffs):
         blocks = {}
@@ -603,6 +600,10 @@ def is_isomorphic(M, N, samples=20, seed=0):
         cand = attempt([rng.randint(-bound, bound) for _ in range(e)])
         if cand:
             return IsoResult("yes", certificate=cand)
+    # an isomorphism forces symmetric Hom dimensions, so no attempt above
+    # could have succeeded when they are asymmetric
+    if hom_dim(N, M) != e or hom_dim(M, M) != hom_dim(N, N):
+        return IsoResult("no", reason="Hom dimensions are asymmetric")
     return IsoResult("unknown", reason=f"no invertible combination in {samples} samples")
 
 
@@ -644,9 +645,8 @@ def rep_to_json(rep, embed_datum=False):
 
 
 def rep_from_json(obj, datum_resolver=None):
-    if isinstance(obj, str):
-        with open(obj) as fh:
-            obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("a module document is a JSON object, got %s" % type(obj).__name__)
     spec = obj["datum"]
     if isinstance(spec, str):
         if datum_resolver is None:

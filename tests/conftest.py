@@ -3,7 +3,8 @@
 ``CHECK_SHA256`` holds the sha256 of ``json.dumps(report.to_json(),
 sort_keys=True)`` for every check id, run over QQ at its suite defaults.  The
 tests that already run a check compare its report through the
-``unchanged_report`` fixture, so a changed report fails tier-1.  When a change
+``unchanged_report`` fixture, and ``test_zoo.py`` runs every check over
+GF(32003) against the same digests, so a changed report fails tier-1.  When a change
 of output is meant, print the new table with ``PYTHONPATH=src python
 tests/conftest.py`` and paste it over ``CHECK_SHA256``.
 """

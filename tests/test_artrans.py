@@ -6,19 +6,23 @@ import pytest
 
 from tauforge.artrans import (
     NotIndecomposable,
+    _generators,
+    _radical_complement,
     classify_module,
     default_window,
     is_tau_locally_free,
     is_zero_rep,
     minimal_presentation,
+    projective_cover,
     tau,
     tau_inverse,
     tau_orbit,
     tau_period,
     tau_walk,
 )
-from tauforge.linalg import Field
+from tauforge.linalg import Field, Mat
 from tauforge.modrep import (
+    apply_monomial,
     direct_sum,
     free_simple,
     image_dims,
@@ -27,10 +31,10 @@ from tauforge.modrep import (
     rep_equal,
     is_isomorphic,
 )
-from tauforge.pathalg import build_injective, build_projective
-from tauforge.cartan import delta
+from tauforge.pathalg import algebra_basis, build_injective, build_projective
+from tauforge.cartan import build_quiver, delta
 from tauforge.rootsys import coxeter_data
-from tauforge.zoo import build_named, named_datum
+from tauforge.zoo import build_named, module_battery, named_datum
 
 Q = Field.rational()
 
@@ -211,3 +215,47 @@ def test_classify_module_kinds():
     pi = classify_module(I)
     assert pi.kind == "preinjective"
     assert pi.r == 0 and pi.vertex == 3
+
+
+# ---------------------------------------------------------------------------
+# Top lifts and cover columns against their direct definitions
+
+
+def _battery_and_tau(field):
+    mods = []
+    for family, n in (("Bn", 3), ("A11", None), ("G21", None)):
+        for _, M in module_battery(named_datum(family, n=n), field, 14):
+            mods.append(M)
+            T = tau(M).module
+            if not is_zero_rep(T):
+                mods.append(T)
+    return mods
+
+
+def _greedy_complement(rep, v):
+    """Unit vectors e_k taken in order whenever they raise the rank of the
+    radical part plus the vectors taken so far."""
+    arrows = build_quiver(rep.datum).arrows_into(v)
+    current = rep.eps[v].hstack(*(rep.arr[key] for key in arrows))
+    rank = current.rank()
+    out = []
+    for k in range(rep.dims[v]):
+        e = Mat.from_dict(rep.field, (rep.dims[v], 1), {(k, 0): 1})
+        trial = current.hstack(e)
+        if trial.rank() > rank:
+            out.append(e)
+            current, rank = trial, rank + 1
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(32003)], ids=["QQ", "GF32003"])
+def test_top_lift_and_cover_match_definitions(field):
+    for M in _battery_and_tau(field):
+        for v in M.datum.vertices:
+            assert _radical_complement(M, v) == _greedy_complement(M, v)
+        basis = algebra_basis(M.datum)
+        gens = _generators(M)
+        _, cover, _ = projective_cover(M)
+        for w in M.datum.vertices:
+            cols = [apply_monomial(M, p) @ u for b, u in gens for p in basis.paths(b, w)]
+            assert cover.blocks[w] == Mat.zeros(field, M.dims[w], 0).hstack(*cols)

@@ -187,6 +187,36 @@ def test_reflect_round_trip(capsys, tmp_path):
     assert rank_vector(restored) == rank_vector(Z)
 
 
+def _usage_error_lines(*argv):
+    """Exit code and the stderr lines other than the header of one CLI run
+    in a subprocess, which must print nothing on stdout and no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "tauforge.cli", *argv],
+                          capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, [line for line in proc.stderr.splitlines() if not line.startswith("#")]
+
+
+def test_module_file_with_a_truncated_arrow_is_usage_error(tmp_path):
+    _, Z = build_named("Bn.Z", n=3)
+    blob = rep_to_json(Z, embed_datum=True)
+    assert blob["maps"]["a[2<-1]#1"] == [[0], [1]]
+    blob["maps"]["a[2<-1]#1"] = [[0]]
+    cut = tmp_path / "cut.json"
+    cut.write_text(json.dumps(blob))
+    code, lines = _usage_error_lines("mod", "tau", str(cut))
+    assert code == 2
+    assert len(lines) == 1 and "malformed module file" in lines[0]
+
+
+def test_module_file_holding_a_string_is_usage_error(tmp_path):
+    doc = tmp_path / "str.json"
+    doc.write_text(json.dumps("nope.json"))
+    code, lines = _usage_error_lines("reflect", str(doc), "--vertex", "1", "--dir", "+")
+    assert code == 2
+    assert len(lines) == 1 and "malformed module file" in lines[0]
+
+
 def test_zoo_list_contains_catalogue(capsys):
     code, out, _ = run(capsys, "zoo", "--list")
     assert code == 0

@@ -59,3 +59,11 @@ def test_prime_field_refuses_fraction_with_denominator_p():
     assert field.to_scalar(field.convert(Fraction(3, 4))) == 2
     with pytest.raises(ValueError):
         field.convert(Fraction(1, 10))
+
+
+def test_from_rows_checks_the_row_count():
+    Q = Field.rational()
+    for rows in ([[0]], [[0], [1], [2]], []):
+        with pytest.raises(ValueError, match="matrix rows"):
+            Mat.from_rows(Q, rows, (2, 1))
+    assert Mat.from_rows(Q, [[0], [1]], (2, 1)).shape == (2, 1)

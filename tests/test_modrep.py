@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tauforge.artrans import tau, tau_inverse
 from tauforge.cartan import opposite_datum
 from tauforge.linalg import Field, Mat
 from tauforge.modrep import (
@@ -34,7 +35,7 @@ from tauforge.modrep import (
     rep_to_json,
     zero_rep,
 )
-from tauforge.pathalg import loop, parse_path
+from tauforge.pathalg import build_projective, loop, parse_path
 from tauforge.zoo import build_named, module_battery, named_datum
 
 Q = Field.rational()
@@ -286,6 +287,20 @@ def test_iso_distinguishes_equal_rank_modules():
     assert res.verdict != "yes"
 
 
+@pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
+def test_iso_no_from_asymmetric_hom(field):
+    # a non-split 0 -> P1 -> E -> tau^-1 P1 -> 0 of G21 against the split sum
+    cd = named_datum("G21")
+    M = tau_inverse(build_projective(cd, field, 1)).module
+    N = tau(M).module
+    cocycle = extension_cocycle_space(M, N)[0]
+    assert not cocycle_is_coboundary(M, N, cocycle)
+    E, S = build_extension(M, N, cocycle), direct_sum([N, M])
+    assert hom_dim(S, E) != hom_dim(E, S) or hom_dim(E, E) != hom_dim(S, S)
+    res = is_isomorphic(E, S)
+    assert (res.verdict, res.reason, res.certificate) == ("no", "Hom dimensions are asymmetric", None)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -314,3 +329,9 @@ def test_json_named_datum_needs_resolver():
         rep_from_json(blob)
     back = rep_from_json(blob, datum_resolver=lambda name: cd)
     assert rep_equal(back, M)
+
+
+def test_json_module_document_must_be_an_object():
+    for doc in ("nope.json", ["datum"], 3):
+        with pytest.raises(ValueError, match="JSON object"):
+            rep_from_json(doc)

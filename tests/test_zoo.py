@@ -157,6 +157,13 @@ def test_report_json_schema(unchanged_report):
     assert blob["status"] == "pass"
 
 
+@pytest.mark.parametrize("check_id", all_check_ids())
+def test_report_over_prime_field_is_pinned(unchanged_report, check_id):
+    # reports carry no field and their evidence does not depend on it, so
+    # the digests pinned over QQ hold over GF(32003) too
+    assert unchanged_report(verify_proposition(check_id, field=Field.prime(32003)))
+
+
 def test_run_suite_filter_and_order():
     reports = run_suite(filter_id="typeG")
     assert [r.check_id for r in reports] == ["typeG1", "typeG2"]
