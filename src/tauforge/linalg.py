@@ -1,43 +1,41 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Everything downstream (representations, Hom spaces, kernels of transport
-maps) reduces to rank / nullspace / solve over an exact field.  We keep a
-thin wrapper ``Mat`` around sympy's ``DomainMatrix`` in its sparse
-representation, which is fast for the very sparse 0/+-1 systems that show
-up here, and convert to plain Python scalars (``Fraction`` or ``int``)
-only at the boundary.
+maps) reduces to rank / nullspace / solve over an exact field.  ``Mat``
+keeps a matrix as plain sparse rows ``{row: {col: value}}`` holding no zero
+entries and no empty rows.  Over GF(p) a value is an int in [0, p); over QQ
+it is an int when the value is integral and a ``Fraction`` otherwise, so
+every matrix has exactly one stored form and equality compares the dicts.
 
-One elimination runs outside sympy: the nullspace over GF(p).  sympy takes
-a fraction-free path there that pays a modular inverse for every exact
-division, so ``Mat.nullspace_cols`` instead runs a sparse Gauss-Jordan
-(``_gfp_rref``) on plain ints with one inverse per pivot.  To return the
-very basis sympy returned, it scales the reduced rows by the product of the
-raw pivots, which is the denominator of sympy's fraction-free RREF.  Over
-QQ the nullspace, and every other elimination, stays with sympy.
+Every elimination (``rank``, ``rref``, ``nullspace_cols``, ``solve``) runs
+one sparse Gauss-Jordan, ``Mat._eliminate``: ``_gfp_rref`` over GF(p), and
+``_qq_rref`` over QQ, which has the same loop shape but works fraction-free
+on Python ints (Bareiss, Math. Comp. 22, 1968), dividing each reduced row
+by its pivot only at the end.  The reduced row echelon form is unique, so
+the results do not depend on the order of the eliminations.  Nullspace
+bases are the canonical ones read off the RREF; over GF(p) they are scaled
+by the product of the raw pivots (see ``Mat.nullspace_cols``).
 
-No floating point is used anywhere.
+No floating point is used anywhere: ``Field.convert`` refuses floats.
 """
 
 from fractions import Fraction
-
-from sympy import GF, QQ, isprime
-from sympy.polys.matrices import DomainMatrix
+from math import gcd, isqrt, lcm
 
 
 class Field:
     """An exact coefficient field: the rationals or Z/p."""
 
-    __slots__ = ("kind", "p", "domain")
+    __slots__ = ("kind", "p")
 
     def __init__(self, kind, p=None):
         if kind not in ("rational", "prime"):
             raise ValueError(f"unknown field kind {kind!r}")
         if kind == "prime":
-            if p is None or not isprime(p):
+            if type(p) is not int or not isprime(p):
                 raise ValueError("prime field needs a prime p, got %r" % (p,))
-            self.domain = GF(p)
         else:
-            self.domain = QQ
+            p = None
         self.kind = kind
         self.p = p
 
@@ -53,10 +51,12 @@ class Field:
     def from_json(cls, obj):
         if obj is None:
             return cls.rational()
+        if not isinstance(obj, dict):
+            raise ValueError("a field spec is a JSON object, got %s" % type(obj).__name__)
         if obj.get("kind") == "rational":
             return cls.rational()
         if obj.get("kind") == "prime":
-            return cls.prime(int(obj["p"]))
+            return cls.prime(obj["p"])
         raise ValueError(f"bad field spec {obj!r}")
 
     def to_json(self):
@@ -65,23 +65,30 @@ class Field:
         return {"kind": "prime", "p": self.p}
 
     def convert(self, value):
-        """Coerce ints, Fractions or 'p/q' strings into a domain element."""
-        if isinstance(value, str):
+        """The stored form of an int, a Fraction or a 'p/q' string: an int in
+        [0, p) over GF(p); over QQ an int when integral, else a Fraction.
+        Anything inexact or malformed (floats, booleans, a zero denominator)
+        raises ValueError."""
+        kind = type(value)
+        if kind is int:
+            return value if self.p is None else value % self.p
+        if kind is str:
             num, _, den = value.partition("/")
-            value = Fraction(int(num), int(den)) if den else Fraction(int(num))
-        if isinstance(value, Fraction) and self.kind == "prime":
-            if value.denominator % self.p == 0:
-                raise ValueError("%s has no value in %r" % (value, self))
-            num = self.domain.convert(value.numerator)
-            den = self.domain.convert(value.denominator)
-            return num / den
-        return self.domain.convert(value)
+            num, den = int(num), int(den) if den else 1
+            if den == 0:
+                raise ValueError("%r has a zero denominator" % value)
+            value = Fraction(num, den)
+        elif kind is not Fraction:
+            raise ValueError("%r is not an exact scalar (int, Fraction or 'p/q')" % (value,))
+        if self.p is None:
+            return value.numerator if value.denominator == 1 else value
+        if value.denominator % self.p == 0:
+            raise ValueError("%s has no value in %r" % (value, self))
+        return value.numerator * pow(value.denominator, -1, self.p) % self.p
 
     def to_scalar(self, elt):
-        """Domain element -> Fraction (rational) or canonical int in [0, p)."""
-        if self.kind == "rational":
-            return Fraction(int(elt.numerator), int(elt.denominator))
-        return int(elt) % self.p
+        """Stored value -> Fraction (rational) or canonical int in [0, p)."""
+        return Fraction(elt) if self.p is None else elt
 
     def __eq__(self, other):
         return isinstance(other, Field) and (self.kind, self.p) == (other.kind, other.p)
@@ -95,13 +102,18 @@ class Field:
 
 class Mat:
     """Immutable exact matrix.  Scalars in = int/Fraction/'p/q', scalars out
-    via :meth:`rows` / :meth:`entry` as Fraction or int."""
+    via :meth:`rows` as Fraction or int, or via :meth:`items` in stored form.
 
-    __slots__ = ("field", "dm")
+    ``Mat(field, shape, data)`` takes ``data`` in stored form (see the module
+    docstring) and keeps it without a copy; every other caller goes through
+    the classmethod constructors."""
 
-    def __init__(self, field, dm):
+    __slots__ = ("field", "shape", "_data")
+
+    def __init__(self, field, shape, data):
         self.field = field
-        self.dm = dm
+        self.shape = shape
+        self._data = data
 
     # -- construction -------------------------------------------------
 
@@ -111,36 +123,38 @@ class Mat:
             shape = (len(rows), len(rows[0]) if rows else 0)
         if len(rows) != shape[0]:
             raise ValueError("expected %d matrix rows, got %d" % (shape[0], len(rows)))
+        convert = field.convert
         data = {}
         for i, row in enumerate(rows):
             if len(row) != shape[1]:
                 raise ValueError("ragged matrix rows")
             r = {}
             for j, v in enumerate(row):
-                e = field.convert(v)
+                e = convert(v)
                 if e:
                     r[j] = e
             if r:
                 data[i] = r
-        return cls(field, DomainMatrix(data, shape, field.domain))
+        return cls(field, tuple(shape), data)
 
     @classmethod
     def from_dict(cls, field, shape, entries):
+        """From ``{(i, j): value}``; zero values are dropped."""
+        convert = field.convert
         data = {}
         for (i, j), v in entries.items():
-            e = field.convert(v)
+            e = convert(v)
             if e:
                 data.setdefault(i, {})[j] = e
-        return cls(field, DomainMatrix(data, shape, field.domain))
+        return cls(field, tuple(shape), data)
 
     @classmethod
     def zeros(cls, field, m, n):
-        return cls(field, DomainMatrix({}, (m, n), field.domain))
+        return cls(field, (m, n), {})
 
     @classmethod
     def identity(cls, field, n):
-        one = field.domain.one
-        return cls(field, DomainMatrix({i: {i: one} for i in range(n)}, (n, n), field.domain))
+        return cls(field, (n, n), {i: {i: 1} for i in range(n)})
 
     @classmethod
     def block(cls, field, grid, row_dims, col_dims):
@@ -158,44 +172,48 @@ class Mat:
                 continue
             if blk.shape != (row_dims[bi], col_dims[bj]):
                 raise ValueError("block shape mismatch")
-            for i, row in blk.dm.rep.to_sdm().items():
+            for i, row in blk._data.items():
                 tgt = data.setdefault(roff[bi] + i, {})
                 for j, v in row.items():
                     tgt[coff[bj] + j] = v
-        return cls(field, DomainMatrix(data, (m, n), field.domain))
+        return cls(field, (m, n), data)
 
     # -- basic queries -------------------------------------------------
 
     @property
-    def shape(self):
-        return self.dm.shape
-
-    @property
     def nrows(self):
-        return self.dm.shape[0]
+        return self.shape[0]
 
     @property
     def ncols(self):
-        return self.dm.shape[1]
+        return self.shape[1]
 
     def is_zero(self):
-        return self.dm.is_zero_matrix
+        return not self._data
 
-    def entry(self, i, j):
-        return self.field.to_scalar(self.dm[i, j].element)
+    def items(self):
+        """The nonzero entries as ``(i, j, value)``, value an int (or, over
+        QQ, a non-integral Fraction)."""
+        for i, row in self._data.items():
+            for j, v in row.items():
+                yield i, j, v
 
     def rows(self):
-        out = []
-        to_scalar = self.field.to_scalar
-        sdm = self.dm.rep.to_sdm()
         m, n = self.shape
-        zero = Fraction(0) if self.field.kind == "rational" else 0
-        for i in range(m):
-            row = [zero] * n
-            for j, v in sdm.get(i, {}).items():
-                row[j] = to_scalar(v)
-            out.append(row)
+        rational = self.field.p is None
+        out = [[Fraction(0) if rational else 0] * n for _ in range(m)]
+        for i, row in self._data.items():
+            tgt = out[i]
+            for j, v in row.items():
+                tgt[j] = Fraction(v) if rational else v
         return out
+
+    def row_slice(self, start, stop):
+        """Rows ``start`` to ``stop - 1`` as a matrix."""
+        if not 0 <= start <= stop <= self.nrows:
+            raise ValueError("row slice %d:%d of %d rows" % (start, stop, self.nrows))
+        data = {i - start: row for i, row in self._data.items() if start <= i < stop}
+        return Mat(self.field, (stop - start, self.ncols), data)
 
     def col_vector(self, j):
         return tuple(r[j] for r in self.rows())
@@ -205,7 +223,7 @@ class Mat:
             isinstance(other, Mat)
             and self.field == other.field
             and self.shape == other.shape
-            and (self.dm - other.dm).is_zero_matrix
+            and self._data == other._data
         )
 
     def __hash__(self):
@@ -216,23 +234,68 @@ class Mat:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _check(self, other, fits, what):
+        if self.field != other.field:
+            raise ValueError("%s of matrices over %r and %r" % (what, self.field, other.field))
+        if not fits:
+            raise ValueError("%s of shapes %s and %s" % (what, self.shape, other.shape))
+
+    def _combine(self, other, sign):
+        self._check(other, self.shape == other.shape, "sum")
+        p = self.field.p
+        data = dict(self._data)
+        for i, row in other._data.items():
+            tgt = dict(data.get(i, ()))
+            for j, v in row.items():
+                tgt[j] = tgt.get(j, 0) + sign * v
+            tgt = _clean(tgt, p)
+            if tgt:
+                data[i] = tgt
+            else:
+                data.pop(i, None)
+        return Mat(self.field, self.shape, data)
+
     def __add__(self, other):
-        return Mat(self.field, self.dm + other.dm)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return Mat(self.field, self.dm - other.dm)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Mat(self.field, -self.dm)
+        return self.scale(-1)
 
     def __matmul__(self, other):
-        return Mat(self.field, self.dm.matmul(other.dm))
+        self._check(other, self.ncols == other.nrows, "product")
+        p = self.field.p
+        right = other._data
+        data = {}
+        for i, row in self._data.items():
+            acc = {}
+            for t, a in row.items():
+                rrow = right.get(t)
+                if rrow is not None:
+                    for j, b in rrow.items():
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            acc = _clean(acc, p)
+            if acc:
+                data[i] = acc
+        return Mat(self.field, (self.nrows, other.ncols), data)
 
     def scale(self, scalar):
-        return Mat(self.field, self.dm * self.field.convert(scalar))
+        s = self.field.convert(scalar)
+        if not s:
+            return Mat(self.field, self.shape, {})
+        p = self.field.p
+        data = {i: _clean({j: v * s for j, v in row.items()}, p)
+                for i, row in self._data.items()}
+        return Mat(self.field, self.shape, data)
 
     def transpose(self):
-        return Mat(self.field, self.dm.transpose())
+        data = {}
+        for i, row in self._data.items():
+            for j, v in row.items():
+                data.setdefault(j, {})[i] = v
+        return Mat(self.field, (self.ncols, self.nrows), data)
 
     def power(self, k):
         if self.nrows != self.ncols:
@@ -243,92 +306,135 @@ class Mat:
         return acc
 
     def hstack(self, *others):
-        return Mat(self.field, self.dm.hstack(*(o.dm for o in others)))
+        data = {i: dict(row) for i, row in self._data.items()}
+        offset = self.ncols
+        for other in others:
+            self._check(other, self.nrows == other.nrows, "hstack")
+            for i, row in other._data.items():
+                tgt = data.setdefault(i, {})
+                for j, v in row.items():
+                    tgt[offset + j] = v
+            offset += other.ncols
+        return Mat(self.field, (self.nrows, offset), data)
 
     def vstack(self, *others):
-        return Mat(self.field, self.dm.vstack(*(o.dm for o in others)))
+        data = dict(self._data)
+        offset = self.nrows
+        for other in others:
+            self._check(other, self.ncols == other.ncols, "vstack")
+            for i, row in other._data.items():
+                data[offset + i] = row
+            offset += other.nrows
+        return Mat(self.field, (offset, self.ncols), data)
 
     # -- elimination ---------------------------------------------------
 
+    def _eliminate(self, rows):
+        """The one elimination kernel: ``(R, den)`` for sparse rows over this
+        matrix's field, as returned by ``_gfp_rref``; over QQ ``den`` is 1."""
+        p = self.field.p
+        if p is None:
+            return _qq_rref(rows), 1
+        return _gfp_rref(rows, p)
+
     def rank(self):
-        return self.dm.rank()
+        return len(self._eliminate(self._data)[0])
 
     def rref(self):
-        R, piv = self.dm.rref()
-        return Mat(self.field, R.to_sparse()), tuple(piv)
+        R, _ = self._eliminate(self._data)
+        piv = sorted(R)
+        data = {}
+        for r, j in enumerate(piv):
+            row = {j: 1}
+            row.update(R[j])
+            data[r] = row
+        return Mat(self.field, self.shape, data), tuple(piv)
 
     def nullspace_cols(self):
         """Matrix whose columns are a basis of {x : self @ x = 0}.
 
-        Over GF(p) this is sympy's ``DomainMatrix.nullspace()`` basis entry
-        for entry: one column per free column j, with ``den`` at j and
-        ``-den*R[i][j]`` at pivot column ``piv[i]``, where R is the RREF and
-        ``den`` the product of the raw pivots, which is the denominator of
-        sympy's fraction-free RREF.
+        One column per free column j of the RREF R, with ``den`` at j and
+        ``-den*R[i][j]`` at pivot column ``piv[i]``.  Over QQ ``den`` is 1.
+        Over GF(p) it is the product of the raw pivots, the denominator of
+        the fraction-free RREF, so the basis is the one read off that RREF.
         """
-        if self.field.kind != "prime":
-            ns = self.dm.nullspace()  # rows span the right nullspace
-            return Mat(self.field, ns.transpose().to_sparse())
+        R, den = self._eliminate(self._data)
         p = self.field.p
-        K = self.field.domain
-        # sparse storage holds neither zero entries nor empty rows
-        rows = {i: {j: int(v) % p for j, v in row.items()}
-                for i, row in self.dm.rep.to_sdm().items()}
-        R, den = _gfp_rref(rows, p)
         n = self.ncols
         free = [j for j in range(n) if j not in R]
         index = {j: k for k, j in enumerate(free)}
-        data = {j: {k: K(den)} for k, j in enumerate(free)}
+        data = {j: {k: den} for k, j in enumerate(free)}
         for pc, row in R.items():
-            out = {index[j]: K(-den * v % p) for j, v in row.items()}
+            if p is None:
+                out = {index[j]: -v for j, v in row.items()}
+            else:
+                out = {index[j]: -den * v % p for j, v in row.items()}
             if out:
                 data[pc] = out
-        return Mat(self.field, DomainMatrix(data, (n, len(free)), K))
+        return Mat(self.field, (n, len(free)), data)
 
     def solve(self, rhs):
         """A particular solution X of self @ X = rhs, or None if inconsistent."""
-        m, n = self.shape
-        k = rhs.ncols
-        aug = self.dm.hstack(rhs.dm)
-        R, piv = aug.rref()
-        if any(p >= n for p in piv):
-            return None
-        sdm = R.rep.to_sdm()
-        data = {}
-        for r, p in enumerate(piv):
-            row = sdm.get(r, {})
-            tgt = {}
+        self._check(rhs, self.nrows == rhs.nrows, "solve")
+        n = self.ncols
+        aug = dict(self._data)
+        for i, row in rhs._data.items():
+            tgt = dict(aug.get(i, ()))
             for j, v in row.items():
-                if j >= n:
-                    tgt[j - n] = v
+                tgt[n + j] = v
+            aug[i] = tgt
+        R, _ = self._eliminate(aug)
+        if any(j >= n for j in R):
+            return None
+        data = {}
+        for pc, row in R.items():
+            tgt = {j - n: v for j, v in row.items() if j >= n}
             if tgt:
-                data[p] = tgt
-        return Mat(self.field, DomainMatrix(data, (n, k), self.field.domain))
-
-    def inv(self):
-        return Mat(self.field, self.dm.inv().to_sparse())
+                data[pc] = tgt
+        return Mat(self.field, (n, rhs.ncols), data)
 
     def is_invertible(self):
         m, n = self.shape
         return m == n and self.rank() == n
 
 
+def _clean(row, p):
+    """The stored form of a row of raw sums: zeros dropped, values reduced
+    mod p, or over QQ (p None) integral Fractions turned into ints."""
+    if p is not None:
+        return {j: r for j, v in row.items() if (r := v % p)}
+    return {j: (v if type(v) is int or v.denominator != 1 else v.numerator)
+            for j, v in row.items() if v}
+
+
+def _pivot_order(rows):
+    """``(leading column, row index, row)`` in order of leading column, ties
+    by row index."""
+    return sorted([(min(row), i, row) for i, row in rows.items()])
+
+
 def _gfp_rref(rows, p):
     """Sparse Gauss-Jordan over Z/p on ``{i: {j: int}}`` with entries in [0, p).
 
     Rows are taken in order of their leading column (ties by row index) and
-    the pivot of each is the smallest column left after reduction, as in
-    sympy's ``sdm_rref_den``.  Returns ``(R, den)``: R maps each pivot column
-    to the rest of its normalised RREF row (pivot entry dropped, zeros
-    omitted), and ``den`` is the product mod p of the raw pivots.
+    the pivot of each is the smallest column left after reduction.  Returns
+    ``(R, den)``: R maps each pivot column to the rest of its normalised
+    RREF row (pivot entry dropped, zeros omitted), and ``den`` is the
+    product mod p of the raw pivots.
     """
     R = {}
     cols = {}  # column -> pivot columns of the rows of R that hold it
     den = 1
-    for _, row in sorted(rows.items(), key=lambda item: (min(item[1]), item[0])):
+    for _, _, row in _pivot_order(rows):
         row = dict(row)
         for j in [j for j in row if j in R]:
-            _sub_scaled(row, row.pop(j), R[j], p)
+            c = row.pop(j)
+            for k, v in R[j].items():
+                x = (row.get(k, 0) - c * v) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
         if not row:
             continue
         j = min(row)
@@ -356,12 +462,179 @@ def _gfp_rref(rows, p):
     return R, den
 
 
-def _sub_scaled(dst, c, src, p):
-    """dst -= c * src over Z/p, in place, keeping dst free of zeros."""
-    for k, v in src.items():
-        x = (dst.get(k, 0) - c * v) % p
-        if x:
-            dst[k] = x
-        else:
-            del dst[k]
+def _qq_rref(rows):
+    """Sparse Gauss-Jordan over QQ on ``{i: {j: int or Fraction}}``, with the
+    loop of ``_gfp_rref`` and the same result R (values in stored form).
 
+    Unless all entries are integers, each row is first scaled to a primitive
+    integer row, which leaves the RREF unchanged.  A row of R is then kept
+    as the integer row ``lead[j] * (normalised row)``, and reducing by it
+    cross-multiplies instead of dividing; when a multiplier other than 1 was
+    used, the row content is divided out to keep the integers small.  Each
+    row is divided by its pivot only at the end.
+    """
+    R = {}
+    lead = {}  # pivot column -> pivot value of its integer row, > 0
+    cols = {}  # column -> pivot columns of the rows of R that hold it
+    integral = all(type(v) is int for row in rows.values() for v in row.values())
+    for _, _, row in _pivot_order(rows):
+        row = dict(row) if integral else _primitive(row)
+        scaled = False
+        for j in [j for j in row if j in R]:
+            c = row.pop(j)
+            a = lead[j]
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+                scaled = True
+            for k, v in R[j].items():
+                x = row.get(k, 0) - c * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+        if not row:
+            continue
+        if scaled:
+            row = _primitive(row)
+        j = min(row)
+        a = row.pop(j)
+        if a < 0:
+            a = -a
+            row = {k: -v for k, v in row.items()}
+        # clear column j from the rows that hold it, keeping ``cols`` exact
+        for pc in cols.pop(j, ()):
+            other = R[pc]
+            c = other.pop(j)
+            if a != 1:
+                for k in other:
+                    other[k] *= a
+            for k, v in row.items():
+                x = other.get(k, 0) - c * v
+                if x:
+                    if k not in other:
+                        cols.setdefault(k, set()).add(pc)
+                    other[k] = x
+                else:
+                    del other[k]
+                    cols[k].discard(pc)
+            if a != 1:
+                b = lead[pc] * a
+                g = gcd(b, *other.values())
+                if g != 1:
+                    b //= g
+                    for k in other:
+                        other[k] //= g
+                lead[pc] = b
+        R[j] = row
+        lead[j] = a
+        for k in row:
+            cols.setdefault(k, set()).add(j)
+    for j, a in lead.items():
+        if a != 1:
+            R[j] = {k: (v // a if v % a == 0 else Fraction(v, a)) for k, v in R[j].items()}
+    return R
+
+
+def _primitive(row):
+    """A new dict holding a positive multiple of ``row`` (ints and Fractions)
+    whose entries are coprime integers."""
+    den = lcm(*(v.denominator for v in row.values() if type(v) is not int))
+    if den != 1:
+        row = {k: v * den if type(v) is int else v.numerator * (den // v.denominator)
+               for k, v in row.items()}
+    g = gcd(*row.values())
+    if g != 1:
+        return {k: v // g for k, v in row.items()}
+    return dict(row)
+
+
+# -- primality --------------------------------------------------------------
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def isprime(n):
+    """Whether the integer n is prime: Miller-Rabin on the first twelve
+    prime bases, which is deterministic below 2**64, and above it the
+    Baillie-PSW test (Miller-Rabin to base 2 and a strong Lucas test with
+    Selfridge's parameters), which has no known counterexample."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:
+        return True
+    if n < 1 << 64:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n, a):
+    """Miller-Rabin to base a for odd n > a."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """Strong Lucas test for odd n > 37 that is no multiple of a small prime,
+    with P = 1, Q = (1 - D)/4 and D the first of 5, -7, 9, -11, ... with
+    Jacobi symbol (D/n) = -1."""
+    if isqrt(n) ** 2 == n:
+        return False  # no such D exists
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # n shares a factor with D and |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    # U_k, V_k, Q^k of the Lucas sequences, by doubling along the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False

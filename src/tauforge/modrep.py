@@ -27,8 +27,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy.polys.matrices import DomainMatrix
-
 from .cartan import build_quiver, datum_from_json, datum_to_json, opposite_datum
 from .linalg import Field, Mat
 
@@ -225,16 +223,6 @@ class Morphism:
         return Morphism(other.src, self.dst,
                         {v: self.blocks[v] @ other.blocks[v] for v in self.blocks})
 
-    def inverse(self):
-        return Morphism(self.dst, self.src, {v: b.inv() for v, b in self.blocks.items()})
-
-
-def _sparse_entries(mat):
-    """Iterate (i, j, domain_element) over the nonzero entries."""
-    for i, row in mat.dm.rep.to_sdm().items():
-        for j, v in row.items():
-            yield i, j, v
-
 
 def _layout(blocks):
     """Vec layout of named blocks ``[(key, nrows, ncols)]``: key -> (offset,
@@ -254,62 +242,52 @@ def _block_map(field, rows_at, cols_at, terms):
     """Matrix of X -> Y, Y[out] = sum of sign * L @ X[slot] @ R over the
     terms (out, slot, L, R, sign), with X in the layout cols_at and Y in
     rows_at.  L or R is None for the identity; sign is +1 or -1."""
-    one = field.domain.one
-    data = {}
+    entries = {}
     for out, slot, L, R, sign in terms:
         r0, _, w = rows_at[out]
         c0, n, m = cols_at[slot]
         if L is None:       # (X R)[r][c] += X[r][b] R[b][c]
-            right = ((b, b, one) for b in range(m)) if R is None else _sparse_entries(R)
+            right = ((b, b, 1) for b in range(m)) if R is None else R.items()
             cells = ((r0 + r * w + c, c0 + r * m + b, v)
                      for b, c, v in right for r in range(n))
         elif R is None:     # (L X)[r][c] += L[r][a] X[a][c]
             cells = ((r0 + r * w + c, c0 + a * m + c, v)
-                     for r, a, v in _sparse_entries(L) for c in range(m))
+                     for r, a, v in L.items() for c in range(m))
         else:
-            right = list(_sparse_entries(R))
+            right = list(R.items())
             cells = ((r0 + r * w + c, c0 + a * m + b, lv * rv)
-                     for r, a, lv in _sparse_entries(L) for b, c, rv in right)
+                     for r, a, lv in L.items() for b, c, rv in right)
         for i, j, v in cells:
             if sign < 0:
                 v = -v
-            row = data.setdefault(i, {})
-            row[j] = row[j] + v if j in row else v
-    for i in list(data):
-        row = {j: v for j, v in data[i].items() if v}
-        if row:
-            data[i] = row
-        else:
-            del data[i]
-    return Mat(field, DomainMatrix(data, (_size(rows_at), _size(cols_at)), field.domain))
+            entries[i, j] = entries[i, j] + v if (i, j) in entries else v
+    return Mat.from_dict(field, (_size(rows_at), _size(cols_at)), entries)
 
 
 def _unvec(field, at, cols):
     """One family of blocks {key: Mat} per column of ``cols``, read in the
     layout ``at``."""
-    vecs = cols.transpose().dm.rep.to_sdm()
+    vecs = [{} for _ in range(cols.ncols)]
+    for u, t, v in cols.items():
+        vecs[t][u] = v
     out = []
-    for t in range(cols.ncols):
-        vec = vecs.get(t, {})
+    for vec in vecs:
         blocks = {}
         for key, (offset, n, m) in at.items():
-            data = {}
-            for u in range(offset, offset + n * m):
-                if u in vec:
-                    r, c = divmod(u - offset, m)
-                    data.setdefault(r, {})[c] = vec[u]
-            blocks[key] = Mat(field, DomainMatrix(data, (n, m), field.domain))
+            entries = {divmod(u - offset, m): vec[u]
+                       for u in range(offset, offset + n * m) if u in vec}
+            blocks[key] = Mat.from_dict(field, (n, m), entries)
         out.append(blocks)
     return out
 
 
 def _vec(field, at, blocks):
     """The column vector of a family of blocks in the layout ``at``."""
-    data = {}
+    entries = {}
     for key, (offset, _, m) in at.items():
-        for r, c, v in _sparse_entries(blocks[key]):
-            data[offset + r * m + c] = {0: v}
-    return Mat(field, DomainMatrix(data, (_size(at), 1), field.domain))
+        for r, c, v in blocks[key].items():
+            entries[offset + r * m + c, 0] = v
+    return Mat.from_dict(field, (_size(at), 1), entries)
 
 
 def _cochain_layouts(M, N):
@@ -655,9 +633,15 @@ def rep_from_json(obj, datum_resolver=None):
     else:
         datum = datum_from_json(spec)
     field = Field.from_json(obj.get("field"))
-    dims = {int(k): int(v) for k, v in obj.get("dims", {}).items()}
+    dims, maps = obj.get("dims", {}), obj.get("maps", {})
+    for name, value in (("dims", dims), ("maps", maps)):
+        if not isinstance(value, dict):
+            raise ValueError("%r should be a JSON object, got %s" % (name, type(value).__name__))
+    if any(type(v) is not int for v in dims.values()):
+        raise ValueError("dimensions should be integers, got %r" % (dims,))
+    dims = {int(k): v for k, v in dims.items()}
     eps, arr = {}, {}
-    for key, rows in obj.get("maps", {}).items():
+    for key, rows in maps.items():
         m = _EPS_KEY.match(key)
         if m:
             eps[int(m.group(1))] = rows

@@ -28,10 +28,6 @@ def mono_target(mono):
     return mono.arrows[-1][0] if mono.arrows else mono.src
 
 
-def _vertex_at(mono, t):
-    return mono.src if t == 0 else mono.arrows[t - 1][0]
-
-
 def _absorb(datum, key):
     """Loops at the source that one rewrite of this arrow consumes."""
     i, j, _ = key

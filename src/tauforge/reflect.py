@@ -110,7 +110,7 @@ def reflect_plus(datum, k, M, check_rank=True):
         if j == k:
             # projection onto slot (i, g, f(i,k)-1)
             t = pos[(i, g, datum.f(i, k) - 1)]
-            arr[key] = Mat(field, U.dm[offsets[t]:offsets[t + 1], :])
+            arr[key] = U.row_slice(offsets[t], offsets[t + 1])
         else:
             arr[key] = M.arr[key]
     out = make_rep(new_datum, field, dims, eps, arr)

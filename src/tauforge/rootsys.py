@@ -12,10 +12,6 @@ from functools import lru_cache
 from .cartan import DatumError, admissible_sequence
 
 
-class NotAffineError(DatumError):
-    """An affine-only quantity was requested for a non-affine datum."""
-
-
 def simple_reflection(datum, i, v):
     """s_i(v): subtract (sum_j c_ij v_j) from coordinate i."""
     pairing = sum(datum.c(i, j + 1) * v[j] for j in range(datum.n))

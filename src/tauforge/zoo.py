@@ -244,10 +244,6 @@ def named_datum(family, n=None, m=1):
     return _DATUM_FAMILIES[family](n, _check_m(m))
 
 
-def datum_families():
-    return sorted(_DATUM_FAMILIES)
-
-
 # --------------------------------------------------------------------------
 # assembling explicit modules
 

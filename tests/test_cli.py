@@ -217,6 +217,37 @@ def test_module_file_holding_a_string_is_usage_error(tmp_path):
     assert len(lines) == 1 and "malformed module file" in lines[0]
 
 
+@pytest.mark.parametrize("change", [
+    {"maps": {"a[2<-1]#1": [[0], [1.5]]}},   # a float, not read as 3/2
+    {"maps": {"a[2<-1]#1": [[0], ["1/0"]]}},
+    {"field": "rational"},
+    {"field": {"kind": "prime", "p": 7.9}},   # not read as GF(7)
+    {"dims": [1, 2]},
+    {"dims": {"1": 1.5}},                      # not read as 1
+    {"maps": []},
+], ids=["float-entry", "zero-denominator", "field-string", "float-p", "dims-list",
+        "float-dim", "maps-list"])
+def test_module_file_with_a_bad_part_is_usage_error(tmp_path, change):
+    _, Z = build_named("Bn.Z", n=3)
+    blob = rep_to_json(Z, embed_datum=True)
+    for key, value in change.items():
+        blob[key] = {**blob[key], **value} if isinstance(value, dict) else value
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(blob))
+    code, lines = _usage_error_lines("mod", "tau", str(doc))
+    assert code == 2
+    assert len(lines) == 1 and "malformed module file" in lines[0]
+
+
+def test_cli_import_loads_no_sympy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tauforge.cli; print(sorted(m for m in sys.modules if m.startswith('sympy')))"],
+        capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_zoo_list_contains_catalogue(capsys):
     code, out, _ = run(capsys, "zoo", "--list")
     assert code == 0

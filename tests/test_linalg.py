@@ -1,24 +1,50 @@
-"""Exact matrices: fields, and the GF(p) nullspace against sympy's."""
+"""Exact matrices: fields, primality, and every ``Mat`` operation against
+sympy's ``DomainMatrix``, which the tests keep as the reference."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from sympy import GF, QQ
+from sympy import isprime as sympy_isprime
+from sympy.polys.matrices import DomainMatrix
 
-from tauforge.linalg import Field, Mat
+from tauforge.linalg import Field, Mat, isprime
 
 PRIMES = (2, 3, 7, 101, 32003, 2**31 - 1)
+FIELDS = [Field.rational()] + [Field.prime(p) for p in PRIMES]
+
+# OEIS A002997: every Carmichael number below 10**6
+CARMICHAEL = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+    52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461,
+    252601, 278545, 294409, 314821, 334153, 340561, 399001, 410041, 449065,
+    488881, 512461, 530881, 552721, 656601, 658801, 670033, 748657, 825265,
+    838201, 852841, 997633,
+)
+
+
+def _scalar(rng, field):
+    """A random nonzero scalar; over QQ often a non-integral one."""
+    if field.p is not None:
+        return rng.randrange(1, field.p)
+    num = rng.choice((-3, -2, -1, 1, 2, 3, 7))
+    return Fraction(num, rng.choice((1, 1, 2, 3, 5))) if rng.random() < 0.5 else num
 
 
 def _random_matrix(rng, field, m, n, density):
     p = field.p
-    entries = {(i, j): rng.randrange(1, p)
+    entries = {(i, j): _scalar(rng, field)
                for i in range(m) for j in range(n) if rng.random() < density}
     if m >= 3 and rng.random() < 0.5:
         # make the last row a combination of two others: rank-deficient
-        a, b = rng.randrange(1, p), rng.randrange(p)
+        if p is None:
+            a, b = _scalar(rng, field), rng.choice((0, 1, Fraction(-1, 2)))
+        else:
+            a, b = rng.randrange(1, p), rng.randrange(p)
         for j in range(n):
-            entries[(m - 1, j)] = (a * entries.get((0, j), 0) + b * entries.get((1, j), 0)) % p
+            v = a * entries.get((0, j), 0) + b * entries.get((1, j), 0)
+            entries[(m - 1, j)] = v if p is None else v % p
     return Mat.from_dict(field, (m, n), entries)
 
 
@@ -34,16 +60,119 @@ def _cases(rng, field):
         yield _random_matrix(rng, field, m, n, rng.choice((0.1, 0.3, 0.6, 1.0)))
 
 
+def _dm(A):
+    """The DomainMatrix of A, built from ``A.rows()``."""
+    K = QQ if A.field.p is None else GF(A.field.p)
+    conv = (lambda x: K(x.numerator, x.denominator)) if A.field.p is None else K
+    data = {}
+    for i, row in enumerate(A.rows()):
+        r = {j: conv(x) for j, x in enumerate(row) if x}
+        if r:
+            data[i] = r
+    return DomainMatrix(data, A.shape, K)
+
+
+def _rows(D, field):
+    """Dense rows of a DomainMatrix as the scalars ``Mat.rows()`` returns."""
+    m, n = D.shape
+    if field.p is None:
+        out = [[Fraction(0)] * n for _ in range(m)]
+        conv = lambda e: Fraction(int(e.numerator), int(e.denominator))  # noqa: E731
+    else:
+        out = [[0] * n for _ in range(m)]
+        conv = lambda e: int(e) % field.p  # noqa: E731
+    for i, row in D.to_sparse().rep.to_sdm().items():
+        for j, e in row.items():
+            out[i][j] = conv(e)
+    return out
+
+
+def _same(got, D):
+    """``got`` holds the matrix D: the same scalars, and equal to a Mat
+    built from them, so its stored form is the canonical one."""
+    want = _rows(D, got.field)
+    assert got.shape == D.shape
+    assert got.rows() == want
+    assert got == Mat.from_rows(got.field, want, D.shape)
+
+
+def _field_id(field):
+    return repr(field)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_gfp_nullspace_is_sympy_basis(p):
     field = Field.prime(p)
     rng = random.Random(1000 + p)
     for A in _cases(rng, field):
         got = A.nullspace_cols()
-        want = A.dm.nullspace().transpose()
+        want = _dm(A).nullspace().transpose()
         assert got.shape == want.shape
-        assert got.dm.rep.to_sdm() == want.to_sparse().rep.to_sdm()
+        assert got.rows() == _rows(want, field)
         assert (A @ got).is_zero()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=_field_id)
+def test_elimination_matches_domain_matrix(field):
+    rng = random.Random(2000 + (field.p or 0))
+    for A in _cases(rng, field):
+        D = _dm(A)
+        assert A.rank() == D.rank()
+        R, piv = A.rref()
+        DR, Dpiv = D.rref()
+        assert piv == tuple(Dpiv)
+        _same(R, DR)
+        N = A.nullspace_cols()
+        _same(N, D.nullspace().transpose())
+        assert (A @ N).is_zero()
+        m, n = A.shape
+        k = rng.randint(1, 3)
+        consistent = A @ _random_matrix(rng, field, n, k, 0.5)
+        for rhs in (consistent, _random_matrix(rng, field, m, k, 0.5)):
+            # the solution the old DomainMatrix code read off rref([A | rhs])
+            aug_R, aug_piv = D.hstack(_dm(rhs)).rref()
+            X = A.solve(rhs)
+            if any(j >= n for j in aug_piv):
+                assert X is None
+                assert rhs is not consistent
+                continue
+            sdm = aug_R.to_sparse().rep.to_sdm()
+            want = DomainMatrix({j: {c - n: e for c, e in sdm.get(r, {}).items() if c >= n}
+                                 for r, j in enumerate(aug_piv)}, (n, k), D.domain)
+            _same(X, want)
+            assert A @ X == rhs
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=_field_id)
+def test_arithmetic_matches_domain_matrix(field):
+    rng = random.Random(3000 + (field.p or 0))
+    for _ in range(40):
+        m, n, k = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.choice((0.2, 0.6, 1.0))
+        A, B = (_random_matrix(rng, field, m, n, density) for _ in range(2))
+        C = _random_matrix(rng, field, n, k, density)
+        E = _random_matrix(rng, field, m, k, density)
+        F = _random_matrix(rng, field, k, n, density)
+        DA, DB, DC, DE, DF = map(_dm, (A, B, C, E, F))
+        _same(A @ C, DA.matmul(DC))
+        _same(A + B, DA + DB)
+        _same(A - B, DA - DB)
+        _same(A - A, DA - DA)
+        _same(-A, -DA)
+        _same(A.transpose(), DA.transpose())
+        _same(A.hstack(E, B), DA.hstack(DE, DB))
+        _same(A.vstack(F, B), DA.vstack(DF, DB))
+        a = rng.randint(0, m)
+        b = rng.randint(a, m)
+        _same(A.row_slice(a, b), DA[a:b, :])
+        grid = {(0, 0): A, (1, 1): F, (0, 1): E}
+        want = DA.hstack(DE).vstack(DomainMatrix.zeros((k, n), DA.domain).hstack(_dm(F @ C)))
+        got = Mat.block(field, {**grid, (1, 1): F @ C}, [m, k], [n, k])
+        _same(got, want)
+    with pytest.raises(ValueError):
+        Mat.zeros(field, 2, 3) @ Mat.zeros(field, 2, 3)
+    with pytest.raises(ValueError):
+        Mat.zeros(field, 2, 3).row_slice(1, 3)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 9, 32004, 2**31 - 3])
@@ -54,11 +183,29 @@ def test_prime_field_refuses_non_prime(p):
         Field.from_json({"kind": "prime", "p": p})
 
 
+def test_isprime_agrees_with_sympy():
+    # the last one, 8589937621 * 17179875241 > 2**64, passes Miller-Rabin to
+    # base 2, so only the Lucas half of Baillie-PSW can refuse it
+    strong_pseudoprimes = (2047, 3215031751, 3825123056546413051, 147574056656752341661)
+    mersenne = [2**e - 1 + d for e in (61, 89, 127) for d in (-2, 0, 2)]
+    for n in [*range(10**5), *CARMICHAEL, *strong_pseudoprimes, *mersenne]:
+        assert isprime(n) == sympy_isprime(n), n
+    assert not any(isprime(n) for n in CARMICHAEL + strong_pseudoprimes)
+    assert all(isprime(2**e - 1) for e in (61, 89, 127))
+
+
 def test_prime_field_refuses_fraction_with_denominator_p():
     field = Field.prime(5)
     assert field.to_scalar(field.convert(Fraction(3, 4))) == 2
     with pytest.raises(ValueError):
         field.convert(Fraction(1, 10))
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(7)], ids=_field_id)
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "1/0", None])
+def test_convert_refuses_inexact_scalars(field, value):
+    with pytest.raises(ValueError):
+        field.convert(value)
 
 
 def test_from_rows_checks_the_row_count():
