@@ -1,5 +1,8 @@
 """Catalogue construction, named checks, and the spot-check driver."""
 
+import hashlib
+import json
+
 import pytest
 
 from tauforge.cartan import delta
@@ -198,3 +201,27 @@ def test_spotcheck_errors():
         theorem_a_spotcheck("Bn", n=3, height_bound=0)
     with pytest.raises(BadParams):
         theorem_a_spotcheck("Bn", n=3, height_bound=99)
+
+
+# sha256 of json.dumps(theorem_a_spotcheck(T).to_json(), sort_keys=True) at
+# the default size and height over QQ; the stated tubes feed the mouth-rank
+# cycles that cover the regular roots
+SPOTCHECK_SHA256 = {
+    "A11": "482d000df1c48af18faef3e71423a82a2e91779034b0c281f8c6598749cfed37",
+    "A12": "35bbbe0d04c3f1f6413f7686377af95654d12cd3ba58e2b368edd23d7986db14",
+    "Bn": "a6780cf84c822db3f9f2180a2f1ddd8a35744919f8e1ff47f8083f6469660eef",
+    "Cn": "5ff0ae1d3f55a90c2f99c149fa6e20ab2ef882aab8956eb8fcc99323349f7066",
+    "BCn": "bb20ccfcd0aa0a1d0d01064f669499384265c9489dca9fbb33162f2de6e68264",
+    "BDn": "25c8903c01645aad4107c996c1645ceadb7d4c9cc002ee80d448986a5fc19948",
+    "CDn": "33e8511268dce8d88de997b382b5d018a0e581c36e3fd1b7d6aecd314c78fe8f",
+    "F41": "59d04beacacd2e5d9c844fa233a2d404c237fb1d70fbfd8ef4a321164040464f",
+    "F42": "091f32327b75868d246f40e60e586c32c679c675bcae3821f4b5dcafd1c8fc0b",
+    "G21": "60fe66f89f9374f77fc6d48ee968c7b55a2c0ffcd5ed52156627c6b207ef3411",
+    "G22": "9929a38ff0a3aae5d834dbb3135be7be27b49c8c84b34b01a8f5890c9850e784",
+}
+
+
+@pytest.mark.parametrize("type_id", list(SPOTCHECK_SHA256))
+def test_spotcheck_report_is_pinned(type_id):
+    text = json.dumps(theorem_a_spotcheck(type_id).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SPOTCHECK_SHA256[type_id]
