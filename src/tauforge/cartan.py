@@ -8,6 +8,7 @@ entries and DC symmetric, and an acyclic orientation Omega of the edges
 Vertices are 1-based everywhere, matching the file format.
 """
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from math import gcd
@@ -99,6 +100,36 @@ def _primitive_positive_kernel(cartan):
     return tuple(x // g for x in ints)
 
 
+def _int_entries(what, values):
+    """The values as a tuple; anything but a plain int (a bool, a float, a
+    string) is refused, so that a file cannot be read as a rounded datum."""
+    bad = [x for x in values if type(x) is not int]
+    if bad:
+        raise ValueError("%s entries must be integers, got %r" % (what, bad[0]))
+    return tuple(values)
+
+
+def _sink_order(n, pairs):
+    """Vertices 1..n, each a sink once the earlier ones are removed, ties to
+    the smallest index (arrows j -> i for each pair (i, j)); None when an
+    oriented cycle leaves no sink."""
+    out_deg = [0] * (n + 1)
+    incoming = [[] for _ in range(n + 1)]
+    for (i, j) in pairs:
+        out_deg[j] += 1
+        incoming[i].append(j)
+    sinks = [v for v in range(1, n + 1) if out_deg[v] == 0]
+    seq = []
+    while sinks:
+        k = heapq.heappop(sinks)
+        seq.append(k)
+        for j in incoming[k]:
+            out_deg[j] -= 1
+            if out_deg[j] == 0:
+                heapq.heappush(sinks, j)
+    return tuple(seq) if len(seq) == n else None
+
+
 def validate_datum(cartan, symmetriser, orientation, name=""):
     """Check (C, D, Omega) and return a frozen CartanDatum.
 
@@ -107,7 +138,7 @@ def validate_datum(cartan, symmetriser, orientation, name=""):
     n = len(cartan)
     if n == 0 or any(len(row) != n for row in cartan):
         raise DatumError("Cartan matrix must be square and non-empty")
-    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+    cartan = tuple(_int_entries("Cartan matrix", row) for row in cartan)
     for i in range(n):
         if cartan[i][i] != 2:
             raise DatumError(f"diagonal entry c_{i+1}{i+1} must be 2")
@@ -119,7 +150,7 @@ def validate_datum(cartan, symmetriser, orientation, name=""):
                     raise DatumError(f"c_{i+1}{j+1} and c_{j+1}{i+1} must vanish together")
     if len(symmetriser) != n:
         raise DatumError("symmetriser length must match matrix size")
-    symmetriser = tuple(int(d) for d in symmetriser)
+    symmetriser = _int_entries("symmetriser", symmetriser)
     if any(d <= 0 for d in symmetriser):
         raise DatumError("symmetriser entries must be positive integers")
     for i in range(n):
@@ -129,7 +160,7 @@ def validate_datum(cartan, symmetriser, orientation, name=""):
 
     edges = {(min(i, j), max(i, j)) for i in range(1, n + 1) for j in range(1, n + 1)
              if i != j and cartan[i - 1][j - 1] < 0}
-    pairs = [tuple(p) for p in orientation]
+    pairs = [_int_entries("orientation", p) for p in orientation]
     seen = set()
     for (i, j) in pairs:
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
@@ -144,24 +175,8 @@ def validate_datum(cartan, symmetriser, orientation, name=""):
         missing = sorted(edges - seen)
         raise DatumError(f"unoriented edges: {missing}")
 
-    # acyclicity of the arrow quiver (arrows j -> i for each pair (i, j))
-    succ = {v: [] for v in range(1, n + 1)}
-    for (i, j) in pairs:
-        succ[j].append(i)
-    state = {}
-
-    def dfs(v):
-        state[v] = 1
-        for w in succ[v]:
-            if state.get(w) == 1:
-                raise DatumError("orientation has an oriented cycle")
-            if w not in state:
-                dfs(w)
-        state[v] = 2
-
-    for v in range(1, n + 1):
-        if v not in state:
-            dfs(v)
+    if _sink_order(n, pairs) is None:
+        raise DatumError("orientation has an oriented cycle")
 
     kernel = _primitive_positive_kernel(cartan)
     return CartanDatum(cartan, symmetriser, tuple(sorted(pairs)), kernel, name)
@@ -186,25 +201,10 @@ def build_quiver(datum):
 def admissible_sequence(datum):
     """Sink-first ordering: i_1 is a sink, each later i_k is a sink once the
     earlier vertices are removed.  Ties break to the smallest index."""
-    remaining = set(datum.vertices)
-    out_deg = {v: 0 for v in remaining}
-    for (i, j) in datum.orientation:
-        out_deg[j] += 1
-    incoming = {v: [] for v in remaining}
-    for (i, j) in datum.orientation:
-        incoming[i].append(j)
-    seq = []
-    while remaining:
-        sinks = sorted(v for v in remaining if out_deg[v] == 0)
-        if not sinks:
-            raise DatumError("no sink available; orientation not acyclic")
-        k = sinks[0]
-        seq.append(k)
-        remaining.discard(k)
-        for j in incoming[k]:
-            if j in remaining:
-                out_deg[j] -= 1
-    return tuple(seq)
+    seq = _sink_order(datum.n, datum.orientation)
+    if seq is None:
+        raise DatumError("no sink available; orientation not acyclic")
+    return seq
 
 
 def reflect_orientation(datum, k):

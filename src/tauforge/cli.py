@@ -26,7 +26,7 @@ from .zoo import (
     UnknownType,
     all_check_ids,
     build_named,
-    named_datum,
+    datum_from_name,
     named_module_ids,
     run_suite,
     select_check_ids,
@@ -61,24 +61,13 @@ def _fraction_arg(text):
         raise argparse.ArgumentTypeError("expected an integer or p/q, got %r" % text)
 
 
-_NAME_RE = re.compile(r"(A11|A12|BC|BD|CD|B|C|F41|F42|G21|G22|At)(\d+)?(?:m(\d+))?\Z")
-
-_NAME_FAMILIES = {
-    "B": "Bn", "C": "Cn", "BC": "BCn", "BD": "BDn", "CD": "CDn", "At": "Atilde",
-    "A11": "A11", "A12": "A12", "F41": "F41", "F42": "F42", "G21": "G21", "G22": "G22",
-}
-
-
 def _resolve_datum_name(name):
     """Rebuild a catalogued datum from its canonical name (e.g. B3, CD4m2)."""
-    m = _NAME_RE.fullmatch(name)
-    if not m:
+    try:
+        return datum_from_name(name)
+    except UnknownId:
         raise UsageError("module file names datum %r, which is not in the catalogue; "
                          "embed the datum object instead" % name)
-    family = _NAME_FAMILIES[m.group(1)]
-    n = int(m.group(2)) if m.group(2) else None
-    mult = int(m.group(3)) if m.group(3) else 1
-    return named_datum(family, n=n, m=mult)
 
 
 def _load_datum(path):
@@ -86,12 +75,10 @@ def _load_datum(path):
         with open(path) as fh:
             obj = json.load(fh)
     except OSError as exc:
-        if _NAME_RE.fullmatch(path):
-            try:
-                return _resolve_datum_name(path)
-            except (UnknownId, BadParams) as err:
-                raise UsageError(str(err))
-        raise UsageError("cannot read %s: %s" % (path, exc))
+        try:
+            return datum_from_name(path)
+        except UnknownId:
+            raise UsageError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise UsageError("%s: invalid JSON (%s)" % (path, exc))
     if isinstance(obj, str):

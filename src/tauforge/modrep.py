@@ -39,15 +39,8 @@ class Representation:
     eps: dict            # vertex -> Mat
     arr: dict            # (i, j, g) -> Mat
 
-    def dim_vector(self):
-        return tuple(self.dims[v] for v in self.datum.vertices)
-
     def total_dim(self):
         return sum(self.dims.values())
-
-    def copy(self):
-        return Representation(self.datum, self.field, dict(self.dims),
-                              dict(self.eps), dict(self.arr))
 
 
 def make_rep(datum, field, dims, eps=None, arr=None):
@@ -361,7 +354,6 @@ class EndData:
     rad_dim: int
     residue_dim: int
     basis: list
-    char_warning: bool = False
 
     @property
     def is_local_residue_one(self):
@@ -371,14 +363,14 @@ class EndData:
 def end_analysis(M):
     """Dimension, radical (trace form) and residue of End(M).
 
-    The trace-form radical criterion is valid in characteristic zero; for
-    prime fields with p <= dim End the result carries a warning flag.
+    The trace-form radical criterion is valid in characteristic zero, and
+    over GF(p) only when p > dim End.
     """
     basis = hom_basis(M, M)
     e = len(basis)
     field = M.field
     if e == 0:
-        return EndData(0, 0, 0, [], False)
+        return EndData(0, 0, 0, [])
 
     at, _ = _cochain_layouts(M, M)
     V = Mat.hstack(*(_vec(field, at, b.blocks) for b in basis))
@@ -403,8 +395,7 @@ def end_analysis(M):
             gram[(a, b)] = tr
     G = Mat.from_dict(field, (e, e), gram)
     rad = e - G.rank()
-    warn = field.kind == "prime" and field.p <= e
-    return EndData(e, rad, e - rad, basis, warn)
+    return EndData(e, rad, e - rad, basis)
 
 
 # ---------------------------------------------------------------------------

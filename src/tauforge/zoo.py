@@ -13,6 +13,7 @@ cross-checks the root classification against realized modules.
 """
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,14 +73,6 @@ def _check_m(m):
     return m
 
 
-def _check_n(family, n, minimum):
-    if n is None:
-        raise BadParams("family %s needs the size parameter n" % family)
-    if not isinstance(n, int) or n < minimum:
-        raise BadParams("family %s needs an integer n >= %d, got %r" % (family, minimum, n))
-    return n
-
-
 def _chain_cartan(size, sup, sub):
     """Tridiagonal generalized Cartan matrix with the given off-diagonals."""
     rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
@@ -93,40 +86,19 @@ def _chain_orientation(size):
     return tuple((k + 1, k) for k in range(1, size))
 
 
-def _datum_A11(n, m):
-    if n is not None:
-        raise BadParams("A11 has fixed size; drop n")
-    return validate_datum(((2, -4), (-1, 2)), (m, 4 * m), ((2, 1),), name=_name("A11", None, m))
+def _datum_Bn(n):
+    cartan = _chain_cartan(n + 1, [-2] + [-1] * (n - 1), [-1] * (n - 1) + [-2])
+    return cartan, (1,) + (2,) * (n - 1) + (1,), _chain_orientation(n + 1)
 
 
-def _datum_A12(n, m):
-    if n is not None:
-        raise BadParams("A12 has fixed size; drop n")
-    return validate_datum(((2, -2), (-2, 2)), (m, m), ((2, 1),), name=_name("A12", None, m))
+def _datum_Cn(n):
+    cartan = _chain_cartan(n + 1, [-1] * (n - 1) + [-2], [-2] + [-1] * (n - 1))
+    return cartan, (2,) + (1,) * (n - 1) + (2,), _chain_orientation(n + 1)
 
 
-def _datum_Bn(n, m):
-    n = _check_n("Bn", n, 2)
-    size = n + 1
-    cartan = _chain_cartan(size, [-2] + [-1] * (n - 1), [-1] * (n - 1) + [-2])
-    sym = (m,) + (2 * m,) * (n - 1) + (m,)
-    return validate_datum(cartan, sym, _chain_orientation(size), name=_name("B", n, m))
-
-
-def _datum_Cn(n, m):
-    n = _check_n("Cn", n, 2)
-    size = n + 1
-    cartan = _chain_cartan(size, [-1] * (n - 1) + [-2], [-2] + [-1] * (n - 1))
-    sym = (2 * m,) + (m,) * (n - 1) + (2 * m,)
-    return validate_datum(cartan, sym, _chain_orientation(size), name=_name("C", n, m))
-
-
-def _datum_BCn(n, m):
-    n = _check_n("BCn", n, 2)
-    size = n + 1
-    cartan = _chain_cartan(size, [-2] + [-1] * (n - 2) + [-2], [-1] * n)
-    sym = (m,) + (2 * m,) * (n - 1) + (4 * m,)
-    return validate_datum(cartan, sym, _chain_orientation(size), name=_name("BC", n, m))
+def _datum_BCn(n):
+    cartan = _chain_cartan(n + 1, [-2] + [-1] * (n - 2) + [-2], [-1] * n)
+    return cartan, (1,) + (2,) * (n - 1) + (4,), _chain_orientation(n + 1)
 
 
 def _branched_cartan(size, tail_sup, tail_sub):
@@ -146,73 +118,123 @@ def _branch_orientation(size):
     return ((3, 1), (3, 2)) + tuple((k + 1, k) for k in range(3, size))
 
 
-def _datum_BDn(n, m):
-    n = _check_n("BDn", n, 3)
-    size = n + 1
-    cartan = _branched_cartan(size, -1, -2)
-    sym = (2 * m,) * n + (m,)
-    return validate_datum(cartan, sym, _branch_orientation(size), name=_name("BD", n, m))
+def _datum_BDn(n):
+    return _branched_cartan(n + 1, -1, -2), (2,) * n + (1,), _branch_orientation(n + 1)
 
 
-def _datum_CDn(n, m):
-    n = _check_n("CDn", n, 3)
-    size = n + 1
-    cartan = _branched_cartan(size, -2, -1)
-    sym = (m,) * n + (2 * m,)
-    return validate_datum(cartan, sym, _branch_orientation(size), name=_name("CD", n, m))
+def _datum_CDn(n):
+    return _branched_cartan(n + 1, -2, -1), (1,) * n + (2,), _branch_orientation(n + 1)
 
 
-def _datum_F41(n, m):
-    if n is not None:
-        raise BadParams("F41 has fixed size; drop n")
-    cartan = (
-        (2, -1, 0, 0, 0),
-        (-1, 2, -1, 0, 0),
-        (0, -1, 2, -2, 0),
-        (0, 0, -1, 2, -1),
-        (0, 0, 0, -1, 2),
-    )
-    sym = (m, m, m, 2 * m, 2 * m)
-    return validate_datum(cartan, sym, ((2, 1), (3, 2), (4, 3), (4, 5)), name=_name("F41", None, m))
-
-
-def _datum_F42(n, m):
-    if n is not None:
-        raise BadParams("F42 has fixed size; drop n")
-    cartan = (
-        (2, -1, 0, 0, 0),
-        (-1, 2, -1, 0, 0),
-        (0, -1, 2, -1, 0),
-        (0, 0, -2, 2, -1),
-        (0, 0, 0, -1, 2),
-    )
-    sym = (2 * m, 2 * m, 2 * m, m, m)
-    return validate_datum(cartan, sym, ((2, 1), (3, 2), (3, 4), (4, 5)), name=_name("F42", None, m))
-
-
-def _datum_G21(n, m):
-    if n is not None:
-        raise BadParams("G21 has fixed size; drop n")
-    cartan = ((2, -1, 0), (-1, 2, -3), (0, -1, 2))
-    return validate_datum(cartan, (m, m, 3 * m), ((2, 1), (3, 2)), name=_name("G21", None, m))
-
-
-def _datum_G22(n, m):
-    if n is not None:
-        raise BadParams("G22 has fixed size; drop n")
-    cartan = ((2, -1, 0), (-1, 2, -1), (0, -3, 2))
-    return validate_datum(cartan, (3 * m, 3 * m, m), ((2, 1), (2, 3)), name=_name("G22", None, m))
-
-
-def _datum_Atilde(n, m):
-    n = _check_n("Atilde", n, 3)
+def _datum_Atilde(n):
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(n):
         rows[k][(k + 1) % n] = -1
         rows[(k + 1) % n][k] = -1
     orientation = tuple((k + 1, k) for k in range(1, n)) + ((n, 1),)
-    cartan = tuple(tuple(r) for r in rows)
-    return validate_datum(cartan, (m,) * n, orientation, name=_name("At", n, m))
+    return tuple(tuple(r) for r in rows), (1,) * n, orientation
+
+
+@dataclass(frozen=True)
+class _Tube:
+    """A stable tube as the paper states it, mouths in tau-order."""
+
+    mouths: tuple      # ((module id, stated rank), ...); see _spread for "..."
+    end: int = None    # stated dim End of every mouth, where the paper states one
+    simples: int = 0   # k > 0: the tube opens with the simples E_k, ..., E_n
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One datum family of the catalogue.  Rows hold ids and numbers rather
+    than public functions, which a tracer may rebind on the module."""
+
+    stem: str               # a name is the stem, then n if sized, then m<m> when m > 1
+    datum: object           # (cartan, symmetriser multipliers, orientation), or a function of n
+    size: tuple = None      # sized families: (least n, default n)
+    tubes: tuple = ()       # _Tube rows
+    spotcheck: bool = False
+    homog: str = None       # id of the homogeneous module
+    pair: tuple = None      # non-rigid pair: (Z id, Y id, id of the tube mouth X, dim End Y)
+
+
+_FAMILIES = {
+    "A11": _Family("A11", (((2, -4), (-1, 2)), (1, 4), ((2, 1),)), spotcheck=True, homog="A11.homog"),
+    "A12": _Family("A12", (((2, -2), (-2, 2)), (1, 1), ((2, 1),)), spotcheck=True, homog="A12.homog"),
+    "Bn": _Family(
+        "B", _datum_Bn, size=(2, 3), spotcheck=True, homog="Bn.MlamB",
+        tubes=(_Tube((("Bn.MB", (2, 1, ..., 2)),), simples=2),),
+        pair=("Bn.Z", "Bn.Y", "E2", 3),
+    ),
+    "Cn": _Family(
+        "C", _datum_Cn, size=(2, 3), spotcheck=True,
+        tubes=(_Tube((("Cn.MC", (1, ...)),), simples=2),),
+    ),
+    "BCn": _Family(
+        "BC", _datum_BCn, size=(2, 3), spotcheck=True,
+        tubes=(_Tube((("BCn.MBC", (2, 1, ...)),), simples=2),),
+    ),
+    "BDn": _Family(
+        "BD", _datum_BDn, size=(3, 4), spotcheck=True,
+        tubes=(
+            _Tube((("BDn.M1", (1, ..., 2)),), simples=3),
+            _Tube((("BDn.M2", (1, 0, 1, ...)), ("BDn.M3", (0, 1, 1, ...))), end=1),
+        ),
+    ),
+    "CDn": _Family(
+        "CD", _datum_CDn, size=(3, 4), spotcheck=True,
+        tubes=(
+            _Tube((("CDn.M1", (1, ...)),), simples=3),
+            _Tube((("CDn.M2", (0, 2, ..., 1)), ("CDn.M3", (2, 0, 2, ..., 1))), end=2),
+        ),
+        pair=("CDn.Z", "CDn.Y", "CDn.M3", 3),
+    ),
+    "F41": _Family(
+        "F41",
+        (
+            ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -2, 0), (0, 0, -1, 2, -1), (0, 0, 0, -1, 2)),
+            (1, 1, 1, 2, 2),
+            ((2, 1), (3, 2), (4, 3), (4, 5)),
+        ),
+        spotcheck=True,
+        tubes=(
+            _Tube((("F41.T21", (1, 1, 2, 1, 0)), ("F41.T22", (0, 1, 1, 1, 1))), end=1),
+            _Tube(
+                (("F41.T31", (0, 2, 2, 1, 0)), ("F41.T32", (2, 2, 2, 2, 1)), ("F41.T33", (0, 0, 2, 1, 1))),
+                end=2,
+            ),
+        ),
+        pair=("F41.Z", "F41.Y", "F41.T31", 3),
+    ),
+    "F42": _Family(
+        "F42",
+        (
+            ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, 0), (0, 0, -2, 2, -1), (0, 0, 0, -1, 2)),
+            (2, 2, 2, 1, 1),
+            ((2, 1), (3, 2), (3, 4), (4, 5)),
+        ),
+        spotcheck=True,
+        tubes=(
+            _Tube((("F42.T21", (1, 1, 2, 2, 2)), ("F42.T22", (0, 1, 1, 2, 0))), end=2),
+            _Tube(
+                (("F42.T31", (1, 1, 1, 1, 0)), ("F42.T32", (0, 0, 1, 2, 1)), ("F42.T33", (0, 1, 1, 1, 1))),
+                end=1,
+            ),
+        ),
+    ),
+    "G21": _Family(
+        "G21", (((2, -1, 0), (-1, 2, -3), (0, -1, 2)), (1, 1, 3), ((2, 1), (3, 2))),
+        spotcheck=True, homog="G21.homog",
+        tubes=(_Tube((("G21.T21", (3, 3, 2)), ("G21.T22", (0, 3, 1))), end=3),),
+        pair=("G21.Z", "G21.Y", "G21.T22", 4),
+    ),
+    "G22": _Family(
+        "G22", (((2, -1, 0), (-1, 2, -1), (0, -3, 2)), (3, 3, 1), ((2, 1), (2, 3))),
+        spotcheck=True,
+        tubes=(_Tube((("G22.T21", (1, 1, 1)), ("G22.T22", (0, 1, 2))), end=1),),
+    ),
+    "Atilde": _Family("At", _datum_Atilde, size=(3, 4)),
+}
 
 
 def _name(stem, n, m):
@@ -220,28 +242,40 @@ def _name(stem, n, m):
     return base if m == 1 else "%sm%d" % (base, m)
 
 
-_DATUM_FAMILIES = {
-    "A11": _datum_A11,
-    "A12": _datum_A12,
-    "Bn": _datum_Bn,
-    "Cn": _datum_Cn,
-    "BCn": _datum_BCn,
-    "BDn": _datum_BDn,
-    "CDn": _datum_CDn,
-    "F41": _datum_F41,
-    "F42": _datum_F42,
-    "G21": _datum_G21,
-    "G22": _datum_G22,
-    "Atilde": _datum_Atilde,
-}
-
-
 def named_datum(family, n=None, m=1):
     """Build one of the catalogued affine data, scaled by the symmetriser
     multiple m."""
-    if family not in _DATUM_FAMILIES:
-        raise UnknownId("unknown datum family %r; known: %s" % (family, ", ".join(sorted(_DATUM_FAMILIES))))
-    return _DATUM_FAMILIES[family](n, _check_m(m))
+    if family not in _FAMILIES:
+        raise UnknownId("unknown datum family %r; known: %s" % (family, ", ".join(sorted(_FAMILIES))))
+    row = _FAMILIES[family]
+    _check_m(m)
+    if row.size is None:
+        if n is not None:
+            raise BadParams("%s has fixed size; drop n" % family)
+        cartan, mult, orientation = row.datum
+    else:
+        if n is None:
+            raise BadParams("family %s needs the size parameter n" % family)
+        if not isinstance(n, int) or n < row.size[0]:
+            raise BadParams("family %s needs an integer n >= %d, got %r" % (family, row.size[0], n))
+        cartan, mult, orientation = row.datum(n)
+    return validate_datum(cartan, tuple(k * m for k in mult), orientation, name=_name(row.stem, n, m))
+
+
+# stems longest first, so that BC is tried before B
+_DATUM_NAME = re.compile(r"(%s)(\d+)?(?:m(\d+))?\Z" % "|".join(
+    sorted((row.stem for row in _FAMILIES.values()), key=len, reverse=True)))
+_STEMS = {row.stem: family for family, row in _FAMILIES.items()}
+
+
+def datum_from_name(name):
+    """Rebuild a catalogued datum from the name `named_datum` gives it, such
+    as B3, CD4m2, At4 or F41."""
+    match = _DATUM_NAME.fullmatch(name)
+    if not match:
+        raise UnknownId("%r names no catalogued datum" % (name,))
+    stem, n, m = match.groups()
+    return named_datum(_STEMS[stem], n=int(n) if n else None, m=int(m) if m else 1)
 
 
 # --------------------------------------------------------------------------
@@ -958,12 +992,41 @@ def _vec_sub(a, b):
 # tube certification
 
 
-def _certify_tube(mouths, expected_ranks, expected_end):
+def _spread(rank, size):
+    """A stated rank at the datum's size: ``...`` repeats the entry before it."""
+    if ... not in rank:
+        return rank
+    cut = rank.index(...)
+    head, tail = rank[:cut], rank[cut + 1:]
+    return head + head[-1:] * (size - len(head) - len(tail)) + tail
+
+
+def _stated_tubes(datum, family):
+    """The family's tubes at this datum's size, each as a list of (mouth id,
+    stated rank) in tau-order and the stated dim End or None."""
+    tubes = []
+    for tube in _FAMILIES[family].tubes:
+        run = range(tube.simples, datum.n) if tube.simples else ()
+        stated = [("E%d" % k, _alpha(datum, k)) for k in run]
+        stated += [(mid, _spread(rank, datum.n)) for mid, rank in tube.mouths]
+        tubes.append((stated, tube.end))
+    return tubes
+
+
+def _build_id(datum, field, module_id):
+    """A module named by a catalogue id, or by E<k> for the simple at k."""
+    if module_id.startswith("E"):
+        return free_simple(datum, field, int(module_id[1:]))
+    return _MODULE_TABLE[module_id][1](datum, field)
+
+
+def _certify_tube(datum, field, stated, expected_end):
     """Certify one tube: stated mouth invariants plus a closed tau-orbit
     through exactly the stated mouths (isomorphism certificates checked)."""
+    mouths = [(mid.rpartition(".")[2], _build_id(datum, field, mid)) for mid, _ in stated]
     problems = []
     mouth_ev = []
-    for (label, M), want in zip(mouths, expected_ranks):
+    for (label, M), (_, want) in zip(mouths, stated):
         rk = rank_vector(M)
         ed = end_analysis(M)
         rigid = is_rigid(M)
@@ -1012,112 +1075,13 @@ def _certify_tube(mouths, expected_ranks, expected_end):
     return problems, evidence
 
 
-def _simple_mouths(datum, field, first, last):
-    return [("E%d" % k, free_simple(datum, field, k)) for k in range(first, last + 1)]
-
-
-def _tubes_Bn(datum, field):
-    n = datum.n - 1
-    mouths = _simple_mouths(datum, field, 2, n) + [("MB", _mod_Bn_MB(datum, field))]
-    ranks = [_alpha(datum, k) for k in range(2, n + 1)] + [(2,) + (1,) * (n - 1) + (2,)]
-    return [{"mouths": mouths, "ranks": ranks, "end": None}]
-
-
-def _tubes_Cn(datum, field):
-    n = datum.n - 1
-    mouths = _simple_mouths(datum, field, 2, n) + [("MC", _mod_Cn_MC(datum, field))]
-    ranks = [_alpha(datum, k) for k in range(2, n + 1)] + [(1,) * (n + 1)]
-    return [{"mouths": mouths, "ranks": ranks, "end": None}]
-
-
-def _tubes_BCn(datum, field):
-    n = datum.n - 1
-    mouths = _simple_mouths(datum, field, 2, n) + [("MBC", _mod_BCn_MBC(datum, field))]
-    ranks = [_alpha(datum, k) for k in range(2, n + 1)] + [(2,) + (1,) * n]
-    return [{"mouths": mouths, "ranks": ranks, "end": None}]
-
-
-def _tubes_BDn(datum, field):
-    n = datum.n - 1
-    tube1 = _simple_mouths(datum, field, 3, n) + [("M1", _mod_BDn_M1(datum, field))]
-    ranks1 = [_alpha(datum, k) for k in range(3, n + 1)] + [(1,) * n + (2,)]
-    tube2 = [("M2", _mod_BDn_M23(datum, field, 1)), ("M3", _mod_BDn_M23(datum, field, 2))]
-    ranks2 = [(1, 0) + (1,) * (n - 1), (0, 1) + (1,) * (n - 1)]
-    return [
-        {"mouths": tube1, "ranks": ranks1, "end": None},
-        {"mouths": tube2, "ranks": ranks2, "end": 1},
-    ]
-
-
-def _tubes_CDn(datum, field):
-    n = datum.n - 1
-    tube1 = _simple_mouths(datum, field, 3, n) + [("M1", _mod_CDn_M1(datum, field))]
-    ranks1 = [_alpha(datum, k) for k in range(3, n + 1)] + [(1,) * (n + 1)]
-    tube2 = [("M2", _mod_CDn_M23(datum, field, 2)), ("M3", _mod_CDn_M23(datum, field, 1))]
-    ranks2 = [(0, 2) + (2,) * (n - 2) + (1,), (2, 0) + (2,) * (n - 2) + (1,)]
-    return [
-        {"mouths": tube1, "ranks": ranks1, "end": None},
-        {"mouths": tube2, "ranks": ranks2, "end": 2},
-    ]
-
-
-def _tubes_F41(datum, field):
-    tube2 = [("T21", _mod_F41_T21(datum, field)), ("T22", _mod_F41_T22(datum, field))]
-    tube3 = [
-        ("T31", _mod_F41_T31(datum, field)),
-        ("T32", _mod_F41_T32(datum, field)),
-        ("T33", _mod_F41_T33(datum, field)),
-    ]
-    return [
-        {"mouths": tube2, "ranks": [(1, 1, 2, 1, 0), (0, 1, 1, 1, 1)], "end": 1},
-        {"mouths": tube3, "ranks": [(0, 2, 2, 1, 0), (2, 2, 2, 2, 1), (0, 0, 2, 1, 1)], "end": 2},
-    ]
-
-
-def _tubes_F42(datum, field):
-    tube2 = [("T21", _mod_F42_T21(datum, field)), ("T22", _mod_F42_T22(datum, field))]
-    tube3 = [
-        ("T31", _mod_F42_T31(datum, field)),
-        ("T32", _mod_F42_T32(datum, field)),
-        ("T33", _mod_F42_T33(datum, field)),
-    ]
-    return [
-        {"mouths": tube2, "ranks": [(1, 1, 2, 2, 2), (0, 1, 1, 2, 0)], "end": 2},
-        {"mouths": tube3, "ranks": [(1, 1, 1, 1, 0), (0, 0, 1, 2, 1), (0, 1, 1, 1, 1)], "end": 1},
-    ]
-
-
-def _tubes_G21(datum, field):
-    tube = [("T21", _mod_G21_T21(datum, field)), ("T22", _mod_G21_T22(datum, field))]
-    return [{"mouths": tube, "ranks": [(3, 3, 2), (0, 3, 1)], "end": 3}]
-
-
-def _tubes_G22(datum, field):
-    tube = [("T21", _mod_G22_T21(datum, field)), ("T22", _mod_G22_T22(datum, field))]
-    return [{"mouths": tube, "ranks": [(1, 1, 1), (0, 1, 2)], "end": 1}]
-
-
-_TUBE_BUILDERS = {
-    "Bn": _tubes_Bn,
-    "Cn": _tubes_Cn,
-    "BCn": _tubes_BCn,
-    "BDn": _tubes_BDn,
-    "CDn": _tubes_CDn,
-    "F41": _tubes_F41,
-    "F42": _tubes_F42,
-    "G21": _tubes_G21,
-    "G22": _tubes_G22,
-}
-
-
-def _tube_check(check_id, field, family, n, tube_indices):
-    datum = named_datum(family, n=n) if n is not None else named_datum(family)
-    tubes = _TUBE_BUILDERS[family](datum, field)
+def _tube_check(check_id, field, family, *tube_indices, n=None):
+    datum = named_datum(family, n=n)
+    tubes = _stated_tubes(datum, family)
     problems = []
     tube_ev = []
     for idx in tube_indices:
-        tube = tubes[idx]
-        probs, ev = _certify_tube(tube["mouths"], tube["ranks"], tube["end"])
+        probs, ev = _certify_tube(datum, field, *tubes[idx])
         problems.extend(probs)
         tube_ev.append(ev)
     evidence = {"datum": datum.name, "delta": list(delta(datum))}
@@ -1128,55 +1092,16 @@ def _tube_check(check_id, field, family, n, tube_indices):
     return _report(check_id, problems, evidence)
 
 
-def _check_typeB(field, n=3):
-    return _tube_check("typeB", field, "Bn", n, [0])
-
-
-def _check_typeC(field, n=3):
-    return _tube_check("typeC", field, "Cn", n, [0])
-
-
-def _check_typeBC(field, n=3):
-    return _tube_check("typeBC", field, "BCn", n, [0])
-
-
-def _check_typeBD1(field, n=4):
-    return _tube_check("typeBD1", field, "BDn", n, [0])
-
-
-def _check_typeBD2(field, n=4):
-    report = _tube_check("typeBD2", field, "BDn", n, [1])
-    datum = named_datum("BDn", n=n)
-    a = (1, 0) + (1,) * (n - 1)
+def _check_typeBD2(check_id, field, family, *tube_indices, n):
+    report = _tube_check(check_id, field, family, *tube_indices, n=n)
+    datum = named_datum(family, n=n)
+    stated, _ = _stated_tubes(datum, family)[tube_indices[0]]
+    a = stated[0][1]
     pairing = bilinear(datum, a, a)
     report.evidence["selfPairing"] = pairing
     if pairing != 1:
-        return _report("typeBD2", ["<rank M2, rank M2> = %d, expected 1" % pairing], report.evidence)
+        return _report(check_id, ["<rank M2, rank M2> = %d, expected 1" % pairing], report.evidence)
     return report
-
-
-def _check_typeCD1(field, n=4):
-    return _tube_check("typeCD1", field, "CDn", n, [0])
-
-
-def _check_typeCD2(field, n=4):
-    return _tube_check("typeCD2", field, "CDn", n, [1])
-
-
-def _check_typeF1(field):
-    return _tube_check("typeF1", field, "F41", None, [0, 1])
-
-
-def _check_typeF22(field):
-    return _tube_check("typeF22", field, "F42", None, [0, 1])
-
-
-def _check_typeG1(field):
-    return _tube_check("typeG1", field, "G21", None, [0])
-
-
-def _check_typeG2(field):
-    return _tube_check("typeG2", field, "G22", None, [0])
 
 
 # --------------------------------------------------------------------------
@@ -1199,28 +1124,32 @@ def _homog_entry(module_id, datum, M, extras, problems, items):
     items.append(entry)
 
 
-def _check_homog(field, n=3):
+def _check_homog(check_id, field, family, n):
+    """The homogeneous modules of the fixed-size families, then the family's
+    deformation family M_lam at size n."""
+    fixed = [row.homog for row in _FAMILIES.values() if row.homog and row.size is None]
+    deformed = _FAMILIES[family].homog
     problems = []
     items = []
     for m in (1, 2):
-        for module_id in ("A11.homog", "A12.homog", "G21.homog"):
+        for module_id in fixed:
             datum, M = build_named(module_id, field=field, m=m)
             _homog_entry(module_id, datum, M, {"m": m}, problems, items)
         for lam in (1, 2):
-            datum, M = build_named("Bn.MlamB", field=field, n=n, m=m, lam=lam)
-            _homog_entry("Bn.MlamB", datum, M, {"m": m, "lam": lam}, problems, items)
-    _, M1 = build_named("Bn.MlamB", field=field, n=n, m=1, lam=1)
-    _, M2 = build_named("Bn.MlamB", field=field, n=n, m=1, lam=2)
+            datum, M = build_named(deformed, field=field, n=n, m=m, lam=lam)
+            _homog_entry(deformed, datum, M, {"m": m, "lam": lam}, problems, items)
+    _, M1 = build_named(deformed, field=field, n=n, m=1, lam=1)
+    _, M2 = build_named(deformed, field=field, n=n, m=1, lam=2)
     evidence = {
         "modules": items,
         # recorded for information only; no stated expectation either way
         "distinctLambdaIso": {"verdict": is_isomorphic(M1, M2).verdict, "asserted": False},
     }
-    return _report("prop:homog", problems, evidence)
+    return _report(check_id, problems, evidence)
 
 
-def _check_typeA(field, n=4, m=2):
-    datum = named_datum("Atilde", n=n, m=m)
+def _check_intervals(check_id, field, family, n, m):
+    datum = named_datum(family, n=n, m=m)
     problems = []
     checked = 0
     for i in range(1, n + 1):
@@ -1240,11 +1169,11 @@ def _check_typeA(field, n=4, m=2):
                 problems.append("M(%d,%d): rank %s, expected %s" % (i, j, rk, want))
             checked += 1
     evidence = {"datum": datum.name, "properIntervals": checked, "endDim": m}
-    return _report("typeA", problems, evidence)
+    return _report(check_id, problems, evidence)
 
 
-def _check_lem0(field, family="Bn", n=3):
-    datum = named_datum(family, n=n) if family in ("Bn", "Cn", "BCn", "BDn", "CDn", "Atilde") else named_datum(family)
+def _check_lem0(check_id, field, family, n):
+    datum = named_datum(family, n=n)
     problems = []
     periodic = []
     for i in datum.vertices:
@@ -1268,7 +1197,7 @@ def _check_lem0(field, family="Bn", n=3):
         if not is_rigid(M):
             problems.append("E%d: not rigid" % i)
     evidence = {"datum": datum.name, "periodicSimples": periodic}
-    return _report("lem0", problems, evidence)
+    return _report(check_id, problems, evidence)
 
 
 # --------------------------------------------------------------------------
@@ -1298,54 +1227,13 @@ def _extension_reproduces(Z, X, Y):
     return False
 
 
-_MAIN2_TABLE = {
-    "main2.Bn": {
-        "family": "Bn",
-        "default_n": 3,
-        "z": _mod_Bn_Z,
-        "y": _mod_Bn_Y,
-        "x": lambda datum, field: free_simple(datum, field, 2),
-        "y_end": 3,
-        "period": lambda datum: datum.n - 1,
-    },
-    "main2.CDn": {
-        "family": "CDn",
-        "default_n": 4,
-        "z": _mod_CDn_Z,
-        "y": _mod_CDn_Y,
-        "x": lambda datum, field: _mod_CDn_M23(datum, field, 1),
-        "y_end": 3,
-        "period": lambda datum: 2,
-    },
-    "main2.F41": {
-        "family": "F41",
-        "default_n": None,
-        "z": _mod_F41_Z,
-        "y": _mod_F41_Y,
-        "x": _mod_F41_T31,
-        "y_end": 3,
-        "period": lambda datum: 3,
-    },
-    "main2.G21": {
-        "family": "G21",
-        "default_n": None,
-        "z": _mod_G21_Z,
-        "y": _mod_G21_Y,
-        "x": _mod_G21_T22,
-        "y_end": 4,
-        "period": lambda datum: 2,
-    },
-}
-
-
-def _check_main2(check_id, field, n=None):
-    cfg = _MAIN2_TABLE[check_id]
-    size = n if n is not None else cfg["default_n"]
-    datum = named_datum(cfg["family"], n=size) if size is not None else named_datum(cfg["family"])
-    Z = cfg["z"](datum, field)
-    Y = cfg["y"](datum, field)
-    X = cfg["x"](datum, field)
-    expected_period = cfg["period"](datum)
+def _check_main2(check_id, field, family, n=None):
+    datum = named_datum(family, n=n)
+    z_id, y_id, x_id, y_end = _FAMILIES[family].pair
+    Z, Y, X = (_build_id(datum, field, mid) for mid in (z_id, y_id, x_id))
+    # Z and its extension Y by the mouth X both have the period of X's tube
+    tubes = _stated_tubes(datum, family)
+    expected_period = next(len(stated) for stated, _ in tubes if x_id in dict(stated))
     dlt = delta(datum)
     problems = []
     evidence = {"datum": datum.name, "delta": list(dlt)}
@@ -1371,8 +1259,8 @@ def _check_main2(check_id, field, n=None):
     evidence["Y"] = {"endDim": edy.dim, "residueDim": edy.residue_dim}
     if edy.residue_dim != 1:
         problems.append("Y: endomorphism ring not local (residue dim %d)" % edy.residue_dim)
-    if edy.dim != cfg["y_end"]:
-        problems.append("Y: dim End = %d, expected %d" % (edy.dim, cfg["y_end"]))
+    if edy.dim != y_end:
+        problems.append("Y: dim End = %d, expected %d" % (edy.dim, y_end))
     freeness = is_tau_locally_free(Y)
     evidence["Y"]["tauLocallyFree"] = freeness.status
     evidence["Y"]["tauPeriod"] = freeness.period
@@ -1431,15 +1319,15 @@ def module_battery(datum, field, size=30):
     return mods
 
 
-def _contract_data(field, n):
-    return [named_datum("A11"), named_datum("Bn", n=n)]
+def _contract_data(family, n):
+    return [named_datum("A11"), named_datum(family, n=n)]
 
 
-def _check_prop2_1(field, n=3, size=10):
+def _check_prop2_1(check_id, field, family, n, size):
     problems = []
     datum_ev = []
     total = 0
-    for datum in _contract_data(field, n) + [named_datum("G21")]:
+    for datum in _contract_data(family, n) + [named_datum("G21")]:
         mods = module_battery(datum, field, size)
         pairs = 0
         for la, M in mods:
@@ -1453,17 +1341,17 @@ def _check_prop2_1(field, n=3, size=10):
                 pairs += 1
         datum_ev.append({"datum": datum.name, "pairs": pairs})
         total += pairs
-    return _report("prop2.1", problems, {"data": datum_ev, "pairs": total})
+    return _report(check_id, problems, {"data": datum_ev, "pairs": total})
 
 
 def _support(M):
     return {v for v in M.datum.vertices if M.dims[v] > 0}
 
 
-def _check_prop2_4(field, n=3, size=38):
+def _check_prop2_4(check_id, field, family, n, size):
     problems = []
     datum_ev = []
-    for datum in _contract_data(field, n):
+    for datum in _contract_data(family, n):
         sink = admissible_sequence(datum)[0]
         source = next(v for v in datum.vertices if datum.is_source(v))
         verified = 0
@@ -1493,13 +1381,13 @@ def _check_prop2_4(field, n=3, size=38):
         datum_ev.append({"datum": datum.name, "modules": verified, "sink": sink, "source": source})
         if verified < 30:
             problems.append("%s: only %d modules exercised" % (datum.name, verified))
-    return _report("prop2.4", problems, {"data": datum_ev})
+    return _report(check_id, problems, {"data": datum_ev})
 
 
-def _check_prop2_6(field, n=3, size=30):
+def _check_prop2_6(check_id, field, family, n, size):
     problems = []
     datum_ev = []
-    for datum in _contract_data(field, n):
+    for datum in _contract_data(family, n):
         verified = 0
         for label, M in module_battery(datum, field, size):
             lhs = tau(M).module
@@ -1517,13 +1405,13 @@ def _check_prop2_6(field, n=3, size=30):
         datum_ev.append({"datum": datum.name, "modules": verified})
         if verified < 30:
             problems.append("%s: only %d modules exercised" % (datum.name, verified))
-    return _report("prop2.6", problems, {"data": datum_ev})
+    return _report(check_id, problems, {"data": datum_ev})
 
 
-def _check_prop2_7(field, n=3, size=38, powers=3):
+def _check_prop2_7(check_id, field, family, n, size, powers=3):
     problems = []
     datum_ev = []
-    for datum in _contract_data(field, n):
+    for datum in _contract_data(family, n):
         cd = coxeter_data(datum)
         exercised = 0
         comparisons = 0
@@ -1545,36 +1433,39 @@ def _check_prop2_7(field, n=3, size=38, powers=3):
         datum_ev.append({"datum": datum.name, "modules": exercised, "comparisons": comparisons})
         if exercised < 30:
             problems.append("%s: only %d modules exercised" % (datum.name, exercised))
-    return _report("prop2.7", problems, {"data": datum_ev})
+    return _report(check_id, problems, {"data": datum_ev})
 
 
 # --------------------------------------------------------------------------
 # check registry
 
 
+# check id -> (check, datum family whose n it takes, tube indices for the tube
+# checks, parameters a caller may set with their defaults); a check of a sized
+# family also takes n, by default the family's
 _CHECK_TABLE = {
-    "prop:homog": (_check_homog, {"n": 3}),
-    "typeA": (_check_typeA, {"n": 4, "m": 2}),
-    "typeB": (_check_typeB, {"n": 3}),
-    "typeC": (_check_typeC, {"n": 3}),
-    "typeBC": (_check_typeBC, {"n": 3}),
-    "typeBD1": (_check_typeBD1, {"n": 4}),
-    "typeBD2": (_check_typeBD2, {"n": 4}),
-    "typeCD1": (_check_typeCD1, {"n": 4}),
-    "typeCD2": (_check_typeCD2, {"n": 4}),
-    "typeF1": (_check_typeF1, {}),
-    "typeF22": (_check_typeF22, {}),
-    "typeG1": (_check_typeG1, {}),
-    "typeG2": (_check_typeG2, {}),
-    "lem0": (_check_lem0, {"family": "Bn", "n": 3}),
-    "main2.Bn": (lambda field, n=3: _check_main2("main2.Bn", field, n), {"n": 3}),
-    "main2.CDn": (lambda field, n=4: _check_main2("main2.CDn", field, n), {"n": 4}),
-    "main2.F41": (lambda field: _check_main2("main2.F41", field), {}),
-    "main2.G21": (lambda field: _check_main2("main2.G21", field), {}),
-    "prop2.1": (_check_prop2_1, {"n": 3, "size": 10}),
-    "prop2.4": (_check_prop2_4, {"n": 3, "size": 38}),
-    "prop2.6": (_check_prop2_6, {"n": 3, "size": 30}),
-    "prop2.7": (_check_prop2_7, {"n": 3, "size": 38}),
+    "prop:homog": (_check_homog, "Bn", (), {}),
+    "typeA": (_check_intervals, "Atilde", (), {"m": 2}),
+    "typeB": (_tube_check, "Bn", (0,), {}),
+    "typeC": (_tube_check, "Cn", (0,), {}),
+    "typeBC": (_tube_check, "BCn", (0,), {}),
+    "typeBD1": (_tube_check, "BDn", (0,), {}),
+    "typeBD2": (_check_typeBD2, "BDn", (1,), {}),
+    "typeCD1": (_tube_check, "CDn", (0,), {}),
+    "typeCD2": (_tube_check, "CDn", (1,), {}),
+    "typeF1": (_tube_check, "F41", (0, 1), {}),
+    "typeF22": (_tube_check, "F42", (0, 1), {}),
+    "typeG1": (_tube_check, "G21", (0,), {}),
+    "typeG2": (_tube_check, "G22", (0,), {}),
+    "lem0": (_check_lem0, "Bn", (), {}),
+    "main2.Bn": (_check_main2, "Bn", (), {}),
+    "main2.CDn": (_check_main2, "CDn", (), {}),
+    "main2.F41": (_check_main2, "F41", (), {}),
+    "main2.G21": (_check_main2, "G21", (), {}),
+    "prop2.1": (_check_prop2_1, "Bn", (), {"size": 10}),
+    "prop2.4": (_check_prop2_4, "Bn", (), {"size": 38}),
+    "prop2.6": (_check_prop2_6, "Bn", (), {"size": 30}),
+    "prop2.7": (_check_prop2_7, "Bn", (), {"size": 38}),
 }
 
 
@@ -1586,10 +1477,13 @@ def verify_proposition(check_id, field=None, **params):
     """Run one named check; returns a CheckReport with pass/fail evidence."""
     if check_id not in _CHECK_TABLE:
         raise UnknownCheck("unknown check id %r; known: %s" % (check_id, ", ".join(all_check_ids())))
-    fn, defaults = _CHECK_TABLE[check_id]
+    fn, family, args, defaults = _CHECK_TABLE[check_id]
+    size = _FAMILIES[family].size
+    if size is not None:
+        defaults = dict(defaults, n=size[1])
     merged = _take_params({k: v for k, v in params.items() if v is not None}, defaults)
     field = field if field is not None else Field.rational()
-    return fn(field, **merged)
+    return fn(check_id, field, family, *args, **merged)
 
 
 def select_check_ids(filter_id=None):
@@ -1609,7 +1503,7 @@ def run_suite(filter_id=None, field=None, n=None):
     reports = []
     for check_id in select_check_ids(filter_id):
         params = {}
-        if n is not None and "n" in _CHECK_TABLE[check_id][1]:
+        if n is not None and _FAMILIES[_CHECK_TABLE[check_id][1]].size is not None:
             params["n"] = n
         reports.append(verify_proposition(check_id, field=field, **params))
     return reports
@@ -1617,11 +1511,6 @@ def run_suite(filter_id=None, field=None, n=None):
 
 # --------------------------------------------------------------------------
 # root realization spot-check
-
-
-_SPOTCHECK_FAMILIES = ("A11", "A12", "Bn", "Cn", "BCn", "BDn", "CDn", "F41", "F42", "G21", "G22")
-
-_HOMOG_FAMILIES = ("A11", "A12", "Bn", "G21")
 
 
 def _is_delta_multiple(v, dlt):
@@ -1666,20 +1555,20 @@ def theorem_a_spotcheck(type_id, n=None, height_bound=25, field=None):
     """Certify that every positive root up to the height bound is realized:
     preprojective and preinjective roots by explicit translate iterates,
     regular roots numerically by tube mouth sums or homogeneous modules."""
-    if type_id not in _SPOTCHECK_FAMILIES:
-        raise UnknownType("no spot-check support for %r; known: %s" % (type_id, ", ".join(_SPOTCHECK_FAMILIES)))
+    row = _FAMILIES.get(type_id)
+    if row is None or not row.spotcheck:
+        known = [family for family, r in _FAMILIES.items() if r.spotcheck]
+        raise UnknownType("no spot-check support for %r; known: %s" % (type_id, ", ".join(known)))
     if not isinstance(height_bound, int) or not 1 <= height_bound <= 40:
         raise BadParams("height bound must be an integer between 1 and 40")
     field = field if field is not None else Field.rational()
-    datum = named_datum(type_id, n=n) if n is not None else named_datum(
-        type_id, n={"Bn": 3, "Cn": 3, "BCn": 3, "BDn": 4, "CDn": 4}.get(type_id)
-    )
+    datum = named_datum(type_id, n=row.size[1] if n is None and row.size else n)
     dlt = delta(datum)
     roots = enumerate_positive_roots(datum, height_bound)
-    cycles = []
-    if type_id in _TUBE_BUILDERS:
-        for tube in _TUBE_BUILDERS[type_id](datum, field):
-            cycles.append(_c_cycle_order(datum, [tuple(rank_vector(M)) for _, M in tube["mouths"]]))
+    cycles = [
+        _c_cycle_order(datum, [tuple(rank_vector(_build_id(datum, field, mid))) for mid, _ in stated])
+        for stated, _ in _stated_tubes(datum, type_id)
+    ]
     problems = []
     preproj = {}
     preinj = {}
@@ -1723,7 +1612,7 @@ def theorem_a_spotcheck(type_id, n=None, height_bound=25, field=None):
         if cover is not None:
             via_tube += 1
             continue
-        if type_id in _HOMOG_FAMILIES and _is_delta_multiple(root, dlt):
+        if row.homog and _is_delta_multiple(root, dlt):
             via_homog += 1
             continue
         problems.append("regular root %s is not covered" % (root,))

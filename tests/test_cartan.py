@@ -62,8 +62,16 @@ def test_rejects_positive_offdiagonal():
 
 def test_rejects_cyclic_orientation():
     cartan = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
-    with pytest.raises(DatumError):
+    with pytest.raises(DatumError, match="oriented cycle"):
         validate_datum(cartan, (1, 1, 1), ((2, 1), (3, 2), (1, 3)))
+
+
+def test_thousand_vertex_chain_validates():
+    # the acyclicity check must not recurse once per vertex
+    n = 1000
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    datum = validate_datum(cartan, [1] * n, [(k + 1, k) for k in range(1, n)])
+    assert admissible_sequence(datum) == tuple(range(n, 0, -1))
 
 
 def test_rejects_orientation_missing_edge():

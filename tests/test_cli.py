@@ -239,6 +239,32 @@ def test_module_file_with_a_bad_part_is_usage_error(tmp_path, change):
     assert len(lines) == 1 and "malformed module file" in lines[0]
 
 
+@pytest.mark.parametrize("change", [
+    {"cartan": [[2, -2.5], [-2, 2]]},   # not read as -2
+    {"cartan": [[2.0, -2], [-2, 2]]},
+    {"symmetriser": [1.9, 1]},          # not read as 1
+    {"symmetriser": ["1", True]},
+    {"orientation": [[2, True]]},       # not read as the pair (2, 1)
+], ids=["float-cartan", "float-diagonal", "float-symmetriser", "string-bool-symmetriser",
+        "bool-orientation"])
+@pytest.mark.parametrize("kind", ["datum", "module"])
+def test_datum_with_a_non_integer_entry_is_usage_error(tmp_path, change, kind):
+    # each change loaded as the datum A12 before entries had to be JSON integers
+    _, M = build_named("A12.homog")
+    blob = rep_to_json(M, embed_datum=True)
+    blob["datum"].update(change)
+    doc = tmp_path / "bad.json"
+    if kind == "datum":
+        doc.write_text(json.dumps(blob["datum"]))
+        code, lines = _usage_error_lines("delta", "--datum", str(doc))
+    else:
+        doc.write_text(json.dumps(blob))
+        code, lines = _usage_error_lines("mod", "tau", str(doc))
+    assert code == 2
+    assert len(lines) == 1 and "malformed %s file" % kind in lines[0]
+    assert "entries must be integers" in lines[0]
+
+
 def test_cli_import_loads_no_sympy():
     proc = subprocess.run(
         [sys.executable, "-c",

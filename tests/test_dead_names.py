@@ -1,0 +1,54 @@
+"""No dead module-level names in the package: every private name a module
+defines at top level, and every name it imports, is referenced in src/."""
+
+import ast
+from pathlib import Path
+
+import tauforge
+
+SRC = Path(tauforge.__file__).resolve().parent
+
+
+def _bound_at_top(tree):
+    """(private names defined, names imported) at module level, with lines."""
+    private, imported = [], []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append(((alias.asname or alias.name).split(".")[0], node.lineno))
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        private += [(name, node.lineno) for name in names
+                    if name.startswith("_") and not name.startswith("__")]
+    return private, imported
+
+
+def _referenced(tree):
+    """Names read anywhere in the tree, as plain names or attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_unreferenced_private_names_or_imports():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    anywhere = set().union(*(_referenced(tree) for tree in trees.values()))
+    dead = []
+    for filename, tree in trees.items():
+        private, imported = _bound_at_top(tree)
+        used_here = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        dead += ["%s:%d private %s" % (filename, line, name) for name, line in private if name not in anywhere]
+        dead += ["%s:%d import %s" % (filename, line, name) for name, line in imported if name not in used_here]
+    assert dead == []

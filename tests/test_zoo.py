@@ -16,6 +16,7 @@ from tauforge.zoo import (
     UnknownType,
     all_check_ids,
     build_named,
+    datum_from_name,
     named_datum,
     named_module_ids,
     run_suite,
@@ -57,6 +58,34 @@ def test_named_datum_errors():
         named_datum("BDn", n=2)      # branched families need n >= 3
     with pytest.raises(BadParams):
         named_datum("Bn", n=3, m=0)
+
+
+# least and default n of each sized family; fixed-size families take none
+FAMILY_SIZES = {
+    "A11": (None,), "A12": (None,), "Bn": (2, 3), "Cn": (2, 3), "BCn": (2, 3),
+    "BDn": (3, 4), "CDn": (3, 4), "F41": (None,), "F42": (None,), "G21": (None,),
+    "G22": (None,), "Atilde": (3, 4),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SIZES))
+def test_datum_from_name_round_trips(family):
+    for n in FAMILY_SIZES[family]:
+        for m in (1, 2):
+            datum = named_datum(family, n=n, m=m)
+            back = datum_from_name(datum.name)
+            assert back == datum and back.name == datum.name
+
+
+def test_datum_from_name_reads_m1_and_refuses_other_names():
+    assert datum_from_name("B3m1") == named_datum("Bn", n=3)
+    assert datum_from_name("B3m1").name == "B3"
+    with pytest.raises(UnknownId):
+        datum_from_name("Q9")
+    with pytest.raises(BadParams, match="fixed size"):
+        datum_from_name("A113")     # A11 takes no n
+    with pytest.raises(BadParams, match="n >= 3"):
+        datum_from_name("At2")
 
 
 # ---------------------------------------------------------------------------
