@@ -115,6 +115,19 @@ def _csv(vec):
     return ",".join(str(x) for x in vec)
 
 
+def _rank_text(rk):
+    return _csv(rk) if rk is not None else "not-locally-free"
+
+
+def _kind_text(cls):
+    """The kind of a classified root with the parameters that go with it."""
+    if cls.kind in ("preprojective", "preinjective"):
+        return "%s r=%d vertex=%d" % (cls.kind, cls.r, cls.vertex)
+    if cls.kind == "regular":
+        return "%s period=%d" % (cls.kind, cls.period)
+    return cls.kind
+
+
 def _header(verb, name=None, field=None):
     parts = ["#", verb]
     if name is not None:
@@ -169,12 +182,7 @@ def _cmd_roots(args):
     for root in enumerate_positive_roots(datum, args.height):
         line = "%s height=%d" % (_csv(root), sum(root))
         if args.classify:
-            cls = classify_positive_root(datum, root)
-            line += " kind=%s" % cls.kind
-            if cls.kind in ("preprojective", "preinjective"):
-                line += " r=%d vertex=%d" % (cls.r, cls.vertex)
-            elif cls.kind == "regular":
-                line += " period=%d" % cls.period
+            line += " kind=%s" % _kind_text(classify_positive_root(datum, root))
         print(line)
     return 0
 
@@ -216,19 +224,14 @@ def _cmd_mod(args):
     M = _load_module(args.file)
     _header("mod %s" % args.op, M.datum.name, M.field)
     rk = rank_vector(M)
-    print("rank=%s" % (_csv(rk) if rk is not None else "not-locally-free"))
+    print("rank=%s" % _rank_text(rk))
     exit_code = 0
     if args.classify:
         if rk is None:
             raise MathFailure("%s: module is not locally free, so it has no rank vector to classify"
                               % args.file)
         cls = classify_module(M)
-        line = "classification=%s" % cls.kind
-        if cls.kind in ("preprojective", "preinjective"):
-            line += " r=%d vertex=%d" % (cls.r, cls.vertex)
-        elif cls.kind == "regular":
-            line += " period=%d" % cls.period
-        print(line)
+        print("classification=%s" % _kind_text(cls))
         if cls.kind == "not_root":
             exit_code = 1
     if args.orbit is not None:
@@ -236,15 +239,14 @@ def _cmd_mod(args):
             raise UsageError("--orbit window must be positive")
         orbit = tau_orbit(M, window=args.orbit)
         for entry in orbit.entries:
-            print("tau^%d rank=%s" % (entry.k, _csv(entry.rank) if entry.rank is not None else "not-locally-free"))
+            print("tau^%d rank=%s" % (entry.k, _rank_text(entry.rank)))
         print("period=%s" % (orbit.period if orbit.period is not None else "none"))
         if args.json is not None and orbit.period is not None:
             witness = orbit.member(orbit.period)
             _emit_module(witness.module, args.json)
         return exit_code
     moved = (tau_inverse(M) if args.inverse else tau(M)).module
-    mrk = rank_vector(moved)
-    print("translate-rank=%s" % (_csv(mrk) if mrk is not None else "not-locally-free"))
+    print("translate-rank=%s" % _rank_text(rank_vector(moved)))
     _emit_module(moved, args.json)
     return exit_code
 
@@ -259,8 +261,7 @@ def _cmd_reflect(args):
     except (NotASink, NotASource) as exc:
         raise UsageError(str(exc))
     print("datum=%s" % (out.datum.name or "custom"))
-    rk = rank_vector(out)
-    print("rank=%s" % (_csv(rk) if rk is not None else "not-locally-free"))
+    print("rank=%s" % _rank_text(rank_vector(out)))
     _emit_module(out, args.json)
     return 0
 
@@ -291,8 +292,7 @@ def _cmd_zoo(args):
         params["lam"] = args.lam
     datum, M = build_named(args.build, field=field, **params)
     _header("zoo build", datum.name, field)
-    rk = rank_vector(M)
-    print("rank=%s" % (_csv(rk) if rk is not None else "not-locally-free"))
+    print("rank=%s" % _rank_text(rank_vector(M)))
     _emit_module(M, args.json)
     return 0
 

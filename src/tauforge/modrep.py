@@ -44,11 +44,19 @@ class Representation:
 
 
 def make_rep(datum, field, dims, eps=None, arr=None):
-    """Build a representation, zero-filling any unspecified maps."""
-    dims = {v: int(dims.get(v, 0)) for v in datum.vertices}
+    """Build a representation, zero-filling any unspecified maps.  A
+    dimension, loop or arrow map that the quiver of the datum lacks is
+    refused."""
     quiver = build_quiver(datum)
     eps = dict(eps or {})
     arr = dict(arr or {})
+    for what, given, known in (("dimensions at non-existent vertices", dims, quiver.vertices),
+                               ("loops at non-existent vertices", eps, quiver.loops),
+                               ("maps for non-existent arrows", arr, quiver.arrows)):
+        extra = given.keys() - known
+        if extra:
+            raise ValueError(f"{what}: {sorted(extra)}")
+    dims = {v: int(dims.get(v, 0)) for v in datum.vertices}
     for v in quiver.vertices:
         m = eps.get(v)
         if m is None:
@@ -68,9 +76,6 @@ def make_rep(datum, field, dims, eps=None, arr=None):
         if m.shape != (dims[i], dims[j]):
             raise ValueError(f"arrow {key} has shape {m.shape}, expected {(dims[i], dims[j])}")
         arr[key] = m
-    extra = set(arr) - set(quiver.arrows)
-    if extra:
-        raise ValueError(f"maps for non-existent arrows: {sorted(extra)}")
     return Representation(datum, field, dims, eps, arr)
 
 
@@ -630,18 +635,26 @@ def rep_from_json(obj, datum_resolver=None):
             raise ValueError("%r should be a JSON object, got %s" % (name, type(value).__name__))
     if any(type(v) is not int for v in dims.values()):
         raise ValueError("dimensions should be integers, got %r" % (dims,))
-    dims = {int(k): v for k, v in dims.items()}
-    eps, arr = {}, {}
+    by_vertex, eps, arr = {}, {}, {}
+    for key, value in dims.items():
+        _put_once(by_vertex, int(key), value, key)
     for key, rows in maps.items():
         m = _EPS_KEY.match(key)
         if m:
-            eps[int(m.group(1))] = rows
+            _put_once(eps, int(m.group(1)), rows, key)
             continue
         m = _ARR_KEY.match(key)
         if m:
             i, j = int(m.group(1)), int(m.group(2))
             g = int(m.group(3)) if m.group(3) else 1
-            arr[(i, j, g)] = rows
+            _put_once(arr, (i, j, g), rows, key)
             continue
         raise ValueError(f"unrecognised map key {key!r}")
-    return make_rep(datum, field, dims, eps, arr)
+    return make_rep(datum, field, by_vertex, eps, arr)
+
+
+def _put_once(parsed, name, value, key):
+    """Two keys such as "a[2<-1]" and "a[2<-1]#1" name one map; refuse the second."""
+    if name in parsed:
+        raise ValueError(f"key {key!r} names a vertex or map that an earlier key gave")
+    parsed[name] = value

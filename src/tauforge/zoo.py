@@ -2,8 +2,11 @@
 
 The constructors here enter explicit bases and structure maps for a fixed
 collection of affine data: tube mouth modules, homogeneous-tube modules, and
-the non-rigid counterexample pairs (Z, Y).  Every table is validated against
-the algebra relations at build time, so a typo fails loudly instead of
+the non-rigid counterexample pairs (Z, Y).  They follow the row rule: a basis
+label names a row that runs through the quiver, so a label at both ends of an
+arrow (i, j, 1) is mapped to itself, and a constructor states only its basis
+and the entries that are not such row identities.  Every table is validated
+against the algebra relations at build time, so a typo fails loudly instead of
 corrupting downstream computations.
 
 `verify_proposition` runs named verification scenarios that certify the
@@ -284,7 +287,12 @@ def datum_from_name(name):
 
 class _RepBuilder:
     """Accumulate labelled basis vectors plus unit entries, then emit a
-    relation-checked representation."""
+    relation-checked representation.
+
+    The row rule: `build` gives every arrow (i, j, 1) of the orientation the
+    entry label -> label for each label present at both j and i.  `arrow`
+    adds the entries that are not such row identities; a parallel arrow with
+    g >= 2 gets only those."""
 
     def __init__(self, datum, field):
         self.datum = datum
@@ -321,6 +329,14 @@ class _RepBuilder:
 
     def build(self):
         fld = self.field
+        index = self._index
+        maps = {(i, j, 1): {(index[(i, label)], c): 1
+                            for (v, label), c in index.items() if v == j and (i, label) in index}
+                for i, j in self.datum.orientation}
+        for key, entries in self._arr.items():
+            block = maps.setdefault(key, {})
+            for rc, coeff in entries.items():
+                block[rc] = block.get(rc, 0) + coeff
         eps = {
             v: Mat.from_dict(fld, (self._dims[v], self._dims[v]), entries)
             for v, entries in self._eps.items()
@@ -328,7 +344,7 @@ class _RepBuilder:
         }
         arr = {
             (i, j, g): Mat.from_dict(fld, (self._dims[i], self._dims[j]), entries)
-            for (i, j, g), entries in self._arr.items()
+            for (i, j, g), entries in maps.items()
         }
         rep = make_rep(self.datum, fld, self._dims, eps, arr)
         bad = check_relations(rep)
@@ -395,11 +411,6 @@ def _mod_Bn_MlamB(datum, field, lam=1):
             interleaved += [("f", t), ("p", t)]
         b.tower(j, interleaved)
     for t in range(m):
-        b.arrow(2, 1, ("f", t), ("f", t))
-        for k in range(2, n):
-            b.arrow(k + 1, k, ("f", t), ("f", t))
-            b.arrow(k + 1, k, ("p", t), ("p", t))
-        b.arrow(n + 1, n, ("f", t), ("f", t))
         b.arrow(n + 1, n, ("p", t), ("f", t), coeff=lam)
     return b.build()
 
@@ -412,9 +423,6 @@ def _mod_Bn_MB(datum, field):
         b.basis(v, "b")
     for j in range(2, n + 1):
         b.eps(j, "t", "b")
-    for k in range(1, n + 1):
-        b.arrow(k + 1, k, "t", "t")
-        b.arrow(k + 1, k, "b", "b")
     return b.build()
 
 
@@ -425,8 +433,6 @@ def _mod_Cn_MC(datum, field):
     for v in range(2, n + 1):
         b.basis(v, "x")
     b.tower(n + 1, ["x", "w"])
-    for k in range(1, n + 1):
-        b.arrow(k + 1, k, "x", "x")
     return b.build()
 
 
@@ -438,9 +444,6 @@ def _mod_BCn_MBC(datum, field):
     for j in range(2, n + 1):
         b.tower(j, ["t", "b"])
     b.tower(n + 1, ["q0", "q1", "q2", "q3"])
-    for k in range(1, n):
-        b.arrow(k + 1, k, "t", "t")
-        b.arrow(k + 1, k, "b", "b")
     b.arrow(n + 1, n, "t", "q0")
     b.arrow(n + 1, n, "b", "q2")
     return b.build()
@@ -449,18 +452,10 @@ def _mod_BCn_MBC(datum, field):
 def _mod_BDn_M1(datum, field):
     n = datum.n - 1
     b = _RepBuilder(datum, field)
-    b.tower(1, ["u", "l"])
-    b.tower(2, ["u", "l"])
-    for j in range(3, n + 1):
+    for j in range(1, n + 1):
         b.tower(j, ["u", "l"])
     b.basis(n + 1, "u")
     b.basis(n + 1, "l")
-    for src in (1, 2):
-        b.arrow(3, src, "u", "u")
-        b.arrow(3, src, "l", "l")
-    for k in range(3, n + 1):
-        b.arrow(k + 1, k, "u", "u")
-        b.arrow(k + 1, k, "l", "l")
     return b.build()
 
 
@@ -471,27 +466,15 @@ def _mod_BDn_M23(datum, field, branch):
     for j in range(3, n + 1):
         b.tower(j, ["t", "b"])
     b.basis(n + 1, "b")
-    b.arrow(3, branch, "t", "t")
-    b.arrow(3, branch, "b", "b")
-    for k in range(3, n):
-        b.arrow(k + 1, k, "t", "t")
-        b.arrow(k + 1, k, "b", "b")
-    b.arrow(n + 1, n, "b", "b")
     return b.build()
 
 
 def _mod_CDn_M1(datum, field):
     n = datum.n - 1
     b = _RepBuilder(datum, field)
-    b.basis(1, "x")
-    b.basis(2, "x")
-    for v in range(3, n + 1):
+    for v in range(1, n + 1):
         b.basis(v, "x")
     b.tower(n + 1, ["x", "y"])
-    b.arrow(3, 1, "x", "x")
-    b.arrow(3, 2, "x", "x")
-    for k in range(3, n + 1):
-        b.arrow(k + 1, k, "x", "x")
     return b.build()
 
 
@@ -503,10 +486,6 @@ def _mod_CDn_M23(datum, field, branch):
         for v in range(3, n + 1):
             b.basis(v, row)
     b.tower(n + 1, ["t", "b"])
-    for row in ("t", "b"):
-        b.arrow(3, branch, row, row)
-        for k in range(3, n + 1):
-            b.arrow(k + 1, k, row, row)
     return b.build()
 
 
@@ -517,10 +496,6 @@ def _mod_F41_T21(datum, field):
     b.basis(3, "t")
     b.basis(3, "b")
     b.tower(4, ["t", "b"])
-    b.arrow(2, 1, "t", "t")
-    b.arrow(3, 2, "t", "t")
-    b.arrow(4, 3, "t", "t")
-    b.arrow(4, 3, "b", "b")
     return b.build()
 
 
@@ -530,10 +505,6 @@ def _mod_F41_T22(datum, field):
     b.basis(3, "t")
     b.tower(4, ["t", "b"])
     b.tower(5, ["t", "b"])
-    b.arrow(3, 2, "t", "t")
-    b.arrow(4, 3, "t", "t")
-    b.arrow(4, 5, "t", "t")
-    b.arrow(4, 5, "b", "b")
     return b.build()
 
 
@@ -543,9 +514,6 @@ def _mod_F41_T31(datum, field):
         b.basis(v, "t")
         b.basis(v, "b")
     b.tower(4, ["t", "b"])
-    for row in ("t", "b"):
-        b.arrow(3, 2, row, row)
-        b.arrow(4, 3, row, row)
     return b.build()
 
 
@@ -557,14 +525,8 @@ def _mod_F41_T32(datum, field):
     b.tower(4, ["r1", "r2"])
     b.tower(4, ["r4", "r5"])
     b.tower(5, ["r4", "r5"])
-    for row in ("r1", "r3"):
-        b.arrow(2, 1, row, row)
-        b.arrow(3, 2, row, row)
-    b.arrow(4, 3, "r1", "r1")
     b.arrow(4, 3, "r3", "r2")
     b.arrow(4, 3, "r3", "r4")
-    b.arrow(4, 5, "r4", "r4")
-    b.arrow(4, 5, "r5", "r5")
     return b.build()
 
 
@@ -574,9 +536,6 @@ def _mod_F41_T33(datum, field):
     b.basis(3, "b")
     b.tower(4, ["t", "b"])
     b.tower(5, ["t", "b"])
-    for row in ("t", "b"):
-        b.arrow(4, 3, row, row)
-        b.arrow(4, 5, row, row)
     return b.build()
 
 
@@ -590,15 +549,7 @@ def _mod_F42_T21(datum, field):
     b.basis(4, "r3")
     b.basis(5, "r1")
     b.basis(5, "r3")
-    b.arrow(2, 1, "r3", "r3")
-    b.arrow(2, 1, "r4", "r4")
-    b.arrow(3, 2, "r3", "r3")
     b.arrow(3, 2, "r3", "r2")
-    b.arrow(3, 2, "r4", "r4")
-    b.arrow(3, 4, "r1", "r1")
-    b.arrow(3, 4, "r3", "r3")
-    b.arrow(4, 5, "r1", "r1")
-    b.arrow(4, 5, "r3", "r3")
     return b.build()
 
 
@@ -608,9 +559,6 @@ def _mod_F42_T22(datum, field):
     b.tower(3, ["t", "b"])
     b.basis(4, "t")
     b.basis(4, "b")
-    for row in ("t", "b"):
-        b.arrow(3, 2, row, row)
-        b.arrow(3, 4, row, row)
     return b.build()
 
 
@@ -619,10 +567,6 @@ def _mod_F42_T31(datum, field):
     for v in (1, 2, 3):
         b.tower(v, ["t", "b"])
     b.basis(4, "t")
-    for row in ("t", "b"):
-        b.arrow(2, 1, row, row)
-        b.arrow(3, 2, row, row)
-    b.arrow(3, 4, "t", "t")
     return b.build()
 
 
@@ -632,9 +576,6 @@ def _mod_F42_T32(datum, field):
     b.basis(4, "t")
     b.basis(4, "b")
     b.basis(5, "t")
-    b.arrow(3, 4, "t", "t")
-    b.arrow(3, 4, "b", "b")
-    b.arrow(4, 5, "t", "t")
     return b.build()
 
 
@@ -644,10 +585,6 @@ def _mod_F42_T33(datum, field):
     b.tower(3, ["t", "b"])
     b.basis(4, "t")
     b.basis(5, "t")
-    b.arrow(3, 2, "t", "t")
-    b.arrow(3, 2, "b", "b")
-    b.arrow(3, 4, "t", "t")
-    b.arrow(4, 5, "t", "t")
     return b.build()
 
 
@@ -658,8 +595,6 @@ def _mod_G21_T21(datum, field):
             b.basis(v, row)
     b.tower(3, ["w0", "w1", "w2"])
     b.tower(3, ["z0", "z1", "z2"])
-    for row in ("r1", "r3", "r5"):
-        b.arrow(2, 1, row, row)
     b.arrow(3, 2, "r1", "w0")
     b.arrow(3, 2, "r3", "w1")
     b.arrow(3, 2, "r3", "z0")
@@ -683,9 +618,6 @@ def _mod_G22_T21(datum, field):
     b.tower(1, ["r1", "r2", "r3"])
     b.tower(2, ["r1", "r2", "r3"])
     b.basis(3, "r1")
-    for row in ("r1", "r2", "r3"):
-        b.arrow(2, 1, row, row)
-    b.arrow(2, 3, "r1", "r1")
     return b.build()
 
 
@@ -694,8 +626,6 @@ def _mod_G22_T22(datum, field):
     b.tower(2, ["r1", "r2", "r3"])
     b.basis(3, "r1")
     b.basis(3, "r2")
-    b.arrow(2, 3, "r1", "r1")
-    b.arrow(2, 3, "r2", "r2")
     return b.build()
 
 
@@ -706,11 +636,6 @@ def _mod_Bn_Z(datum, field):
     for j in range(2, n + 1):
         b.tower(j, ["p", "f"])
     b.basis(n + 1, "f")
-    b.arrow(2, 1, "f", "f")
-    for k in range(2, n):
-        b.arrow(k + 1, k, "p", "p")
-        b.arrow(k + 1, k, "f", "f")
-    b.arrow(n + 1, n, "f", "f")
     return b.build()
 
 
@@ -723,12 +648,7 @@ def _mod_Bn_Y(datum, field):
     for j in range(3, n + 1):
         b.tower(j, ["p", "f"])
     b.basis(n + 1, "f")
-    b.arrow(2, 1, "f", "f")
     b.arrow(2, 1, "f", "g")
-    for k in range(2, n):
-        b.arrow(k + 1, k, "p", "p")
-        b.arrow(k + 1, k, "f", "f")
-    b.arrow(n + 1, n, "f", "f")
     return b.build()
 
 
@@ -741,11 +661,6 @@ def _mod_CDn_Z(datum, field):
         b.basis(v, "u")
         b.basis(v, "l")
     b.tower(n + 1, ["u", "l"])
-    b.arrow(3, 1, "u", "u")
-    b.arrow(3, 2, "l", "l")
-    for k in range(3, n + 1):
-        b.arrow(k + 1, k, "u", "u")
-        b.arrow(k + 1, k, "l", "l")
     return b.build()
 
 
@@ -760,13 +675,7 @@ def _mod_CDn_Y(datum, field):
             b.basis(v, row)
     b.tower(n + 1, ["r1", "r2"])
     b.tower(n + 1, ["r3", "r4"])
-    for row in ("r1", "r3", "r4"):
-        b.arrow(3, 1, row, row)
-    b.arrow(3, 2, "r2", "r2")
     b.arrow(3, 2, "r2", "r3")
-    for k in range(3, n + 1):
-        for row in ("r1", "r2", "r3", "r4"):
-            b.arrow(k + 1, k, row, row)
     return b.build()
 
 
@@ -781,35 +690,22 @@ def _mod_F41_Z(datum, field):
     b.tower(4, ["r1", "r2"])
     b.tower(4, ["r3", "r4"])
     b.tower(5, ["r1", "r2"])
-    b.arrow(2, 1, "r1", "r1")
-    b.arrow(3, 2, "r1", "r1")
-    b.arrow(3, 2, "r3", "r3")
-    b.arrow(4, 3, "r1", "r1")
-    b.arrow(4, 3, "r3", "r3")
-    b.arrow(4, 3, "r4", "r4")
-    b.arrow(4, 5, "r1", "r1")
     b.arrow(4, 5, "r1", "r4")
-    b.arrow(4, 5, "r2", "r2")
     return b.build()
 
 
 def _mod_F41_Y(datum, field):
     b = _RepBuilder(datum, field)
-    for v, dim in ((1, 1), (2, 4), (3, 5), (4, 6), (5, 2)):
-        for k in range(dim):
-            b.basis(v, k)
-    for k in (0, 2, 4):
-        b.tower(4, [k, k + 1])
-    b.tower(5, [0, 1])
-    arrows = {
-        (2, 1): [(0, 0)],
-        (3, 2): [(0, 0), (1, 1), (2, 3), (3, 4)],
-        (4, 3): [(0, 0), (1, 2), (2, 3), (3, 4), (4, 5)],
-        (4, 5): [(0, 0), (1, 1), (0, 3), (0, 4), (1, 5)],
-    }
-    for (target, source), pairs in arrows.items():
-        for src, dst in pairs:
-            b.arrow(target, source, src, dst)
+    for v, labels in ((1, ["a"]), (2, ["a", "b", "c", "d"]), (3, ["a", "b", "x", "c", "d"])):
+        for lab in labels:
+            b.basis(v, lab)
+    b.tower(4, ["a", "y"])
+    b.tower(4, ["b", "x"])
+    b.tower(4, ["c", "d"])
+    b.tower(5, ["a", "y"])
+    b.arrow(4, 5, "a", "x")
+    b.arrow(4, 5, "a", "c")
+    b.arrow(4, 5, "y", "d")
     return b.build()
 
 
@@ -819,26 +715,18 @@ def _mod_G21_Z(datum, field):
     b.basis(2, "r1")
     b.basis(2, "r2")
     b.tower(3, ["r1", "r2", "r3"])
-    b.arrow(2, 1, "r2", "r2")
-    b.arrow(3, 2, "r1", "r1")
-    b.arrow(3, 2, "r2", "r2")
     return b.build()
 
 
 def _mod_G21_Y(datum, field):
     b = _RepBuilder(datum, field)
-    for v, dim in ((1, 1), (2, 5), (3, 6)):
-        for k in range(dim):
-            b.basis(v, k)
-    b.tower(3, [0, 1, 2])
-    b.tower(3, [3, 4, 5])
-    arrows = {
-        (2, 1): [(0, 1), (0, 2)],
-        (3, 2): [(0, 0), (1, 1), (2, 3), (3, 4), (4, 5)],
-    }
-    for (target, source), pairs in arrows.items():
-        for src, dst in pairs:
-            b.arrow(target, source, src, dst)
+    b.basis(1, "s")
+    for lab in ("a", "b", "c", "d", "e"):
+        b.basis(2, lab)
+    b.tower(3, ["a", "b", "x"])
+    b.tower(3, ["c", "d", "e"])
+    b.arrow(2, 1, "s", "b")
+    b.arrow(2, 1, "s", "c")
     return b.build()
 
 
@@ -855,11 +743,6 @@ def _mod_Atilde_interval(datum, field, i=None, j=None):
     b = _RepBuilder(datum, field)
     for v in support:
         b.tower(v, _scaled_tower("e", m))
-    in_support = set(support)
-    for (tgt, src) in datum.orientation:
-        if tgt in in_support and src in in_support:
-            for t in range(m):
-                b.arrow(tgt, src, ("e", t), ("e", t))
     return b.build()
 
 

@@ -67,6 +67,22 @@ def test_roots_classify_lines(capsys):
     assert any("2,1" in ln and "kind=regular" in ln for ln in lines)
 
 
+_ROOTS_AT3 = """0,0,1 height=1 kind=preprojective r=0 vertex=3
+0,1,0 height=1 kind=regular period=2
+1,0,0 height=1 kind=preinjective r=0 vertex=1
+0,1,1 height=2 kind=preprojective r=0 vertex=2
+1,0,1 height=2 kind=regular period=2
+1,1,0 height=2 kind=preinjective r=0 vertex=2
+1,1,1 height=3 kind=regular period=1
+"""
+
+
+def test_roots_classify_stdout(capsys):
+    code, out, _ = run(capsys, "roots", "--datum", "At3", "--height", "3", "--classify")
+    assert code == 0
+    assert out == _ROOTS_AT3
+
+
 def test_coxeter_payload(capsys):
     code, out, _ = run(capsys, "coxeter", "--datum", "B3")
     assert code == 0
@@ -132,6 +148,14 @@ def test_mod_tau_orbit_stdout(capsys, tmp_path):
         code, out, _ = run(capsys, "mod", "tau", str(path), "--orbit", "6")
         assert code == 0
         assert out == want
+
+
+def test_mod_classify_stdout(capsys, tmp_path):
+    mod_file = tmp_path / "mb.json"
+    run(capsys, "zoo", "--build", "Bn.MB", "--n", "3", "--json", str(mod_file))
+    code, out, _ = run(capsys, "mod", "tau", str(mod_file), "--classify")
+    assert code == 0
+    assert out == "rank=2,1,1,2\nclassification=regular period=3\ntranslate-rank=0,1,0,0\n"
 
 
 def test_mod_classify_not_root_exit(capsys, tmp_path):
@@ -225,8 +249,14 @@ def test_module_file_holding_a_string_is_usage_error(tmp_path):
     {"dims": [1, 2]},
     {"dims": {"1": 1.5}},                      # not read as 1
     {"maps": []},
+    {"maps": {"eps[9]": "garbage"}},           # B3 has no vertex 9
+    {"dims": {"9": 2}},
+    {"maps": {"a[2<-1]": [[0], [0]]}},         # the same map as a[2<-1]#1
+    {"maps": {"eps[1]": [[0]], "eps[01]": [[0]]}},
+    {"dims": {"01": 1}},                       # the same vertex as "1"
 ], ids=["float-entry", "zero-denominator", "field-string", "float-p", "dims-list",
-        "float-dim", "maps-list"])
+        "float-dim", "maps-list", "loop-at-no-vertex", "dim-at-no-vertex", "arrow-twice",
+        "loop-twice", "dim-twice"])
 def test_module_file_with_a_bad_part_is_usage_error(tmp_path, change):
     _, Z = build_named("Bn.Z", n=3)
     blob = rep_to_json(Z, embed_datum=True)

@@ -1,9 +1,10 @@
 """Golden output: the module JSON of every catalogue module and of its tau
-and tau^-1 translates, pinned by sha256 over QQ and GF(32003).
+and tau^-1 translates, pinned by sha256 over QQ and GF(32003), and one
+sha256 per field over the whole parameter grid of the catalogue.
 
 A refactor must leave these bytes alone.  When a change of output is meant,
-print the new table with ``PYTHONPATH=src python tests/test_golden.py`` and
-paste it over ``GOLDEN``.
+print the new tables with ``PYTHONPATH=src python tests/test_golden.py`` and
+paste them over ``GOLDEN`` and ``GRID``.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ import pytest
 from tauforge.artrans import tau, tau_inverse
 from tauforge.linalg import Field
 from tauforge.modrep import rep_to_json
-from tauforge.zoo import build_named, named_module_ids
+from tauforge.zoo import _MODULE_TABLE, BadParams, build_named, named_module_ids
 
 # parameters by datum family, the prefix of the module id
 _PARAMS = {
@@ -41,6 +42,44 @@ def golden_hashes(field):
         _, M = build_named(mid, field=field, **_PARAMS.get(mid.split(".")[0], {}))
         out[mid] = (_digest(M), _digest(tau(M).module), _digest(tau_inverse(M).module))
     return out
+
+
+def grid_params(module_id):
+    """Every parameter set of the grid for one module id: n = 2..7 (Atilde
+    3..6), so that BDn and CDn enter at n = 2 as their refusals; m = 1, 2, 3;
+    lam = 1, 2, -3; every interval (i, j)."""
+    family, _, spec = _MODULE_TABLE[module_id]
+    ns = (range(3, 7) if family == "Atilde" else range(2, 8)) if "n" in spec else [None]
+    for n in ns:
+        ends = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)] if "i" in spec else [None]
+        for m in (1, 2, 3) if "m" in spec else [None]:
+            for lam in (1, 2, -3) if "lam" in spec else [None]:
+                for ij in ends:
+                    params = {"n": n, "m": m, "lam": lam}
+                    if ij:
+                        params["i"], params["j"] = ij
+                    yield {k: v for k, v in params.items() if v is not None}
+
+
+def grid_digest(field):
+    """sha256 over the sorted (key, module JSON) pairs of the grid; a refused
+    parameter set enters as its message."""
+    pairs = []
+    for mid in named_module_ids():
+        for params in grid_params(mid):
+            try:
+                value = rep_to_json(build_named(mid, field=field, **params)[1], embed_datum=True)
+            except BadParams as exc:
+                value = str(exc)
+            pairs.append((mid + " " + json.dumps(params, sort_keys=True), value))
+    text = json.dumps(sorted(pairs, key=lambda pair: pair[0]), sort_keys=True)
+    return len(pairs), hashlib.sha256(text.encode()).hexdigest()
+
+
+GRID = {
+    "GF32003": (417, "e9d5605301f7ff642210ce3cbbf2db7ce73f32997de00b6e9eeee64875416b2a"),
+    "QQ": (417, "e25ba77e990c14816c775995f202d1931d0b9a00530b355329ab3ae057d2e110"),
+}
 
 
 GOLDEN = {
@@ -416,7 +455,16 @@ def test_catalogue_module_json_is_byte_stable(name):
     assert golden_hashes(FIELDS[name]) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_catalogue_parameter_grid_is_byte_stable(name):
+    assert grid_digest(FIELDS[name]) == GRID[name]
+
+
 if __name__ == "__main__":
+    print("GRID = {")
+    for name in sorted(FIELDS):
+        print("    %r: %r," % (name, grid_digest(FIELDS[name])))
+    print("}")
     print("GOLDEN = {")
     for name in sorted(FIELDS):
         print("    %r: {" % name)

@@ -14,6 +14,7 @@ from tauforge.zoo import (
     UnknownCheck,
     UnknownId,
     UnknownType,
+    _RepBuilder,
     all_check_ids,
     build_named,
     datum_from_name,
@@ -104,6 +105,41 @@ def test_every_catalogued_module_builds():
         cd, M = build_named(module_id, **kwargs)
         assert check_relations(M) == []
         assert M.total_dim() > 0
+
+
+def _rows(M, key):
+    return [list(row) for row in M.arr[key].rows()]
+
+
+def test_row_rule_maps_a_label_at_both_ends_to_itself():
+    b = _RepBuilder(named_datum("A11"), Field.rational())
+    b.basis(1, "x")
+    b.basis(2, "x")
+    b.basis(2, "y")
+    assert _rows(b.build(), (2, 1, 1)) == [[1], [0]]
+
+
+def test_row_rule_gives_the_second_parallel_arrow_nothing():
+    b = _RepBuilder(named_datum("A12"), Field.rational())
+    b.basis(1, "x")
+    b.basis(2, "x")
+    M = b.build()
+    assert _rows(M, (2, 1, 1)) == [[1]]
+    assert _rows(M, (2, 1, 2)) == [[0]]
+
+
+def test_row_rule_with_explicit_entries_and_one_ended_labels():
+    # B3: 2 <- 1, 3 <- 2, 4 <- 3
+    b = _RepBuilder(named_datum("Bn", n=3), Field.rational())
+    b.basis(1, "f")
+    b.tower(2, ["p", "f"])
+    b.tower(2, ["g", "h"])
+    b.tower(3, ["p", "f"])
+    b.arrow(2, 1, "f", "g")
+    b.arrow(2, 1, "f", "f", coeff=2)
+    M = b.build()
+    assert _rows(M, (2, 1, 1)) == [[0], [3], [1], [0]]
+    assert _rows(M, (3, 2, 1)) == [[1, 0, 0, 0], [0, 1, 0, 0]]   # g and h are not at 3
 
 
 def test_module_rank_spot_checks():
