@@ -15,8 +15,8 @@ from .linalg import Mat
 from .modrep import (Morphism, Representation, direct_sum, dual_rep, end_analysis,
                      is_isomorphic, kernel_rep, local_free_rank, make_rep,
                      rank_vector, zero_rep)
-from .pathalg import (algebra_basis, build_injective, build_projective,
-                      element_from_coords, mono_mul, mono_target)
+from .pathalg import (_element_blocks, algebra_basis, build_injective, build_projective,
+                      element_from_coords, mono_target, transport_dual)
 from .rootsys import classify_positive_root, coxeter_data
 
 
@@ -96,45 +96,24 @@ class PresentationData:
     gens1: tuple              # projective indices of P1
     entries: dict             # (s, t) -> AlgebraElement in paths(gens0[t], gens1[s])
     cover: Morphism           # P0 -> M
-    p0: Representation
-    p1: Representation
 
     def p1_morphism(self):
         """The map P1 -> P0 realized on representations."""
-        datum, field = self.p0.datum, self.p0.field
-        basis = algebra_basis(datum)
-        blocks = {}
-        for v in datum.vertices:
-            row_dims = [len(basis.paths(b, v)) for b in self.gens0]
-            col_dims = [len(basis.paths(a, v)) for a in self.gens1]
-            grid = {}
-            for (s, t), elt in self.entries.items():
-                if elt is None or elt.is_zero():
-                    continue
-                cells = {}
-                for c, p in enumerate(basis.paths(self.gens1[s], v)):
-                    for mono, coeff in elt.terms.items():
-                        pm = mono_mul(datum, p, mono)   # p . rho in paths(gens0[t], v)
-                        if pm is not None:
-                            key = (basis.index[pm], c)
-                            cells[key] = cells.get(key, 0) + coeff
-                if cells:
-                    grid[(t, s)] = Mat.from_dict(field, (row_dims[t], col_dims[s]), cells)
-            blocks[v] = Mat.block(field, grid, row_dims, col_dims)
-        return Morphism(self.p1, self.p0, blocks)
+        P0 = self.cover.src
+        datum, field = P0.datum, P0.field
+        P1 = (direct_sum([build_projective(datum, field, a) for a in self.gens1])
+              if self.gens1 else zero_rep(datum, field))
+        return Morphism(P1, P0, _element_blocks(datum, field, self.gens1, self.gens0,
+                                                self.entries, left=False))
 
 
 def minimal_presentation(M):
-    datum, field = M.datum, M.field
+    datum = M.datum
     basis = algebra_basis(datum)
     P0, cover, gens0 = projective_cover(M)
-    K, incl = kernel_rep(cover)
+    K, incl = kernel_rep(P0, cover.blocks)
     kgens = _generators(K)
     gens1 = tuple(a for a, _ in kgens)
-    if kgens:
-        P1 = direct_sum([build_projective(datum, field, a) for a in gens1])
-    else:
-        P1 = zero_rep(datum, field)
     entries = {}
     for s, (a, w) in enumerate(kgens):
         x = incl.blocks[a] @ w            # generator image inside (P0)_a
@@ -147,7 +126,7 @@ def minimal_presentation(M):
             if not elt.is_zero():
                 entries[(s, t)] = elt
             offset += len(paths)
-    return PresentationData(gens0, gens1, entries, cover, P0, P1)
+    return PresentationData(gens0, gens1, entries, cover)
 
 
 @dataclass
@@ -161,20 +140,13 @@ class TauResult:
 
 def tau(M):
     """Kernel of the transported presentation map between injectives."""
-    from .pathalg import transport_dual
     datum, field = M.datum, M.field
     pres = minimal_presentation(M)
     if not pres.gens1:
         return TauResult(zero_rep(datum, field))
     I1 = direct_sum([build_injective(datum, field, a) for a in pres.gens1])
-    if pres.gens0:
-        I0 = direct_sum([build_injective(datum, field, b) for b in pres.gens0])
-    else:
-        I0 = zero_rep(datum, field)
-    blocks = transport_dual(datum, field, list(pres.gens1), list(pres.gens0),
-                            pres.entries)
-    nu_map = Morphism(I1, I0, blocks)
-    K, _ = kernel_rep(nu_map)
+    blocks = transport_dual(datum, field, pres.gens1, pres.gens0, pres.entries)
+    K, _ = kernel_rep(I1, blocks)
     return TauResult(K)
 
 

@@ -11,6 +11,7 @@ Vertices are 1-based everywhere, matching the file format.
 import heapq
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 from .linalg import Field, Mat
@@ -49,9 +50,6 @@ class CartanDatum:
     def f(self, i, j):
         """|c_ij| / g_ij; the loop-exchange exponent attached to (i, j)."""
         return abs(self.c(i, j)) // self.g(i, j)
-
-    def edges(self):
-        return [(i, j) for i in self.vertices for j in self.vertices if i < j and self.c(i, j) < 0]
 
     def is_sink(self, k):
         return all(j != k for (_, j) in self.orientation)
@@ -189,6 +187,7 @@ def delta(datum):
     return datum.affine_kernel
 
 
+@lru_cache(maxsize=None)
 def build_quiver(datum):
     arrows = []
     for (i, j) in datum.orientation:

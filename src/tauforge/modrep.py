@@ -45,8 +45,8 @@ class Representation:
 
 def make_rep(datum, field, dims, eps=None, arr=None):
     """Build a representation, zero-filling any unspecified maps.  A
-    dimension, loop or arrow map that the quiver of the datum lacks is
-    refused."""
+    dimension, loop or arrow map that the quiver of the datum lacks, and a
+    negative dimension, are refused."""
     quiver = build_quiver(datum)
     eps = dict(eps or {})
     arr = dict(arr or {})
@@ -57,6 +57,9 @@ def make_rep(datum, field, dims, eps=None, arr=None):
         if extra:
             raise ValueError(f"{what}: {sorted(extra)}")
     dims = {v: int(dims.get(v, 0)) for v in datum.vertices}
+    negative = [v for v in datum.vertices if dims[v] < 0]
+    if negative:
+        raise ValueError(f"negative dimension at vertex {negative[0]}")
     for v in quiver.vertices:
         m = eps.get(v)
         if m is None:
@@ -324,18 +327,18 @@ def hom_dim(M, N):
     return delta.ncols - delta.rank()
 
 
-def kernel_rep(morph):
-    """Kernel of a morphism, with its inclusion."""
-    M, N = morph.src, morph.dst
+def kernel_rep(M, blocks):
+    """Kernel of the morphism out of M with per-vertex ``blocks``, with its
+    inclusion."""
     datum, field = M.datum, M.field
-    incl = {v: morph.blocks[v].nullspace_cols() for v in datum.vertices}
+    incl = {v: blocks[v].nullspace_cols() for v in datum.vertices}
     dims = {v: incl[v].ncols for v in datum.vertices}
     eps = {}
     for v in datum.vertices:
         sol = incl[v].solve(M.eps[v] @ incl[v])
-        eps[v] = sol if sol is not None else None
         if sol is None:
             raise RuntimeError("kernel not stable under loop (not a morphism?)")
+        eps[v] = sol
     arr = {}
     for (i, j, g), A in M.arr.items():
         sol = incl[i].solve(A @ incl[j])

@@ -88,6 +88,8 @@ def unit(datum, v):
 
 
 def loop(datum, v, k=1):
+    if v not in datum.vertices:
+        raise ValueError(f"no vertex {v}")
     return normalize(datum, v, (), (k,))
 
 
@@ -135,39 +137,22 @@ def parse_path(datum, text):
     """Parse a path literal such as ``"a[2<-1]#1 eps[1]^3"`` (whitespace or
     ``*`` separated, rightmost letter acts first) into canonical form."""
     letters = []
-    pos = 0
     cleaned = text.replace("*", " ")
     for chunk in cleaned.split():
         m = _TOKEN.fullmatch(chunk)
         if not m:
             raise ValueError(f"cannot parse path letter {chunk!r}")
         if m.group("unit"):
-            letters.append(("unit", int(m.group("unit"))))
+            letters.append((unit, int(m.group("unit"))))
         elif m.group("loopv"):
-            k = int(m.group("exp") or 1)
-            letters.append(("loop", int(m.group("loopv")), k))
+            letters.append((loop, int(m.group("loopv")), int(m.group("exp") or 1)))
         else:
-            g = int(m.group("g") or 1)
-            letters.append(("arrow", int(m.group("to")), int(m.group("fr")), g))
+            letters.append((arrow, int(m.group("to")), int(m.group("fr")), int(m.group("g") or 1)))
     if not letters:
         raise ValueError("empty path literal")
-    quiver = build_quiver(datum)
     mono = None
-    for letter in reversed(letters):          # rightmost acts first
-        if letter[0] == "unit":
-            piece = unit(datum, letter[1])
-        elif letter[0] == "loop":
-            _, v, k = letter
-            if v not in datum.vertices:
-                raise ValueError(f"no vertex {v}")
-            piece = normalize(datum, v, (), (k,))
-            if piece is None:
-                return None
-        else:
-            _, i, j, g = letter
-            if (i, j, g) not in quiver.arrows:
-                raise ValueError(f"no arrow a[{i}<-{j}]#{g}")
-            piece = Monomial(j, ((i, j, g),), (0, 0))
+    for make, *args in reversed(letters):     # rightmost acts first
+        piece = make(datum, *args)
         mono = piece if mono is None else mono_mul(datum, piece, mono)
         if mono is None:
             return None
@@ -322,59 +307,48 @@ def _split_sum(text):
 # ---------------------------------------------------------------------------
 # projective and injective representations
 
+def _mult_matrix(datum, field, elt, end, left):
+    """Matrix of y -> elt.y on paths(end, elt.src) when ``left``, else of
+    y -> y.elt on paths(elt.tgt, end), in the basis order."""
+    basis = algebra_basis(datum)
+    index = basis.index
+    if left:
+        rows, cols = basis.paths(end, elt.tgt), basis.paths(end, elt.src)
+    else:
+        rows, cols = basis.paths(elt.src, end), basis.paths(elt.tgt, end)
+    cells = {}
+    for mono, coeff in elt.terms.items():
+        for c, y in enumerate(cols):
+            prod = mono_mul(datum, mono, y) if left else mono_mul(datum, y, mono)
+            if prod is not None:
+                key = (index[prod], c)
+                cells[key] = cells.get(key, 0) + coeff
+    return Mat.from_dict(field, (len(rows), len(cols)), cells)
+
+
+def _indecomposable(datum, field, i, left):
+    """P_i when ``left``, else I_i."""
+    basis = algebra_basis(datum)
+    dims = {v: len(basis.paths(i, v) if left else basis.paths(v, i)) for v in datum.vertices}
+
+    def action(mono):
+        m = _mult_matrix(datum, field, AlgebraElement(mono.src, mono_target(mono), {mono: 1}), i, left)
+        return m if left else m.transpose()
+
+    eps = {v: action(lv) for v in datum.vertices if (lv := loop(datum, v)) is not None}
+    arr = {key: action(arrow(datum, *key)) for key in build_quiver(datum).arrows}
+    return make_rep(datum, field, dims, eps, arr)
+
+
 def build_projective(datum, field, i):
     """P_i: paths out of vertex i, arrows acting by left composition."""
-    basis = algebra_basis(datum)
-    quiver = build_quiver(datum)
-    dims = {v: len(basis.paths(i, v)) for v in datum.vertices}
-    eps = {}
-    for v in datum.vertices:
-        entries = {}
-        lv = loop(datum, v)
-        for c, m in enumerate(basis.paths(i, v)):
-            lm = mono_mul(datum, lv, m) if lv is not None else None
-            if lm is not None:
-                entries[(basis.index[lm], c)] = 1
-        eps[v] = Mat.from_dict(field, (dims[v], dims[v]), entries)
-    arr = {}
-    for key in quiver.arrows:
-        a, b, g = key
-        am = Monomial(b, (key,), (0, 0))
-        entries = {}
-        for c, m in enumerate(basis.paths(i, b)):
-            lm = mono_mul(datum, am, m)
-            if lm is not None:
-                entries[(basis.index[lm], c)] = 1
-        arr[key] = Mat.from_dict(field, (dims[a], dims[b]), entries)
-    return make_rep(datum, field, dims, eps, arr)
+    return _indecomposable(datum, field, i, left=True)
 
 
 def build_injective(datum, field, i):
     """I_i: dual of paths into vertex i, arrows acting by transposed right
     composition."""
-    basis = algebra_basis(datum)
-    quiver = build_quiver(datum)
-    dims = {v: len(basis.paths(v, i)) for v in datum.vertices}
-    eps = {}
-    for v in datum.vertices:
-        entries = {}
-        lv = loop(datum, v)
-        for c, m in enumerate(basis.paths(v, i)):
-            rm = mono_mul(datum, m, lv) if lv is not None else None
-            if rm is not None:
-                entries[(c, basis.index[rm])] = 1   # transposed
-        eps[v] = Mat.from_dict(field, (dims[v], dims[v]), entries)
-    arr = {}
-    for key in quiver.arrows:
-        a, b, g = key
-        am = Monomial(b, (key,), (0, 0))
-        entries = {}
-        for c, m in enumerate(basis.paths(a, i)):
-            rm = mono_mul(datum, m, am)             # in paths(b, i)
-            if rm is not None:
-                entries[(c, basis.index[rm])] = 1   # transposed: rows paths(a,i)
-        arr[key] = Mat.from_dict(field, (dims[a], dims[b]), entries)
-    return make_rep(datum, field, dims, eps, arr)
+    return _indecomposable(datum, field, i, left=False)
 
 
 def element_from_coords(datum, src, tgt, coords):
@@ -388,6 +362,24 @@ def element_from_coords(datum, src, tgt, coords):
     return AlgebraElement(src, tgt, terms)
 
 
+def _element_blocks(datum, field, sources, targets, entries, left):
+    """Per-vertex blocks of the map given by ``entries[(s, t)]``, an element
+    of paths(targets[t], sources[s]).  Without ``left``: right
+    multiplication, the map +P over sources -> +P over targets.  With
+    ``left``: transposed left multiplication, the map +I over sources -> +I
+    over targets."""
+    basis = algebra_basis(datum)
+    blocks = {}
+    for v in datum.vertices:
+        dims = {x: len(basis.paths(v, x) if left else basis.paths(x, v)) for x in datum.vertices}
+        grid = {}
+        for (s, t), elt in entries.items():
+            m = _mult_matrix(datum, field, elt, v, left)
+            grid[(t, s)] = m.transpose() if left else m
+        blocks[v] = Mat.block(field, grid, [dims[b] for b in targets], [dims[a] for a in sources])
+    return blocks
+
+
 def transport_dual(datum, field, sources, targets, entries):
     """Carry a matrix of algebra elements between sums of projectives over
     to the corresponding map between sums of injectives.
@@ -397,25 +389,4 @@ def transport_dual(datum, field, sources, targets, entries):
     Returns the per-vertex blocks of the induced map on injectives
     (+I over sources -> +I over targets).
     """
-    basis = algebra_basis(datum)
-    blocks = {}
-    for v in datum.vertices:
-        row_dims = [len(basis.paths(v, b)) for b in targets]
-        col_dims = [len(basis.paths(v, a)) for a in sources]
-        grid = {}
-        for (s, t), elt in entries.items():
-            if elt is None or elt.is_zero():
-                continue
-            cells = {}
-            for mono, coeff in elt.terms.items():
-                # left multiplication by mono: paths(v, targets[t]) -> paths(v, sources[s])
-                for c, y in enumerate(basis.paths(v, targets[t])):
-                    my = mono_mul(datum, mono, y)
-                    if my is not None:
-                        key = (basis.index[my], c)
-                        cells[key] = cells.get(key, 0) + coeff
-            if cells:
-                L = Mat.from_dict(field, (col_dims[s], row_dims[t]), cells)
-                grid[(t, s)] = L.transpose()
-        blocks[v] = Mat.block(field, grid, row_dims, col_dims)
-    return blocks
+    return _element_blocks(datum, field, sources, targets, entries, left=True)

@@ -111,17 +111,22 @@ def test_tau_walk_ends_before_zero():
 
 
 def test_minimal_presentation_is_presentation():
-    cd = b3()
-    E2 = free_simple(cd, Q, 2)
-    pres = minimal_presentation(E2)
-    assert pres.cover.is_valid()
-    # surjective cover
-    assert image_dims(pres.cover) == E2.dims
-    f = pres.p1_morphism()
-    assert f.is_valid()
-    # composite P1 -> P0 -> M vanishes
-    comp = {v: pres.cover.blocks[v] @ f.blocks[v] for v in cd.vertices}
-    assert all(m.is_zero() for m in comp.values())
+    mods = [free_simple(b3(), Q, 2)]
+    for field in (Q, Field.prime(32003)):
+        for family, n in (("Bn", 3), ("G21", None)):
+            mods += [M for _, M in module_battery(named_datum(family, n=n), field, 14)]
+    for M in mods:
+        pres = minimal_presentation(M)
+        assert pres.cover.is_valid()
+        # surjective cover
+        assert image_dims(pres.cover) == M.dims
+        f = pres.p1_morphism()
+        assert f.is_valid()
+        assert f.dst is pres.cover.src
+        # composite P1 -> P0 -> M vanishes, and P1 covers the whole kernel
+        comp = {v: pres.cover.blocks[v] @ f.blocks[v] for v in M.datum.vertices}
+        assert all(m.is_zero() for m in comp.values())
+        assert all(f.blocks[v].rank() == f.dst.dims[v] - M.dims[v] for v in M.datum.vertices)
 
 
 def test_presentation_of_projective_has_no_relations():

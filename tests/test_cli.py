@@ -254,14 +254,18 @@ def test_module_file_holding_a_string_is_usage_error(tmp_path):
     {"maps": {"a[2<-1]": [[0], [0]]}},         # the same map as a[2<-1]#1
     {"maps": {"eps[1]": [[0]], "eps[01]": [[0]]}},
     {"dims": {"01": 1}},                       # the same vertex as "1"
+    {"dims": {"4": -2}, "maps": {"a[4<-3]#1": None}},
 ], ids=["float-entry", "zero-denominator", "field-string", "float-p", "dims-list",
         "float-dim", "maps-list", "loop-at-no-vertex", "dim-at-no-vertex", "arrow-twice",
-        "loop-twice", "dim-twice"])
+        "loop-twice", "dim-twice", "negative-dim"])
 def test_module_file_with_a_bad_part_is_usage_error(tmp_path, change):
+    # a None value drops the key
     _, Z = build_named("Bn.Z", n=3)
     blob = rep_to_json(Z, embed_datum=True)
     for key, value in change.items():
-        blob[key] = {**blob[key], **value} if isinstance(value, dict) else value
+        if isinstance(value, dict):
+            value = {k: v for k, v in {**blob[key], **value}.items() if v is not None}
+        blob[key] = value
     doc = tmp_path / "bad.json"
     doc.write_text(json.dumps(blob))
     code, lines = _usage_error_lines("mod", "tau", str(doc))

@@ -1,5 +1,7 @@
-"""No dead module-level names in the package: every private name a module
-defines at top level, and every name it imports, is referenced in src/."""
+"""No dead names in the package: every private name a module defines at top
+level, and every name it imports, is referenced in src/; every public method
+or property of a class in src/ is read as an attribute in src/, tests/ or
+perfbench/ (whose tracer wraps public methods by name)."""
 
 import ast
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import tauforge
 
 SRC = Path(tauforge.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _bound_at_top(tree):
@@ -51,4 +54,27 @@ def test_no_unreferenced_private_names_or_imports():
         used_here = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         dead += ["%s:%d private %s" % (filename, line, name) for name, line in private if name not in anywhere]
         dead += ["%s:%d import %s" % (filename, line, name) for name, line in imported if name not in used_here]
+    assert dead == []
+
+
+def _public_methods(tree):
+    """(class, method, line) for every public method or property of a
+    top-level class."""
+    return [(node.name, item.name, item.lineno)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")]
+
+
+def test_no_unread_public_methods():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) + \
+        sorted((ROOT / "perfbench").glob("**/*.py"))
+    read = set()
+    for path in files:
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        dead += ["%s:%d %s.%s" % (path.name, line, cls, name)
+                 for cls, name, line in _public_methods(ast.parse(path.read_text())) if name not in read]
     assert dead == []

@@ -1,10 +1,11 @@
 """Golden output: the module JSON of every catalogue module and of its tau
-and tau^-1 translates, pinned by sha256 over QQ and GF(32003), and one
-sha256 per field over the whole parameter grid of the catalogue.
+and tau^-1 translates, pinned by sha256 over QQ and GF(32003), one sha256
+per field over the whole parameter grid of the catalogue, and one per field
+over the projectives P_i and injectives I_i of every catalogued datum.
 
 A refactor must leave these bytes alone.  When a change of output is meant,
 print the new tables with ``PYTHONPATH=src python tests/test_golden.py`` and
-paste them over ``GOLDEN`` and ``GRID``.
+paste them over ``GOLDEN``, ``GRID`` and ``PROJ_INJ``.
 """
 
 import hashlib
@@ -15,7 +16,8 @@ import pytest
 from tauforge.artrans import tau, tau_inverse
 from tauforge.linalg import Field
 from tauforge.modrep import rep_to_json
-from tauforge.zoo import _MODULE_TABLE, BadParams, build_named, named_module_ids
+from tauforge.pathalg import build_injective, build_projective
+from tauforge.zoo import _FAMILIES, _MODULE_TABLE, BadParams, build_named, named_datum, named_module_ids
 
 # parameters by datum family, the prefix of the module id
 _PARAMS = {
@@ -76,9 +78,29 @@ def grid_digest(field):
     return len(pairs), hashlib.sha256(text.encode()).hexdigest()
 
 
+def projective_injective_digest(field):
+    """sha256 over the module JSON of P_i and I_i at every vertex i of every
+    catalogued datum, sized families at their default n, all at m = 1."""
+    docs = []
+    for family, row in sorted(_FAMILIES.items()):
+        datum = named_datum(family, n=row.size[1] if row.size else None)
+        for v in datum.vertices:
+            docs.append([datum.name, v,
+                         rep_to_json(build_projective(datum, field, v), embed_datum=True),
+                         rep_to_json(build_injective(datum, field, v), embed_datum=True)])
+    text = json.dumps(docs, sort_keys=True)
+    return len(docs), hashlib.sha256(text.encode()).hexdigest()
+
+
 GRID = {
     "GF32003": (417, "e9d5605301f7ff642210ce3cbbf2db7ce73f32997de00b6e9eeee64875416b2a"),
     "QQ": (417, "e25ba77e990c14816c775995f202d1931d0b9a00530b355329ab3ae057d2e110"),
+}
+
+
+PROJ_INJ = {
+    "GF32003": (46, "07195eb61e6110039678a60e548a803de5fe258e055c0eafc4a210134ccd5876"),
+    "QQ": (46, "aedc3b2bd0221a91832588d49af134fc36009d8355ff735b76470fce33988018"),
 }
 
 
@@ -460,10 +482,19 @@ def test_catalogue_parameter_grid_is_byte_stable(name):
     assert grid_digest(FIELDS[name]) == GRID[name]
 
 
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_projectives_and_injectives_are_byte_stable(name):
+    assert projective_injective_digest(FIELDS[name]) == PROJ_INJ[name]
+
+
 if __name__ == "__main__":
     print("GRID = {")
     for name in sorted(FIELDS):
         print("    %r: %r," % (name, grid_digest(FIELDS[name])))
+    print("}")
+    print("PROJ_INJ = {")
+    for name in sorted(FIELDS):
+        print("    %r: %r," % (name, projective_injective_digest(FIELDS[name])))
     print("}")
     print("GOLDEN = {")
     for name in sorted(FIELDS):

@@ -205,11 +205,11 @@ def test_kernel_of_identity_and_zero():
     _, Z = build_named("G21.Z")
     ident = Morphism(Z, Z, {v: Mat.identity(Q, Z.dims[v]) for v in Z.datum.vertices})
     assert ident.is_valid() and ident.is_iso()
-    K, incl = kernel_rep(ident)
+    K, incl = kernel_rep(Z, ident.blocks)
     assert K.total_dim() == 0
     zero = Morphism(Z, Z, {v: Mat.zeros(Q, Z.dims[v], Z.dims[v]) for v in Z.datum.vertices})
     assert zero.is_valid()
-    K0, incl0 = kernel_rep(zero)
+    K0, incl0 = kernel_rep(Z, zero.blocks)
     assert K0.dims == Z.dims
     assert all(d == 0 for d in image_dims(zero).values())
     assert incl0.is_valid()

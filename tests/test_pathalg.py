@@ -5,6 +5,8 @@ import pytest
 from tauforge.linalg import Field
 from tauforge.modrep import rank_vector
 from tauforge.pathalg import (
+    AlgebraElement,
+    _mult_matrix,
     algebra_basis,
     algebra_dim,
     arrow,
@@ -13,6 +15,7 @@ from tauforge.pathalg import (
     format_mono,
     loop,
     mono_mul,
+    mono_target,
     normalize,
     normalize_random,
     parse_element,
@@ -113,6 +116,40 @@ def test_mono_mul_respects_composition():
         mono_mul(datum, a1, a2)  # wrong ends is an error, not zero
     assert mono_mul(datum, unit(datum, 3), a2) == a2
     assert mono_mul(datum, loop(datum, 3, 2), loop(datum, 3, 1)) is None  # eps_3^3 = 0
+
+
+def test_loop_checks_its_vertex():
+    datum = named_datum("Bn", n=3)
+    for v in (0, datum.n + 1):
+        with pytest.raises(ValueError, match="no vertex"):
+            loop(datum, v)
+        with pytest.raises(ValueError, match="no vertex"):
+            parse_path(datum, "eps[%d]" % v)
+
+
+@pytest.mark.parametrize("family,n", [("Bn", 3), ("G21", None)])
+def test_mult_matrices_compose(family, n):
+    # L(z) is y -> z.y and R(z) is y -> y.z, so L(y.x) = L(y) L(x) and
+    # R(y.x) = R(x) R(y) on paths to or from every end vertex
+    datum = named_datum(family, n=n)
+    basis = algebra_basis(datum)
+    every = [p for a in datum.vertices for b in datum.vertices for p in basis.paths(a, b)]
+    rng = random.Random(20261018)
+    nonzero = 0
+    for _ in range(40):
+        x = rng.choice(every)
+        y = rng.choice([p for c in datum.vertices for p in basis.paths(mono_target(x), c)])
+        yx = mono_mul(datum, y, x)
+        nonzero += yx is not None
+        elt = {z: AlgebraElement.from_mono(z) for z in (x, y)}
+        elt["yx"] = (AlgebraElement.from_mono(yx) if yx is not None
+                     else AlgebraElement.zero(x.src, mono_target(y)))
+        for end in datum.vertices:
+            L = {k: _mult_matrix(datum, Q, e, end, left=True) for k, e in elt.items()}
+            R = {k: _mult_matrix(datum, Q, e, end, left=False) for k, e in elt.items()}
+            assert L["yx"] == L[y] @ L[x]
+            assert R["yx"] == R[x] @ R[y]
+    assert nonzero >= 10
 
 
 def _random_raw_path(datum, quiver_arrows, rng, max_len=4):
