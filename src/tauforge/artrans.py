@@ -47,11 +47,11 @@ def _generators(rep):
     return gens
 
 
-def _path_images(M, basis, b, u):
-    """{w: the columns p @ u for the basis paths p from b to w}.  Each path
-    is applied through its parent: p with one loop less at the end, or else
-    without its last arrow; parents are basis paths too, as their exponent
-    bounds are weaker."""
+def _path_images(M, basis, b, U):
+    """{w: [p @ U for the basis paths p from b to w]}.  Each path is applied
+    through its parent: p with one loop less at the end, or else without its
+    last arrow; parents are basis paths too, as their exponent bounds are
+    weaker."""
     images = {}
 
     def image(p):
@@ -63,15 +63,15 @@ def _path_images(M, basis, b, u):
                 parent = p._replace(arrows=p.arrows[:-1], exps=p.exps[:-1])
                 images[p] = M.arr[p.arrows[-1]] @ image(parent)
             else:
-                images[p] = u
+                images[p] = U
         return images[p]
 
-    return {w: Mat.zeros(M.field, M.dims[w], 0).hstack(*(image(p) for p in basis.paths(b, w)))
-            for w in M.datum.vertices}
+    return {w: [image(p) for p in basis.paths(b, w)] for w in M.datum.vertices}
 
 
 def projective_cover(M):
-    """(P0, cover morphism, generator vertices)."""
+    """(P0, cover morphism, generator vertices).  The cover block at w holds,
+    for each generator in turn, its images under the basis paths to w."""
     datum, field = M.datum, M.field
     gens = _generators(M)
     verts = tuple(v for v, _ in gens)
@@ -81,8 +81,22 @@ def projective_cover(M):
                                                  for v in datum.vertices}), verts
     basis = algebra_basis(datum)
     P0 = direct_sum([build_projective(datum, field, v) for v in verts])
-    per_gen = [_path_images(M, basis, b, u) for b, u in gens]
-    blocks = {w: per_gen[0][w].hstack(*(g[w] for g in per_gen[1:])) for w in datum.vertices}
+    # one path walk per generator vertex b, on the generators at b side by
+    # side; _generators lists them vertex by vertex, so generator t at b
+    # owns the columns start + t * (number of paths from b to w)
+    gens_at = {b: [u for v, u in gens if v == b] for b in dict.fromkeys(verts)}
+    images = {b: _path_images(M, basis, b, Mat.zeros(field, M.dims[b], 0).hstack(*us))
+              for b, us in gens_at.items()}
+    blocks = {}
+    for w in datum.vertices:
+        cells, start = {}, 0
+        for b, us in gens_at.items():
+            n = len(basis.paths(b, w))
+            for r, img in enumerate(images[b][w]):
+                for i, t, x in img.items():
+                    cells[(i, start + t * n + r)] = x
+            start += len(us) * n
+        blocks[w] = Mat.from_dict(field, (M.dims[w], start), cells)
     cover = Morphism(P0, M, blocks)
     for v in datum.vertices:
         if blocks[v].rank() != M.dims[v]:
@@ -225,8 +239,13 @@ def is_tau_locally_free(M, window=None, check_indecomposable=True):
     if check_indecomposable:
         if is_zero_rep(M):
             raise NotIndecomposable("zero module")
-        if end_analysis(M).residue_dim != 1:
-            raise NotIndecomposable("endomorphism residue dimension exceeds 1")
+        end = end_analysis(M)
+        if end.residue_dim != 1:
+            reason = "endomorphism residue dimension is %d, not 1" % end.residue_dim
+            if M.field.p is not None and M.field.p <= end.dim:
+                reason += (" (over GF(%d) the trace-form radical of End is exact only for"
+                           " p > dim End = %d)" % (M.field.p, end.dim))
+            raise NotIndecomposable(reason)
 
     def check(rep, k):
         for v in datum.vertices:

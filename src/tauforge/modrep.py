@@ -93,13 +93,6 @@ def free_simple(datum, field, vertex):
     return make_rep(datum, field, {vertex: d}, eps, {})
 
 
-def rep_equal(a, b):
-    if a.datum != b.datum or a.field != b.field or a.dims != b.dims:
-        return False
-    return all(a.eps[v] == b.eps[v] for v in a.eps) and \
-        all(a.arr[k] == b.arr[k] for k in a.arr)
-
-
 def check_relations(rep):
     """Return a list of violated relation descriptions (empty when valid)."""
     datum = rep.datum
@@ -141,10 +134,6 @@ def rank_vector(rep):
             return None
         ranks.append(r)
     return tuple(ranks)
-
-
-def is_locally_free(rep):
-    return rank_vector(rep) is not None
 
 
 def direct_sum(reps):
@@ -349,10 +338,6 @@ def kernel_rep(M, blocks):
     return K, Morphism(K, M, incl)
 
 
-def image_dims(morph):
-    return {v: morph.blocks[v].rank() for v in morph.src.datum.vertices}
-
-
 # ---------------------------------------------------------------------------
 # End-ring analysis
 
@@ -362,10 +347,6 @@ class EndData:
     rad_dim: int
     residue_dim: int
     basis: list
-
-    @property
-    def is_local_residue_one(self):
-        return self.residue_dim == 1
 
 
 def end_analysis(M):
@@ -499,13 +480,6 @@ def _ext1_from_presentation(pres, N):
     big = Mat.block(field, blocks, [N.dims[a] for a in pres.gens1],
                     [N.dims[b] for b in pres.gens0])
     return cols_s - big.rank()
-
-
-def ext1_dim_cocycle(M, N):
-    """Independent route: cocycles modulo coboundaries."""
-    z = len(extension_cocycle_space(M, N))
-    shifts = sum(N.dims[v] * M.dims[v] for v in M.datum.vertices)
-    return z - shifts + hom_dim(M, N)
 
 
 def is_rigid(M):

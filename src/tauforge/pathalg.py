@@ -11,7 +11,6 @@ of source loops that arrow can absorb, and every exponent is below the
 nilpotency degree of its vertex.  ``None`` plays the role of the zero path.
 """
 
-import re
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ from functools import lru_cache
 
 from .cartan import build_quiver
 from .linalg import Mat
-from .modrep import make_rep
+from .modrep import Representation, make_rep
 
 Monomial = namedtuple("Monomial", ["src", "arrows", "exps"])
 
@@ -57,34 +56,6 @@ def normalize(datum, src, arrows, exps):
         if exps[t] >= datum.d(v):
             return None
     return Monomial(src, arrows, tuple(exps))
-
-
-def normalize_random(datum, src, arrows, exps, rng):
-    """Same result as :func:`normalize`, applying one applicable rewrite at
-    a time in random order.  Used to exercise confluence."""
-    arrows = tuple(arrows)
-    exps = list(exps)
-    verts = [src] + [key[0] for key in arrows]
-    while True:
-        moves = []
-        for t, v in enumerate(verts):
-            if exps[t] >= datum.d(v):
-                moves.append(("kill", t))
-            if t < len(arrows) and exps[t] >= _absorb(datum, arrows[t]):
-                moves.append(("push", t))
-        if not moves:
-            return Monomial(src, arrows, tuple(exps))
-        kind, t = rng.choice(moves)
-        if kind == "kill":
-            return None
-        exps[t] -= _absorb(datum, arrows[t])
-        exps[t + 1] += _emit(datum, arrows[t])
-
-
-def unit(datum, v):
-    if v not in datum.vertices:
-        raise ValueError(f"no vertex {v}")
-    return Monomial(v, (), (0,))
 
 
 def loop(datum, v, k=1):
@@ -125,38 +96,6 @@ def format_mono(mono):
     if not parts:
         return f"e[{mono.src}]"
     return " ".join(reversed(parts))
-
-
-_TOKEN = re.compile(
-    r"e\[(?P<unit>\d+)\]"
-    r"|eps\[(?P<loopv>\d+)\](?:\^(?P<exp>\d+))?"
-    r"|a\[(?P<to>\d+)<-(?P<fr>\d+)\](?:#(?P<g>\d+))?")
-
-
-def parse_path(datum, text):
-    """Parse a path literal such as ``"a[2<-1]#1 eps[1]^3"`` (whitespace or
-    ``*`` separated, rightmost letter acts first) into canonical form."""
-    letters = []
-    cleaned = text.replace("*", " ")
-    for chunk in cleaned.split():
-        m = _TOKEN.fullmatch(chunk)
-        if not m:
-            raise ValueError(f"cannot parse path letter {chunk!r}")
-        if m.group("unit"):
-            letters.append((unit, int(m.group("unit"))))
-        elif m.group("loopv"):
-            letters.append((loop, int(m.group("loopv")), int(m.group("exp") or 1)))
-        else:
-            letters.append((arrow, int(m.group("to")), int(m.group("fr")), int(m.group("g") or 1)))
-    if not letters:
-        raise ValueError("empty path literal")
-    mono = None
-    for make, *args in reversed(letters):     # rightmost acts first
-        piece = make(datum, *args)
-        mono = piece if mono is None else mono_mul(datum, piece, mono)
-        if mono is None:
-            return None
-    return mono
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +149,6 @@ def algebra_basis(datum):
     return AlgebraBasis(datum)
 
 
-def algebra_dim(datum):
-    return algebra_basis(datum).dim()
-
-
 # ---------------------------------------------------------------------------
 # linear combinations of parallel paths
 
@@ -262,72 +197,42 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
-def parse_element(datum, text):
-    """Parse a sum of scaled path literals, e.g. ``"a[2<-1] - 2*eps[1] a[2<-1]"``."""
-    out = None
-    for sign, chunk in _split_sum(text):
-        coeff = Fraction(sign)
-        m = re.match(r"^\(?(-?\d+(?:/\d+)?)\)?\s*\*\s*(.*)$", chunk.strip())
-        if m:
-            coeff *= Fraction(m.group(1))
-            chunk = m.group(2)
-        mono = parse_path(datum, chunk)
-        if mono is None:
-            continue
-        term = AlgebraElement.from_mono(mono, coeff)
-        out = term if out is None else out.add(term)
-    if out is None:
-        raise ValueError(f"element {text!r} has no nonzero term with a determinable type")
-    return out
-
-
-def _split_sum(text):
-    parts = []
-    depth = 0
-    cur = ""
-    sign = 1
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur.strip():
-            parts.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif depth == 0 and ch == "-" and not cur.strip():
-            sign = -sign
-        else:
-            cur += ch
-    if cur.strip():
-        parts.append((sign, cur))
-    return parts
-
-
 # ---------------------------------------------------------------------------
 # projective and injective representations
+
+@lru_cache(maxsize=None)
+def _action(datum, mono, end, left):
+    """The (row, col) cells of y -> mono.y on paths(end, mono.src) when
+    ``left``, else of y -> y.mono on paths(mono target, end), indexed in the
+    basis order; one cell per column at most."""
+    basis = algebra_basis(datum)
+    if left:
+        cols = basis.paths(end, mono.src)
+        prods = (mono_mul(datum, mono, y) for y in cols)
+    else:
+        cols = basis.paths(mono_target(mono), end)
+        prods = (mono_mul(datum, y, mono) for y in cols)
+    return tuple((basis.index[prod], c) for c, prod in enumerate(prods) if prod is not None)
+
 
 def _mult_matrix(datum, field, elt, end, left):
     """Matrix of y -> elt.y on paths(end, elt.src) when ``left``, else of
     y -> y.elt on paths(elt.tgt, end), in the basis order."""
     basis = algebra_basis(datum)
-    index = basis.index
     if left:
         rows, cols = basis.paths(end, elt.tgt), basis.paths(end, elt.src)
     else:
         rows, cols = basis.paths(elt.src, end), basis.paths(elt.tgt, end)
     cells = {}
     for mono, coeff in elt.terms.items():
-        for c, y in enumerate(cols):
-            prod = mono_mul(datum, mono, y) if left else mono_mul(datum, y, mono)
-            if prod is not None:
-                key = (index[prod], c)
-                cells[key] = cells.get(key, 0) + coeff
+        for key in _action(datum, mono, end, left):
+            cells[key] = cells.get(key, 0) + coeff
     return Mat.from_dict(field, (len(rows), len(cols)), cells)
 
 
-def _indecomposable(datum, field, i, left):
-    """P_i when ``left``, else I_i."""
+@lru_cache(maxsize=None)
+def _indecomposable_maps(datum, field, i, left):
+    """(dims, eps, arr) of P_i when ``left``, else of I_i."""
     basis = algebra_basis(datum)
     dims = {v: len(basis.paths(i, v) if left else basis.paths(v, i)) for v in datum.vertices}
 
@@ -337,7 +242,15 @@ def _indecomposable(datum, field, i, left):
 
     eps = {v: action(lv) for v in datum.vertices if (lv := loop(datum, v)) is not None}
     arr = {key: action(arrow(datum, *key)) for key in build_quiver(datum).arrows}
-    return make_rep(datum, field, dims, eps, arr)
+    rep = make_rep(datum, field, dims, eps, arr)
+    return rep.dims, rep.eps, rep.arr
+
+
+def _indecomposable(datum, field, i, left):
+    """P_i when ``left``, else I_i, over the caller's datum: equal data with
+    other names share the maps but not the module."""
+    dims, eps, arr = _indecomposable_maps(datum, field, i, left)
+    return Representation(datum, field, dict(dims), dict(eps), dict(arr))
 
 
 def build_projective(datum, field, i):

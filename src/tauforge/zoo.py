@@ -245,9 +245,15 @@ def _name(stem, n, m):
     return base if m == 1 else "%sm%d" % (base, m)
 
 
+# largest size parameter n of a named datum: building one costs time
+# quadratic in n (the dense Cartan matrix and its validation), so a name such
+# as B20000 is refused before anything is built
+_MAX_N = 100
+
+
 def named_datum(family, n=None, m=1):
     """Build one of the catalogued affine data, scaled by the symmetriser
-    multiple m."""
+    multiple m; a sized family takes n up to _MAX_N."""
     if family not in _FAMILIES:
         raise UnknownId("unknown datum family %r; known: %s" % (family, ", ".join(sorted(_FAMILIES))))
     row = _FAMILIES[family]
@@ -261,6 +267,8 @@ def named_datum(family, n=None, m=1):
             raise BadParams("family %s needs the size parameter n" % family)
         if not isinstance(n, int) or n < row.size[0]:
             raise BadParams("family %s needs an integer n >= %d, got %r" % (family, row.size[0], n))
+        if n > _MAX_N:
+            raise BadParams("family %s takes n <= %d, got %d" % (family, _MAX_N, n))
         cartan, mult, orientation = row.datum(n)
     return validate_datum(cartan, tuple(k * m for k in mult), orientation, name=_name(row.stem, n, m))
 
@@ -1178,8 +1186,10 @@ _battery_cache = {}
 
 def module_battery(datum, field, size=30):
     """Indecomposable locally free modules for exercising functor contracts:
-    generalised simples, projectives, injectives, and translate iterates."""
-    key = (datum, field, size)
+    generalised simples, projectives, injectives, and translate iterates.
+    Data that differ only in name are equal, so the name is part of the
+    cache key: the modules carry the caller's datum."""
+    key = (datum, datum.name, field, size)
     if key in _battery_cache:
         return _battery_cache[key]
     mods = [("E%d" % v, free_simple(datum, field, v)) for v in datum.vertices]

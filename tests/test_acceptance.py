@@ -6,8 +6,9 @@ suite output doubles as the release report.
 
 import random
 
+from support import normalize_random
 from tauforge.cartan import delta
-from tauforge.pathalg import algebra_dim, normalize, normalize_random
+from tauforge.pathalg import algebra_basis, normalize
 from tauforge.rootsys import (
     classify_positive_root,
     coxeter_data,
@@ -268,7 +269,7 @@ def test_criterion_8_dimension_formula_and_confluence():
         for m in (1, 2):
             cd = named_datum(family, m=m, **kwargs)
             cox = coxeter_data(cd)
-            lhs = algebra_dim(cd)
+            lhs = algebra_basis(cd).dim()
             rhs = sum(cd.d(j + 1) * beta[j]
                       for beta in cox.beta for j in range(cd.n))
             if lhs != rhs:

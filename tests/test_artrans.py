@@ -1,5 +1,6 @@
 """Translation machinery: presentations, tau in both directions, orbits."""
 
+import dataclasses
 from itertools import islice
 
 import pytest
@@ -25,14 +26,13 @@ from tauforge.modrep import (
     apply_monomial,
     direct_sum,
     free_simple,
-    image_dims,
     make_rep,
     rank_vector,
-    rep_equal,
+    rep_to_json,
     is_isomorphic,
 )
 from tauforge.pathalg import algebra_basis, build_injective, build_projective
-from tauforge.cartan import build_quiver, delta
+from tauforge.cartan import build_quiver, datum_to_json, delta
 from tauforge.rootsys import coxeter_data
 from tauforge.zoo import build_named, module_battery, named_datum
 
@@ -92,7 +92,7 @@ def test_tau_walk_matches_iteration():
     one = tau(Z).module
     two = tau(one).module
     walked = list(islice(tau_walk(Z, tau), 2))
-    assert rep_equal(walked[0], one) and rep_equal(walked[1], two)
+    assert walked == [one, two]
     assert is_isomorphic(two, Z).verdict == "yes"
 
 
@@ -103,7 +103,7 @@ def test_tau_walk_ends_before_zero():
     walked = list(islice(tau_walk(P1, tau_inverse), 5))
     assert len(walked) == 5
     assert not any(is_zero_rep(M) for M in walked)
-    assert rep_equal(walked[0], tau_inverse(P1).module)
+    assert walked[0] == tau_inverse(P1).module
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_minimal_presentation_is_presentation():
         pres = minimal_presentation(M)
         assert pres.cover.is_valid()
         # surjective cover
-        assert image_dims(pres.cover) == M.dims
+        assert {v: pres.cover.blocks[v].rank() for v in M.datum.vertices} == M.dims
         f = pres.p1_morphism()
         assert f.is_valid()
         assert f.dst is pres.cover.src
@@ -260,7 +260,32 @@ def test_top_lift_and_cover_match_definitions(field):
             assert _radical_complement(M, v) == _greedy_complement(M, v)
         basis = algebra_basis(M.datum)
         gens = _generators(M)
-        _, cover, _ = projective_cover(M)
+        P0, cover, verts = projective_cover(M)
+        assert verts == tuple(b for b, _ in gens)
+        assert P0 == direct_sum([build_projective(M.datum, field, b) for b in verts])
         for w in M.datum.vertices:
             cols = [apply_monomial(M, p) @ u for b, u in gens for p in basis.paths(b, w)]
             assert cover.blocks[w] == Mat.zeros(field, M.dims[w], 0).hstack(*cols)
+
+
+_NAMED_BUILDS = {
+    "P": lambda d: [build_projective(d, Q, v) for v in d.vertices],
+    "I": lambda d: [build_injective(d, Q, v) for v in d.vertices],
+    "tau": lambda d: [tau(tau(free_simple(d, Q, v)).module).module for v in d.vertices],
+    "tau-inverse": lambda d: [tau_inverse(tau_inverse(build_projective(d, Q, v)).module).module
+                              for v in d.vertices],
+    "battery": lambda d: [M for _, M in module_battery(d, Q, 8)],
+}
+
+
+@pytest.mark.parametrize("kind", list(_NAMED_BUILDS))
+def test_modules_carry_the_callers_datum_name(kind):
+    # B3 under another name is equal to B3 (equality ignores the name), so a
+    # cache keyed on the datum alone hands the second caller modules that
+    # serialize as "B3"; the named datum is built first to catch that
+    named = named_datum("Bn", n=3)
+    renamed = dataclasses.replace(named, name="")
+    for datum, shown in ((named, "B3"), (renamed, datum_to_json(renamed))):
+        for M in _NAMED_BUILDS[kind](datum):
+            assert M.datum.name == datum.name
+            assert rep_to_json(M)["datum"] == shown

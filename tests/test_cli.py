@@ -221,6 +221,29 @@ def _usage_error_lines(*argv):
     return proc.returncode, [line for line in proc.stderr.splitlines() if not line.startswith("#")]
 
 
+@pytest.mark.parametrize("field, check_id", [("p:3", "main2.Bn"), ("p:2", "main2.G21")])
+def test_small_prime_end_analysis_failure_is_one_line(field, check_id):
+    # the trace-form End analysis misreads End M over GF(p) when p <= dim End;
+    # until it is exact there, such a run ends with one error line
+    code, lines = _usage_error_lines("verify", "--suite", "paper", "--filter", check_id, "--field", field)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: endomorphism residue dimension")
+
+
+def test_oversized_datum_name_is_usage_error(capsys, monkeypatch):
+    from tauforge import zoo
+
+    def built(*args, **kwargs):
+        raise AssertionError("a refused datum was built")
+
+    monkeypatch.setattr(zoo, "validate_datum", built)
+    code, out, err = run(capsys, "delta", "--datum", "B20000")
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("#")] == \
+        ["error: family Bn takes n <= %d, got 20000" % zoo._MAX_N]
+
+
 def test_module_file_with_a_truncated_arrow_is_usage_error(tmp_path):
     _, Z = build_named("Bn.Z", n=3)
     blob = rep_to_json(Z, embed_datum=True)

@@ -1,7 +1,9 @@
 """No dead names in the package: every private name a module defines at top
 level, and every name it imports, is referenced in src/; every public method
 or property of a class in src/ is read as an attribute in src/, tests/ or
-perfbench/ (whose tracer wraps public methods by name)."""
+perfbench/ (whose tracer wraps public methods by name); every public
+function a module defines at top level is read in src/ or perfbench/, not
+only by the tests."""
 
 import ast
 from pathlib import Path
@@ -77,4 +79,16 @@ def test_no_unread_public_methods():
     for path in sorted(SRC.glob("*.py")):
         dead += ["%s:%d %s.%s" % (path.name, line, cls, name)
                  for cls, name, line in _public_methods(ast.parse(path.read_text())) if name not in read]
+    assert dead == []
+
+
+def test_no_public_functions_only_tests_read():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("**/*.py"))
+    read = set().union(*(_referenced(ast.parse(path.read_text())) for path in files))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        dead += ["%s:%d %s" % (path.name, node.lineno, node.name)
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not node.name.startswith("_") and node.name not in read]
     assert dead == []

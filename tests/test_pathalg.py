@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from tauforge.linalg import Field
+from support import normalize_random, parse_path, unit
+from tauforge.linalg import Field, Mat
 from tauforge.modrep import rank_vector
 from tauforge.pathalg import (
     AlgebraElement,
     _mult_matrix,
     algebra_basis,
-    algebra_dim,
     arrow,
     build_injective,
     build_projective,
@@ -17,10 +17,6 @@ from tauforge.pathalg import (
     mono_mul,
     mono_target,
     normalize,
-    normalize_random,
-    parse_element,
-    parse_path,
-    unit,
 )
 from tauforge.rootsys import coxeter_data
 from tauforge.zoo import named_datum
@@ -30,8 +26,8 @@ Q = Field.rational()
 
 def test_dim_oracles():
     # hand-counted basis sizes
-    assert algebra_dim(named_datum("A11")) == 9
-    assert algebra_dim(named_datum("Bn", n=3)) == 18
+    assert algebra_basis(named_datum("A11")).dim() == 9
+    assert algebra_basis(named_datum("Bn", n=3)).dim() == 18
 
 
 def test_dim_matches_projective_ranks():
@@ -40,7 +36,7 @@ def test_dim_matches_projective_ranks():
         datum = named_datum(family, n=n) if n else named_datum(family)
         cd = coxeter_data(datum)
         expected = sum(datum.d(j) * beta[j - 1] for beta in cd.beta for j in datum.vertices)
-        assert algebra_dim(datum) == expected
+        assert algebra_basis(datum).dim() == expected
 
 
 def test_projective_and_injective_ranks():
@@ -84,16 +80,10 @@ def test_loop_nilpotency():
         assert parse_path(datum, "eps[%d]^%d" % (i, datum.d(i) - 1)) is not None
 
 
-def test_parse_element_rejects_all_zero_literal():
-    datum = named_datum("Bn", n=3)  # d_1 = 1, so eps[1] is already zero
-    with pytest.raises(ValueError):
-        parse_element(datum, "eps[1]")
-
-
 def test_parallel_arrows_are_independent():
     datum = named_datum("A12")
-    a1 = parse_element(datum, "a[2<-1]#1")
-    a2 = parse_element(datum, "a[2<-1]#2")
+    a1 = AlgebraElement.from_mono(parse_path(datum, "a[2<-1]#1"))
+    a2 = AlgebraElement.from_mono(parse_path(datum, "a[2<-1]#2"))
     assert not a1.add(a2.scale(-1)).is_zero()
 
 
@@ -125,6 +115,50 @@ def test_loop_checks_its_vertex():
             loop(datum, v)
         with pytest.raises(ValueError, match="no vertex"):
             parse_path(datum, "eps[%d]" % v)
+
+
+def _mult_matrix_by_mono_mul(datum, field, elt, end, left):
+    """The matrix of _mult_matrix, one mono_mul per term and basis path."""
+    basis = algebra_basis(datum)
+    if left:
+        rows, cols = basis.paths(end, elt.tgt), basis.paths(end, elt.src)
+    else:
+        rows, cols = basis.paths(elt.src, end), basis.paths(elt.tgt, end)
+    cells = {}
+    for mono, coeff in elt.terms.items():
+        for c, y in enumerate(cols):
+            prod = mono_mul(datum, mono, y) if left else mono_mul(datum, y, mono)
+            if prod is not None:
+                key = (basis.index[prod], c)
+                cells[key] = cells.get(key, 0) + coeff
+    return Mat.from_dict(field, (len(rows), len(cols)), cells)
+
+
+@pytest.mark.parametrize("family", ["Bn", "G21", "F41"])
+def test_mult_matrix_matches_mono_mul(family):
+    # every basis monomial alone, then the sum of all paths between two
+    # vertices with distinct coefficients, on both sides at every end vertex
+    datum = named_datum(family, n=3 if family == "Bn" else None)
+    basis = algebra_basis(datum)
+    for a in datum.vertices:
+        for b in datum.vertices:
+            elts = [AlgebraElement.from_mono(p) for p in basis.paths(a, b)]
+            elts.append(AlgebraElement(a, b, {p: k + 2 for k, p in enumerate(basis.paths(a, b))}))
+            for elt in elts:
+                for end in datum.vertices:
+                    for left in (True, False):
+                        assert _mult_matrix(datum, Q, elt, end, left) == \
+                            _mult_matrix_by_mono_mul(datum, Q, elt, end, left)
+
+
+def test_indecomposables_are_fresh_modules():
+    datum = named_datum("Bn", n=3)
+    for build in (build_projective, build_injective):
+        for v in datum.vertices:
+            one, two = build(datum, Q, v), build(datum, Q, v)
+            assert one == two
+            assert one is not two
+            assert not {id(one.dims), id(one.eps), id(one.arr)} & {id(two.dims), id(two.eps), id(two.arr)}
 
 
 @pytest.mark.parametrize("family,n", [("Bn", 3), ("G21", None)])
@@ -190,4 +224,4 @@ def test_basis_paths_have_matching_ends():
             for mono in basis.paths(src, tgt):
                 assert mono.src == src
                 total += 1
-    assert total == basis.dim() == algebra_dim(datum)
+    assert total == basis.dim()

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from tauforge import zoo
 from tauforge.cartan import delta
 from tauforge.linalg import Field
 from tauforge.modrep import check_relations, rank_vector
@@ -87,6 +88,20 @@ def test_datum_from_name_reads_m1_and_refuses_other_names():
         datum_from_name("A113")     # A11 takes no n
     with pytest.raises(BadParams, match="n >= 3"):
         datum_from_name("At2")
+
+
+def test_named_datum_refuses_a_large_n_before_building_it(monkeypatch):
+    assert named_datum("Bn", n=zoo._MAX_N).n == zoo._MAX_N + 1
+
+    def built(*args, **kwargs):
+        raise AssertionError("a refused datum was built")
+
+    monkeypatch.setattr(zoo, "_chain_cartan", built)
+    monkeypatch.setattr(zoo, "validate_datum", built)
+    with pytest.raises(BadParams, match="n <= %d" % zoo._MAX_N):
+        datum_from_name("B20000")
+    with pytest.raises(BadParams, match="n <= %d" % zoo._MAX_N):
+        named_datum("CDn", n=zoo._MAX_N + 1)
 
 
 # ---------------------------------------------------------------------------
