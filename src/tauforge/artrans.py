@@ -15,8 +15,8 @@ from .linalg import Mat
 from .modrep import (Morphism, Representation, direct_sum, dual_rep, end_analysis,
                      is_isomorphic, kernel_rep, local_free_rank, make_rep,
                      rank_vector, zero_rep)
-from .pathalg import (_element_blocks, algebra_basis, build_injective, build_projective,
-                      element_from_coords, mono_target, transport_dual)
+from .pathalg import (algebra_basis, build_injective, build_projective, element_from_coords,
+                      mono_target, transport_dual)
 from .rootsys import classify_positive_root, coxeter_data
 
 
@@ -111,15 +111,6 @@ class PresentationData:
     entries: dict             # (s, t) -> AlgebraElement in paths(gens0[t], gens1[s])
     cover: Morphism           # P0 -> M
 
-    def p1_morphism(self):
-        """The map P1 -> P0 realized on representations."""
-        P0 = self.cover.src
-        datum, field = P0.datum, P0.field
-        P1 = (direct_sum([build_projective(datum, field, a) for a in self.gens1])
-              if self.gens1 else zero_rep(datum, field))
-        return Morphism(P1, P0, _element_blocks(datum, field, self.gens1, self.gens0,
-                                                self.entries, left=False))
-
 
 def minimal_presentation(M):
     datum = M.datum
@@ -146,10 +137,6 @@ def minimal_presentation(M):
 @dataclass
 class TauResult:
     module: Representation
-
-    @property
-    def is_zero(self):
-        return is_zero_rep(self.module)
 
 
 def tau(M):
@@ -231,21 +218,21 @@ class FreenessReport:
     fail_vertex: int = None
 
 
-def is_tau_locally_free(M, window=None, check_indecomposable=True):
-    """Walk the orbit both ways checking local freeness at every step."""
+def is_tau_locally_free(M, window=None):
+    """Walk the orbit of an indecomposable M both ways checking local
+    freeness at every step."""
     datum = M.datum
     if window is None:
         window = default_window(datum)
-    if check_indecomposable:
-        if is_zero_rep(M):
-            raise NotIndecomposable("zero module")
-        end = end_analysis(M)
-        if end.residue_dim != 1:
-            reason = "endomorphism residue dimension is %d, not 1" % end.residue_dim
-            if M.field.p is not None and M.field.p <= end.dim:
-                reason += (" (over GF(%d) the trace-form radical of End is exact only for"
-                           " p > dim End = %d)" % (M.field.p, end.dim))
-            raise NotIndecomposable(reason)
+    if is_zero_rep(M):
+        raise NotIndecomposable("zero module")
+    end = end_analysis(M)
+    if end.residue_dim != 1:
+        reason = "endomorphism residue dimension is %d, not 1" % end.residue_dim
+        if M.field.p is not None and M.field.p <= end.dim:
+            reason += (" (over GF(%d) the trace-form radical of End is exact only for"
+                       " p > dim End = %d)" % (M.field.p, end.dim))
+        raise NotIndecomposable(reason)
 
     def check(rep, k):
         for v in datum.vertices:
@@ -278,12 +265,8 @@ def classify_module(M):
     return classify_positive_root(M.datum, r)
 
 
-def tau_period(M, cap=None):
-    """Smallest r with a certified isomorphism tau^r M = M, or None."""
-    datum = M.datum
-    if cap is None:
-        cox = coxeter_data(datum)
-        cap = cox.N if cox.N else 2 * datum.n
+def tau_period(M, cap):
+    """Smallest r <= cap with a certified isomorphism tau^r M = M, or None."""
     for r, cur in enumerate(islice(tau_walk(M, tau), cap), start=1):
         if is_isomorphic(cur, M).verdict == "yes":
             return r

@@ -9,7 +9,6 @@ Vertices are 1-based everywhere, matching the file format.
 """
 
 import heapq
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -52,10 +51,10 @@ class CartanDatum:
         return abs(self.c(i, j)) // self.g(i, j)
 
     def is_sink(self, k):
-        return all(j != k for (_, j) in self.orientation)
+        return k in self.vertices and all(j != k for (_, j) in self.orientation)
 
     def is_source(self, k):
-        return all(i != k for (i, _) in self.orientation)
+        return k in self.vertices and all(i != k for (i, _) in self.orientation)
 
 
 @dataclass(frozen=True)
@@ -243,8 +242,5 @@ def datum_to_json(datum):
 
 
 def datum_from_json(obj):
-    if isinstance(obj, str):
-        with open(obj) as fh:
-            obj = json.load(fh)
     return validate_datum(obj["cartan"], obj["symmetriser"], obj["orientation"],
                           obj.get("name", ""))

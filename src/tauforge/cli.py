@@ -70,41 +70,38 @@ def _resolve_datum_name(name):
                          "embed the datum object instead" % name)
 
 
-def _load_datum(path):
+def _load_json(path, kind, parse, datum_names=False):
+    """parse(obj) of the JSON document obj in the file at ``path``, every
+    failure mapped to one line.  With ``datum_names``, a path that cannot
+    be opened, and a document that is a string, name a catalogued datum."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except OSError as exc:
         try:
-            return datum_from_name(path)
+            if datum_names:
+                return datum_from_name(path)
         except UnknownId:
-            raise UsageError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise UsageError("%s: invalid JSON (%s)" % (path, exc))
-    if isinstance(obj, str):
-        return _resolve_datum_name(obj)
-    try:
-        return datum_from_json(obj)
-    except DatumError as exc:
-        raise MathFailure("%s: %s" % (path, exc))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError("%s: malformed datum file (%s)" % (path, exc))
-
-
-def _load_module(path):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
+            pass
         raise UsageError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise UsageError("%s: invalid JSON (%s)" % (path, exc))
+    if datum_names and isinstance(obj, str):
+        return _resolve_datum_name(obj)
     try:
-        M = rep_from_json(obj, datum_resolver=_resolve_datum_name)
+        return parse(obj)
     except DatumError as exc:
         raise MathFailure("%s: %s" % (path, exc))
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError("%s: malformed module file (%s)" % (path, exc))
+        raise UsageError("%s: malformed %s file (%s)" % (path, kind, exc))
+
+
+def _load_datum(path):
+    return _load_json(path, "datum", datum_from_json, datum_names=True)
+
+
+def _load_module(path):
+    M = _load_json(path, "module", lambda obj: rep_from_json(obj, datum_resolver=_resolve_datum_name))
     bad = check_relations(M)
     if bad:
         raise MathFailure("%s: module violates the algebra relations (%s)" % (path, bad[0]))
@@ -382,10 +379,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (UnknownId, UnknownCheck, UnknownType, BadParams) as exc:
+    except (UsageError, UnknownId, UnknownCheck, UnknownType, BadParams) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MathFailure as exc:

@@ -317,16 +317,6 @@ class Mat:
             offset += other.ncols
         return Mat(self.field, (self.nrows, offset), data)
 
-    def vstack(self, *others):
-        data = dict(self._data)
-        offset = self.nrows
-        for other in others:
-            self._check(other, self.ncols == other.ncols, "vstack")
-            for i, row in other._data.items():
-                data[offset + i] = row
-            offset += other.nrows
-        return Mat(self.field, (offset, self.ncols), data)
-
     # -- elimination ---------------------------------------------------
 
     def _eliminate(self, rows):

@@ -13,7 +13,6 @@ nilpotency degree of its vertex.  ``None`` plays the role of the zero path.
 
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import build_quiver
@@ -81,29 +80,11 @@ def mono_mul(datum, p, q):
     return normalize(datum, q.src, q.arrows + p.arrows, exps)
 
 
-def format_mono(mono):
-    if mono is None:
-        return "0"
-    parts = []
-    v = mono.src
-    if mono.exps[0]:
-        parts.append(f"eps[{v}]" + (f"^{mono.exps[0]}" if mono.exps[0] > 1 else ""))
-    for t, (i, j, g) in enumerate(mono.arrows):
-        parts.append(f"a[{i}<-{j}]#{g}")
-        e = mono.exps[t + 1]
-        if e:
-            parts.append(f"eps[{i}]" + (f"^{e}" if e > 1 else ""))
-    if not parts:
-        return f"e[{mono.src}]"
-    return " ".join(reversed(parts))
-
-
 # ---------------------------------------------------------------------------
 # the finite basis of the algebra
 
 class AlgebraBasis:
     def __init__(self, datum):
-        self.datum = datum
         quiver = build_quiver(datum)
         out_of = {v: sorted(quiver.arrows_out_of(v)) for v in quiver.vertices}
         by_pair = {(i, j): [] for i in quiver.vertices for j in quiver.vertices}
@@ -140,9 +121,6 @@ class AlgebraBasis:
     def paths(self, src, tgt):
         return self.by_pair[(src, tgt)]
 
-    def dim(self):
-        return sum(len(v) for v in self.by_pair.values())
-
 
 @lru_cache(maxsize=None)
 def algebra_basis(datum):
@@ -158,43 +136,8 @@ class AlgebraElement:
     tgt: int
     terms: dict            # Monomial -> Fraction/int coefficient
 
-    @classmethod
-    def from_mono(cls, mono, coeff=1):
-        return cls(mono.src, mono_target(mono), {mono: Fraction(coeff)})
-
-    @classmethod
-    def zero(cls, src, tgt):
-        return cls(src, tgt, {})
-
     def is_zero(self):
         return not self.terms
-
-    def add(self, other):
-        if (self.src, self.tgt) != (other.src, other.tgt):
-            raise ValueError("cannot add paths between different vertices")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = terms.get(m, 0) + c
-            if nc:
-                terms[m] = nc
-            else:
-                terms.pop(m, None)
-        return AlgebraElement(self.src, self.tgt, terms)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return AlgebraElement.zero(self.src, self.tgt)
-        return AlgebraElement(self.src, self.tgt, {m: c * x for m, x in self.terms.items()})
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0].arrows), kv[0].arrows, kv[0].exps)):
-            prefix = "" if c == 1 else f"({c})*"
-            bits.append(prefix + format_mono(m))
-        return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +218,6 @@ def element_from_coords(datum, src, tgt, coords):
     return AlgebraElement(src, tgt, terms)
 
 
-def _element_blocks(datum, field, sources, targets, entries, left):
-    """Per-vertex blocks of the map given by ``entries[(s, t)]``, an element
-    of paths(targets[t], sources[s]).  Without ``left``: right
-    multiplication, the map +P over sources -> +P over targets.  With
-    ``left``: transposed left multiplication, the map +I over sources -> +I
-    over targets."""
-    basis = algebra_basis(datum)
-    blocks = {}
-    for v in datum.vertices:
-        dims = {x: len(basis.paths(v, x) if left else basis.paths(x, v)) for x in datum.vertices}
-        grid = {}
-        for (s, t), elt in entries.items():
-            m = _mult_matrix(datum, field, elt, v, left)
-            grid[(t, s)] = m.transpose() if left else m
-        blocks[v] = Mat.block(field, grid, [dims[b] for b in targets], [dims[a] for a in sources])
-    return blocks
-
-
 def transport_dual(datum, field, sources, targets, entries):
     """Carry a matrix of algebra elements between sums of projectives over
     to the corresponding map between sums of injectives.
@@ -300,6 +225,14 @@ def transport_dual(datum, field, sources, targets, entries):
     ``entries[(s, t)]`` is an element of paths(targets[t], sources[s]), the
     component P_{sources[s]} -> P_{targets[t]} given by right composition.
     Returns the per-vertex blocks of the induced map on injectives
-    (+I over sources -> +I over targets).
+    (+I over sources -> +I over targets): transposed left multiplication by
+    each entry.
     """
-    return _element_blocks(datum, field, sources, targets, entries, left=True)
+    basis = algebra_basis(datum)
+    blocks = {}
+    for v in datum.vertices:
+        dims = {x: len(basis.paths(v, x)) for x in datum.vertices}
+        grid = {(t, s): _mult_matrix(datum, field, elt, v, left=True).transpose()
+                for (s, t), elt in entries.items()}
+        blocks[v] = Mat.block(field, grid, [dims[b] for b in targets], [dims[a] for a in sources])
+    return blocks

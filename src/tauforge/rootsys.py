@@ -37,6 +37,12 @@ def _unit(n, i):
     return tuple(1 if t == i - 1 else 0 for t in range(n))
 
 
+def _delta_multiple(dlt, v):
+    """The k with v = k.delta, or None; delta is strictly positive."""
+    k = v[0] // dlt[0]
+    return k if all(x == k * d for x, d in zip(v, dlt)) else None
+
+
 def _matvec(m, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
@@ -82,12 +88,6 @@ class CoxeterData:
             v = _matvec(m, v)
         return tuple(v)
 
-    def projective_rank(self, vertex):
-        return self.beta[self.sequence.index(vertex)]
-
-    def injective_rank(self, vertex):
-        return self.gamma[self.sequence.index(vertex)]
-
 
 @lru_cache(maxsize=None)
 def coxeter_data(datum):
@@ -122,18 +122,10 @@ def coxeter_data(datum):
         power = ident
         for step in range(1, _iteration_cap(datum) + 1):
             power = _matmul(c, power)
-            cols_ok = True
-            coeffs = []
-            for j in range(n):
-                col = [power[r][j] - (1 if r == j else 0) for r in range(n)]
-                pivot = next((t for t in range(n) if dlt[t]), 0)
-                q, rem = divmod(col[pivot], dlt[pivot])
-                if rem != 0 or any(col[t] != q * dlt[t] for t in range(n)):
-                    cols_ok = False
-                    break
-                coeffs.append(q)
-            if cols_ok:
-                N, nu = step, tuple(coeffs)
+            nu = tuple(_delta_multiple(dlt, [power[r][j] - (r == j) for r in range(n)])
+                       for j in range(n))
+            if None not in nu:
+                N = step
                 break
         if N is None:
             raise DatumError("no Coxeter period found below the iteration cap")
@@ -144,35 +136,31 @@ def coxeter_data(datum):
 @dataclass(frozen=True)
 class RootStatus:
     kind: str          # 'real' | 'imaginary' | 'not_root'
-    witness: tuple     # reflections applied, or (k,) for k.delta
 
 
 def is_positive_root(datum, v):
-    """Descent test: reflect towards the simples, tracking the witness."""
+    """Descent test: reflect towards the simples."""
     v = tuple(int(x) for x in v)
     if len(v) != datum.n or all(x == 0 for x in v):
-        return RootStatus("not_root", ())
+        return RootStatus("not_root")
     if any(x < 0 for x in v):
-        return RootStatus("not_root", ())
-    path = []
+        return RootStatus("not_root")
     while True:
         support = [i for i in datum.vertices if v[i - 1] != 0]
         if len(support) == 1 and v[support[0] - 1] == 1:
-            return RootStatus("real", tuple(path))
+            return RootStatus("real")
         pairings = [sum(datum.c(i, j + 1) * v[j] for j in range(datum.n))
                     for i in datum.vertices]
         if all(p <= 0 for p in pairings):
-            if all(p == 0 for p in pairings) and datum.affine_kernel is not None:
-                dlt = datum.affine_kernel
-                k, rem = divmod(v[0], dlt[0]) if dlt[0] else (0, 1)
-                if rem == 0 and k > 0 and all(v[t] == k * dlt[t] for t in range(datum.n)):
-                    return RootStatus("imaginary", (k,))
-            return RootStatus("not_root", tuple(path))
+            # v stays positive, so a multiple of delta here is k.delta with k > 0
+            if (all(p == 0 for p in pairings) and datum.affine_kernel is not None
+                    and _delta_multiple(datum.affine_kernel, v) is not None):
+                return RootStatus("imaginary")
+            return RootStatus("not_root")
         i = next(i for i in datum.vertices if pairings[i - 1] > 0)
         v = simple_reflection(datum, i, v)
         if any(x < 0 for x in v):
-            return RootStatus("not_root", tuple(path))
-        path.append(i)
+            return RootStatus("not_root")
 
 
 @dataclass(frozen=True)
@@ -183,11 +171,11 @@ class RootClass:
     period: int = None # Coxeter period (regular)
 
 
-def c_period(datum, v, window=None):
-    """Smallest t >= 1 with c^t v = v, searched up to the window (default N)."""
+def c_period(datum, v):
+    """Smallest t >= 1 with c^t v = v, searched up to N (affine data) or the
+    iteration cap."""
     cd = coxeter_data(datum)
-    if window is None:
-        window = cd.N if cd.N is not None else _iteration_cap(datum)
+    window = cd.N if cd.N is not None else _iteration_cap(datum)
     w = tuple(v)
     for t in range(1, window + 1):
         w = cd.c_apply(w)

@@ -40,6 +40,8 @@ from .modrep import (
 from .pathalg import build_injective, build_projective
 from .reflect import coxeter_functor, reflect_minus, reflect_plus, twist
 from .rootsys import (
+    _delta_multiple,
+    _unit,
     bilinear,
     c_period,
     classify_positive_root,
@@ -867,10 +869,6 @@ def _report(check_id, problems, evidence):
     return CheckReport(check_id, "fail" if problems else "pass", evidence)
 
 
-def _alpha(datum, k):
-    return tuple(1 if v == k else 0 for v in datum.vertices)
-
-
 def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -898,7 +896,7 @@ def _stated_tubes(datum, family):
     tubes = []
     for tube in _FAMILIES[family].tubes:
         run = range(tube.simples, datum.n) if tube.simples else ()
-        stated = [("E%d" % k, _alpha(datum, k)) for k in run]
+        stated = [("E%d" % k, _unit(datum.n, k)) for k in run]
         stated += [(mid, _spread(rank, datum.n)) for mid, rank in tube.mouths]
         tubes.append((stated, tube.end))
     return tubes
@@ -1068,7 +1066,7 @@ def _check_lem0(check_id, field, family, n):
     problems = []
     periodic = []
     for i in datum.vertices:
-        r = c_period(datum, _alpha(datum, i))
+        r = c_period(datum, _unit(datum.n, i))
         if r is None:
             continue
         periodic.append({"vertex": i, "period": r})
@@ -1184,7 +1182,7 @@ def _check_main2(check_id, field, family, n=None):
 _battery_cache = {}
 
 
-def module_battery(datum, field, size=30):
+def module_battery(datum, field, size):
     """Indecomposable locally free modules for exercising functor contracts:
     generalised simples, projectives, injectives, and translate iterates.
     Data that differ only in name are equal, so the name is part of the
@@ -1301,7 +1299,7 @@ def _check_prop2_6(check_id, field, family, n, size):
     return _report(check_id, problems, {"data": datum_ev})
 
 
-def _check_prop2_7(check_id, field, family, n, size, powers=3):
+def _check_prop2_7(check_id, field, family, n, size):
     problems = []
     datum_ev = []
     for datum in _contract_data(family, n):
@@ -1312,7 +1310,7 @@ def _check_prop2_7(check_id, field, family, n, size, powers=3):
             base = rank_vector(M)
             steps = 0
             # projectives die; the identity is vacuous past the end of the walk
-            for k, cur in enumerate(itertools.islice(tau_walk(M, tau), powers), start=1):
+            for k, cur in enumerate(itertools.islice(tau_walk(M, tau), 3), start=1):
                 want = cd.c_apply(base, k)
                 got = rank_vector(cur)
                 if got is None or tuple(got) != tuple(want):
@@ -1406,15 +1404,6 @@ def run_suite(filter_id=None, field=None, n=None):
 # root realization spot-check
 
 
-def _is_delta_multiple(v, dlt):
-    if all(x == 0 for x in v):
-        return 0
-    k, rem = divmod(v[0], dlt[0])
-    if rem != 0 or k < 0:
-        return None
-    return k if tuple(v) == tuple(x * k for x in dlt) else None
-
-
 def _c_cycle_order(datum, ranks):
     """Order tube mouth ranks so consecutive entries are Coxeter translates."""
     cd = coxeter_data(datum)
@@ -1439,8 +1428,9 @@ def _tube_sum_covers(root, cycles, dlt):
             for length in range(1, r + 1):
                 acc = _vec_add(acc, cyc[(start + length - 1) % r])
                 rem = _vec_sub(root, acc)
-                if min(rem) >= 0 and _is_delta_multiple(rem, dlt) is not None:
-                    return {"length": length, "extraDelta": _is_delta_multiple(rem, dlt)}
+                extra = _delta_multiple(dlt, rem)
+                if min(rem) >= 0 and extra is not None:
+                    return {"length": length, "extraDelta": extra}
     return None
 
 
@@ -1505,7 +1495,7 @@ def theorem_a_spotcheck(type_id, n=None, height_bound=25, field=None):
         if cover is not None:
             via_tube += 1
             continue
-        if row.homog and _is_delta_multiple(root, dlt):
+        if row.homog and _delta_multiple(dlt, root):
             via_homog += 1
             continue
         problems.append("regular root %s is not covered" % (root,))

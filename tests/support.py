@@ -1,10 +1,14 @@
-"""Test-side helpers: a reader for path literals, and independent routes to
-results the package computes another way, which the tests compare."""
+"""Test-side helpers: a reader and writer for path literals, and
+independent routes to results the package computes another way, which the
+tests compare."""
 
 import re
 
-from tauforge.modrep import extension_cocycle_space, hom_dim
-from tauforge.pathalg import Monomial, _absorb, _emit, arrow, loop, mono_mul
+from tauforge.linalg import Mat
+from tauforge.modrep import (Morphism, direct_sum, extension_cocycle_space, hom_dim,
+                             zero_rep)
+from tauforge.pathalg import (AlgebraElement, Monomial, _absorb, _emit, algebra_basis, arrow,
+                              build_projective, loop, mono_mul, mono_target)
 
 _TOKEN = re.compile(
     r"e\[(?P<unit>\d+)\]"
@@ -46,6 +50,35 @@ def parse_path(datum, text):
     return mono
 
 
+def format_mono(mono):
+    """The path literal of a canonical path, as ``parse_path`` reads it."""
+    if mono is None:
+        return "0"
+    parts = []
+    v = mono.src
+    if mono.exps[0]:
+        parts.append(f"eps[{v}]" + (f"^{mono.exps[0]}" if mono.exps[0] > 1 else ""))
+    for t, (i, j, g) in enumerate(mono.arrows):
+        parts.append(f"a[{i}<-{j}]#{g}")
+        e = mono.exps[t + 1]
+        if e:
+            parts.append(f"eps[{i}]" + (f"^{e}" if e > 1 else ""))
+    if not parts:
+        return f"e[{mono.src}]"
+    return " ".join(reversed(parts))
+
+
+def element(mono):
+    """The path as an algebra element with coefficient 1."""
+    return AlgebraElement(mono.src, mono_target(mono), {mono: 1})
+
+
+def basis_dim(datum):
+    """Dimension of the algebra: the number of basis paths."""
+    basis = algebra_basis(datum)
+    return sum(len(basis.paths(a, b)) for a in datum.vertices for b in datum.vertices)
+
+
 def normalize_random(datum, src, arrows, exps, rng):
     """Same result as ``pathalg.normalize``, applying one applicable rewrite
     at a time in random order.  Used to exercise confluence."""
@@ -74,3 +107,50 @@ def ext1_dim_cocycle(M, N):
     z = len(extension_cocycle_space(M, N))
     shifts = sum(N.dims[v] * M.dims[v] for v in M.datum.vertices)
     return z - shifts + hom_dim(M, N)
+
+
+def apply_monomial(rep, mono):
+    """Evaluate a canonical path on the representation, letter by letter: a
+    matrix from dims[mono.src] to the path target."""
+    m = Mat.identity(rep.field, rep.dims[mono.src])
+    v = mono.src
+    m = rep.eps[v].power(mono.exps[0]) @ m
+    for t, key in enumerate(mono.arrows):
+        m = rep.arr[key] @ m
+        v = key[0]
+        m = rep.eps[v].power(mono.exps[t + 1]) @ m
+    return m
+
+
+def is_morphism(f):
+    """Does f commute with every loop and arrow?"""
+    M, N = f.src, f.dst
+    return (all((f.blocks[v] @ M.eps[v] - N.eps[v] @ f.blocks[v]).is_zero()
+                for v in M.datum.vertices)
+            and all((f.blocks[key[0]] @ A - N.arr[key] @ f.blocks[key[1]]).is_zero()
+                    for key, A in M.arr.items()))
+
+
+def presentation_map(pres):
+    """The map P1 -> P0 of a minimal presentation, from the module P0: the
+    generator of the s-th summand P_a of P1 goes to the sum over t of entry
+    (s, t) in the t-th summand of P0, and a basis path p of P_a to p acting
+    on that image."""
+    P0 = pres.cover.src
+    datum, field = P0.datum, P0.field
+    basis = algebra_basis(datum)
+    images = []
+    for s, a in enumerate(pres.gens1):
+        cells, offset = {}, 0
+        for t, b in enumerate(pres.gens0):
+            elt = pres.entries.get((s, t))
+            for mono, coeff in (elt.terms.items() if elt else ()):
+                cells[(offset + basis.index[mono], 0)] = coeff
+            offset += len(basis.paths(b, a))
+        images.append((a, Mat.from_dict(field, (P0.dims[a], 1), cells)))
+    P1 = (direct_sum([build_projective(datum, field, a) for a in pres.gens1])
+          if pres.gens1 else zero_rep(datum, field))
+    blocks = {w: Mat.zeros(field, P0.dims[w], 0).hstack(
+        *(apply_monomial(P0, p) @ x for a, x in images for p in basis.paths(a, w)))
+        for w in datum.vertices}
+    return Morphism(P1, P0, blocks)

@@ -6,9 +6,9 @@ suite output doubles as the release report.
 
 import random
 
-from support import normalize_random
+from support import basis_dim, normalize_random
 from tauforge.cartan import delta
-from tauforge.pathalg import algebra_basis, normalize
+from tauforge.pathalg import normalize
 from tauforge.rootsys import (
     classify_positive_root,
     coxeter_data,
@@ -237,12 +237,12 @@ def test_criterion_7_root_machinery_vs_enumeration():
                 continue
             kinds[cls.kind] += 1
             if cls.kind == "preprojective":
-                if cox.c_apply(cox.projective_rank(cls.vertex), -cls.r) != v:
+                if cox.c_apply(cox.beta[cox.sequence.index(cls.vertex)], -cls.r) != v:
                     problems.append("%s: bad projective witness %s" % (cd.name, v))
                 if c_period(cd, v) is not None:
                     problems.append("%s: %s also periodic" % (cd.name, v))
             elif cls.kind == "preinjective":
-                if cox.c_apply(cox.injective_rank(cls.vertex), cls.r) != v:
+                if cox.c_apply(cox.gamma[cox.sequence.index(cls.vertex)], cls.r) != v:
                     problems.append("%s: bad injective witness %s" % (cd.name, v))
                 if c_period(cd, v) is not None:
                     problems.append("%s: %s also periodic" % (cd.name, v))
@@ -269,7 +269,7 @@ def test_criterion_8_dimension_formula_and_confluence():
         for m in (1, 2):
             cd = named_datum(family, m=m, **kwargs)
             cox = coxeter_data(cd)
-            lhs = algebra_basis(cd).dim()
+            lhs = basis_dim(cd)
             rhs = sum(cd.d(j + 1) * beta[j]
                       for beta in cox.beta for j in range(cd.n))
             if lhs != rhs:

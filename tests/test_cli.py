@@ -186,13 +186,20 @@ def test_mod_corrupt_module_is_math_failure(capsys, tmp_path):
     assert "fail:" in err
 
 
-def test_reflect_non_sink_is_usage_error(capsys, tmp_path):
+@pytest.mark.parametrize("vertex, direction", [
+    ("1", "+"),
+    # B3 has no vertex 0, 9 or -1
+    ("0", "+"), ("0", "-"), ("9", "+"), ("9", "-"), ("-1", "+"), ("-1", "-"),
+])
+def test_reflect_non_sink_is_usage_error(capsys, tmp_path, vertex, direction):
     mod_file = tmp_path / "z.json"
     run(capsys, "zoo", "--build", "Bn.Z", "--n", "3", "--json", str(mod_file))
-    code, _, err = run(capsys, "reflect", str(mod_file),
-                       "--vertex", "1", "--dir", "+")
+    code, out, err = run(capsys, "reflect", str(mod_file),
+                         "--vertex", vertex, "--dir", direction)
     assert code == 2
-    assert "error:" in err
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("#")] == \
+        ["error: vertex %s is not a %s" % (vertex, "sink" if direction == "+" else "source")]
 
 
 def test_reflect_round_trip(capsys, tmp_path):

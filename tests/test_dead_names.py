@@ -1,9 +1,9 @@
 """No dead names in the package: every private name a module defines at top
 level, and every name it imports, is referenced in src/; every public method
-or property of a class in src/ is read as an attribute in src/, tests/ or
-perfbench/ (whose tracer wraps public methods by name); every public
-function a module defines at top level is read in src/ or perfbench/, not
-only by the tests."""
+or property of a class in src/, and every public function a module defines
+at top level, is read in src/ or perfbench/ (whose tracer wraps public
+functions and methods by name), not only by the tests; every field of a
+dataclass in src/ is read as an attribute somewhere."""
 
 import ast
 from pathlib import Path
@@ -68,17 +68,38 @@ def _public_methods(tree):
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")]
 
 
+def _attributes_read(files):
+    return {node.attr for path in files for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
 def test_no_unread_public_methods():
-    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) + \
-        sorted((ROOT / "perfbench").glob("**/*.py"))
-    read = set()
-    for path in files:
-        read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
-                    if isinstance(node, ast.Attribute))
+    read = _attributes_read(sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("**/*.py")))
     dead = []
     for path in sorted(SRC.glob("*.py")):
         dead += ["%s:%d %s.%s" % (path.name, line, cls, name)
                  for cls, name, line in _public_methods(ast.parse(path.read_text())) if name not in read]
+    assert dead == []
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) for every field of a top-level dataclass."""
+    def is_dataclass(node):
+        return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+                   for d in node.decorator_list)
+    return [(node.name, item.target.id, item.lineno)
+            for node in tree.body if isinstance(node, ast.ClassDef) and is_dataclass(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def test_no_unread_dataclass_fields():
+    read = _attributes_read(sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) +
+                            sorted((ROOT / "perfbench").glob("**/*.py")))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        dead += ["%s:%d %s.%s" % (path.name, line, cls, name)
+                 for cls, name, line in _dataclass_fields(ast.parse(path.read_text())) if name not in read]
     assert dead == []
 
 

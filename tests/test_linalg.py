@@ -161,7 +161,6 @@ def test_arithmetic_matches_domain_matrix(field):
         _same(-A, -DA)
         _same(A.transpose(), DA.transpose())
         _same(A.hstack(E, B), DA.hstack(DE, DB))
-        _same(A.vstack(F, B), DA.vstack(DF, DB))
         a = rng.randint(0, m)
         b = rng.randint(a, m)
         _same(A.row_slice(a, b), DA[a:b, :])
