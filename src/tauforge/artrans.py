@@ -109,7 +109,6 @@ class PresentationData:
     gens0: tuple              # projective indices of P0
     gens1: tuple              # projective indices of P1
     entries: dict             # (s, t) -> AlgebraElement in paths(gens0[t], gens1[s])
-    cover: Morphism           # P0 -> M
 
 
 def minimal_presentation(M):
@@ -131,7 +130,7 @@ def minimal_presentation(M):
             if not elt.is_zero():
                 entries[(s, t)] = elt
             offset += len(paths)
-    return PresentationData(gens0, gens1, entries, cover)
+    return PresentationData(gens0, gens1, entries)
 
 
 @dataclass
@@ -214,8 +213,6 @@ def tau_orbit(M, window=None):
 class FreenessReport:
     status: str               # 'verified' | 'verified_on_window' | 'fails'
     period: int = None        # None with 'verified': both walks ended at zero
-    fail_k: int = None
-    fail_vertex: int = None
 
 
 def is_tau_locally_free(M, window=None):
@@ -234,22 +231,17 @@ def is_tau_locally_free(M, window=None):
                        " p > dim End = %d)" % (M.field.p, end.dim))
         raise NotIndecomposable(reason)
 
-    def check(rep, k):
-        for v in datum.vertices:
-            if local_free_rank(rep, v) is None:
-                return FreenessReport("fails", fail_k=k, fail_vertex=v)
-        return None
+    def fails(rep):
+        return any(local_free_rank(rep, v) is None for v in datum.vertices)
 
-    bad = check(M, 0)
-    if bad:
-        return bad
+    if fails(M):
+        return FreenessReport("fails")
     closed = 0
     for sign, step in ((1, tau), (-1, tau_inverse)):
         walked = 0
         for k, cur in enumerate(islice(tau_walk(M, step), window), start=1):
-            bad = check(cur, sign * k)
-            if bad:
-                return bad
+            if fails(cur):
+                return FreenessReport("fails")
             if sign > 0 and is_isomorphic(cur, M).verdict == "yes":
                 return FreenessReport("verified", period=k)
             walked = k

@@ -13,11 +13,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .artrans import NotIndecomposable, classify_module, tau, tau_inverse, tau_orbit
+from .artrans import classify_module, tau, tau_inverse, tau_orbit
 from .cartan import DatumError, datum_from_json, delta
 from .linalg import Field
 from .modrep import check_relations, rank_vector, rep_from_json, rep_to_json
-from .reflect import NotASink, NotASource, reflect_minus, reflect_plus
+from .reflect import ContractViolation, NotASink, NotASource, reflect_minus, reflect_plus
 from .rootsys import classify_positive_root, coxeter_data, enumerate_positive_roots
 from .zoo import (
     BadParams,
@@ -257,6 +257,8 @@ def _cmd_reflect(args):
         out = (reflect_plus if args.dir == "+" else reflect_minus)(M.datum, args.vertex, M)
     except (NotASink, NotASource) as exc:
         raise UsageError(str(exc))
+    except ContractViolation as exc:
+        raise MathFailure(str(exc))
     print("datum=%s" % (out.datum.name or "custom"))
     print("rank=%s" % _rank_text(rank_vector(out)))
     _emit_module(out, args.json)
@@ -384,11 +386,6 @@ def main(argv=None):
         return 2
     except MathFailure as exc:
         print("fail: %s" % exc, file=sys.stderr)
-        return 1
-    except NotIndecomposable as exc:
-        # a check that needs End M local met one it cannot certify; over a
-        # small prime field this is the trace-form End analysis failing
-        print("error: %s" % exc, file=sys.stderr)
         return 1
 
 

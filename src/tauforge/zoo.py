@@ -1,13 +1,19 @@
 """Catalogue of named Cartan data and distinguished modules, with scripted checks.
 
-The constructors here enter explicit bases and structure maps for a fixed
+The catalogue states explicit bases and structure maps for a fixed
 collection of affine data: tube mouth modules, homogeneous-tube modules, and
-the non-rigid counterexample pairs (Z, Y).  They follow the row rule: a basis
+the non-rigid counterexample pairs (Z, Y).  It follows the row rule: a basis
 label names a row that runs through the quiver, so a label at both ends of an
-arrow (i, j, 1) is mapped to itself, and a constructor states only its basis
-and the entries that are not such row identities.  Every table is validated
-against the algebra relations at build time, so a typo fails loudly instead of
-corrupting downstream computations.
+arrow (i, j, 1) is mapped to itself, and a module states only its basis and
+the entries that are not such row identities.  A module whose basis depends
+on n alone is one row of `_MODULE_TABLE`: one string per vertex listing its
+labels in basis order, with a>b>c for a loop chain along a, b, c, where
+``...`` repeats the vertex entry before it to fill the datum; then the arrow
+entries (i, j, src, dst) that are not row identities, a negative vertex
+counting back from the last.  The five modules whose basis scales with m or
+takes lam, i or j are functions that state the same things.  Every module is
+validated against the algebra relations at build time, so a typo fails
+loudly instead of corrupting downstream computations.
 
 `verify_proposition` runs named verification scenarios that certify the
 advertised properties (rank vectors, rigidity, tube periods, endomorphism
@@ -20,7 +26,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .artrans import is_tau_locally_free, is_zero_rep, tau, tau_inverse, tau_period, tau_walk
+from .artrans import (NotIndecomposable, is_tau_locally_free, is_zero_rep, tau, tau_inverse, tau_period,
+                      tau_walk)
 from .cartan import admissible_sequence, delta, validate_datum
 from .linalg import Field, Mat
 from .modrep import (
@@ -324,11 +331,7 @@ class _RepBuilder:
         for lab in labels:
             self.basis(v, lab)
         for src, dst in zip(labels, labels[1:]):
-            self.eps(v, src, dst)
-
-    def eps(self, v, src, dst, coeff=1):
-        r, c = self.basis(v, dst), self.basis(v, src)
-        self._eps[v][(r, c)] = coeff
+            self._eps[v][(self.basis(v, dst), self.basis(v, src))] = 1
 
     def arrow(self, target, source, src_label, dst_label, coeff=1, g=1):
         """Add coeff * (dst at target) to the image of (src at source)."""
@@ -425,321 +428,6 @@ def _mod_Bn_MlamB(datum, field, lam=1):
     return b.build()
 
 
-def _mod_Bn_MB(datum, field):
-    n = datum.n - 1
-    b = _RepBuilder(datum, field)
-    for v in range(1, n + 2):
-        b.basis(v, "t")
-        b.basis(v, "b")
-    for j in range(2, n + 1):
-        b.eps(j, "t", "b")
-    return b.build()
-
-
-def _mod_Cn_MC(datum, field):
-    n = datum.n - 1
-    b = _RepBuilder(datum, field)
-    b.tower(1, ["u", "x"])
-    for v in range(2, n + 1):
-        b.basis(v, "x")
-    b.tower(n + 1, ["x", "w"])
-    return b.build()
-
-
-def _mod_BCn_MBC(datum, field):
-    n = datum.n - 1
-    b = _RepBuilder(datum, field)
-    b.basis(1, "t")
-    b.basis(1, "b")
-    for j in range(2, n + 1):
-        b.tower(j, ["t", "b"])
-    b.tower(n + 1, ["q0", "q1", "q2", "q3"])
-    b.arrow(n + 1, n, "t", "q0")
-    b.arrow(n + 1, n, "b", "q2")
-    return b.build()
-
-
-def _mod_BDn_M1(datum, field):
-    n = datum.n - 1
-    b = _RepBuilder(datum, field)
-    for j in range(1, n + 1):
-        b.tower(j, ["u", "l"])
-    b.basis(n + 1, "u")
-    b.basis(n + 1, "l")
-    return b.build()
-
-
-def _mod_BDn_M23(datum, field, branch):
-    n = datum.n - 1
-    b = _RepBuilder(datum, field)
-    b.tower(branch, ["t", "b"])
-    for j in range(3, n + 1):
-        b.tower(j, ["t", "b"])
-    b.basis(n + 1, "b")
-    return b.build()
-
-
-def _mod_CDn_M1(datum, field):
-    n = datum.n - 1
-    b = _RepBuilder(datum, field)
-    for v in range(1, n + 1):
-        b.basis(v, "x")
-    b.tower(n + 1, ["x", "y"])
-    return b.build()
-
-
-def _mod_CDn_M23(datum, field, branch):
-    n = datum.n - 1
-    b = _RepBuilder(datum, field)
-    for row in ("t", "b"):
-        b.basis(branch, row)
-        for v in range(3, n + 1):
-            b.basis(v, row)
-    b.tower(n + 1, ["t", "b"])
-    return b.build()
-
-
-def _mod_F41_T21(datum, field):
-    b = _RepBuilder(datum, field)
-    b.basis(1, "t")
-    b.basis(2, "t")
-    b.basis(3, "t")
-    b.basis(3, "b")
-    b.tower(4, ["t", "b"])
-    return b.build()
-
-
-def _mod_F41_T22(datum, field):
-    b = _RepBuilder(datum, field)
-    b.basis(2, "t")
-    b.basis(3, "t")
-    b.tower(4, ["t", "b"])
-    b.tower(5, ["t", "b"])
-    return b.build()
-
-
-def _mod_F41_T31(datum, field):
-    b = _RepBuilder(datum, field)
-    for v in (2, 3):
-        b.basis(v, "t")
-        b.basis(v, "b")
-    b.tower(4, ["t", "b"])
-    return b.build()
-
-
-def _mod_F41_T32(datum, field):
-    b = _RepBuilder(datum, field)
-    for v in (1, 2, 3):
-        b.basis(v, "r1")
-        b.basis(v, "r3")
-    b.tower(4, ["r1", "r2"])
-    b.tower(4, ["r4", "r5"])
-    b.tower(5, ["r4", "r5"])
-    b.arrow(4, 3, "r3", "r2")
-    b.arrow(4, 3, "r3", "r4")
-    return b.build()
-
-
-def _mod_F41_T33(datum, field):
-    b = _RepBuilder(datum, field)
-    b.basis(3, "t")
-    b.basis(3, "b")
-    b.tower(4, ["t", "b"])
-    b.tower(5, ["t", "b"])
-    return b.build()
-
-
-def _mod_F42_T21(datum, field):
-    b = _RepBuilder(datum, field)
-    b.tower(1, ["r3", "r4"])
-    b.tower(2, ["r3", "r4"])
-    b.tower(3, ["r1", "r2"])
-    b.tower(3, ["r3", "r4"])
-    b.basis(4, "r1")
-    b.basis(4, "r3")
-    b.basis(5, "r1")
-    b.basis(5, "r3")
-    b.arrow(3, 2, "r3", "r2")
-    return b.build()
-
-
-def _mod_F42_T22(datum, field):
-    b = _RepBuilder(datum, field)
-    b.tower(2, ["t", "b"])
-    b.tower(3, ["t", "b"])
-    b.basis(4, "t")
-    b.basis(4, "b")
-    return b.build()
-
-
-def _mod_F42_T31(datum, field):
-    b = _RepBuilder(datum, field)
-    for v in (1, 2, 3):
-        b.tower(v, ["t", "b"])
-    b.basis(4, "t")
-    return b.build()
-
-
-def _mod_F42_T32(datum, field):
-    b = _RepBuilder(datum, field)
-    b.tower(3, ["t", "b"])
-    b.basis(4, "t")
-    b.basis(4, "b")
-    b.basis(5, "t")
-    return b.build()
-
-
-def _mod_F42_T33(datum, field):
-    b = _RepBuilder(datum, field)
-    b.tower(2, ["t", "b"])
-    b.tower(3, ["t", "b"])
-    b.basis(4, "t")
-    b.basis(5, "t")
-    return b.build()
-
-
-def _mod_G21_T21(datum, field):
-    b = _RepBuilder(datum, field)
-    for v in (1, 2):
-        for row in ("r1", "r3", "r5"):
-            b.basis(v, row)
-    b.tower(3, ["w0", "w1", "w2"])
-    b.tower(3, ["z0", "z1", "z2"])
-    b.arrow(3, 2, "r1", "w0")
-    b.arrow(3, 2, "r3", "w1")
-    b.arrow(3, 2, "r3", "z0")
-    b.arrow(3, 2, "r5", "z1")
-    return b.build()
-
-
-def _mod_G21_T22(datum, field):
-    b = _RepBuilder(datum, field)
-    for row in ("r1", "r2", "r3"):
-        b.basis(2, row)
-    b.tower(3, ["w0", "w1", "w2"])
-    b.arrow(3, 2, "r1", "w0")
-    b.arrow(3, 2, "r2", "w1")
-    b.arrow(3, 2, "r3", "w2")
-    return b.build()
-
-
-def _mod_G22_T21(datum, field):
-    b = _RepBuilder(datum, field)
-    b.tower(1, ["r1", "r2", "r3"])
-    b.tower(2, ["r1", "r2", "r3"])
-    b.basis(3, "r1")
-    return b.build()
-
-
-def _mod_G22_T22(datum, field):
-    b = _RepBuilder(datum, field)
-    b.tower(2, ["r1", "r2", "r3"])
-    b.basis(3, "r1")
-    b.basis(3, "r2")
-    return b.build()
-
-
-def _mod_Bn_Z(datum, field):
-    n = datum.n - 1
-    b = _RepBuilder(datum, field)
-    b.basis(1, "f")
-    for j in range(2, n + 1):
-        b.tower(j, ["p", "f"])
-    b.basis(n + 1, "f")
-    return b.build()
-
-
-def _mod_Bn_Y(datum, field):
-    n = datum.n - 1
-    b = _RepBuilder(datum, field)
-    b.basis(1, "f")
-    b.tower(2, ["p", "f"])
-    b.tower(2, ["g", "h"])
-    for j in range(3, n + 1):
-        b.tower(j, ["p", "f"])
-    b.basis(n + 1, "f")
-    b.arrow(2, 1, "f", "g")
-    return b.build()
-
-
-def _mod_CDn_Z(datum, field):
-    n = datum.n - 1
-    b = _RepBuilder(datum, field)
-    b.basis(1, "u")
-    b.basis(2, "l")
-    for v in range(3, n + 1):
-        b.basis(v, "u")
-        b.basis(v, "l")
-    b.tower(n + 1, ["u", "l"])
-    return b.build()
-
-
-def _mod_CDn_Y(datum, field):
-    n = datum.n - 1
-    b = _RepBuilder(datum, field)
-    for row in ("r1", "r3", "r4"):
-        b.basis(1, row)
-    b.basis(2, "r2")
-    for v in range(3, n + 1):
-        for row in ("r1", "r2", "r3", "r4"):
-            b.basis(v, row)
-    b.tower(n + 1, ["r1", "r2"])
-    b.tower(n + 1, ["r3", "r4"])
-    b.arrow(3, 2, "r2", "r3")
-    return b.build()
-
-
-def _mod_F41_Z(datum, field):
-    b = _RepBuilder(datum, field)
-    b.basis(1, "r1")
-    b.basis(2, "r1")
-    b.basis(2, "r3")
-    b.basis(3, "r1")
-    b.basis(3, "r3")
-    b.basis(3, "r4")
-    b.tower(4, ["r1", "r2"])
-    b.tower(4, ["r3", "r4"])
-    b.tower(5, ["r1", "r2"])
-    b.arrow(4, 5, "r1", "r4")
-    return b.build()
-
-
-def _mod_F41_Y(datum, field):
-    b = _RepBuilder(datum, field)
-    for v, labels in ((1, ["a"]), (2, ["a", "b", "c", "d"]), (3, ["a", "b", "x", "c", "d"])):
-        for lab in labels:
-            b.basis(v, lab)
-    b.tower(4, ["a", "y"])
-    b.tower(4, ["b", "x"])
-    b.tower(4, ["c", "d"])
-    b.tower(5, ["a", "y"])
-    b.arrow(4, 5, "a", "x")
-    b.arrow(4, 5, "a", "c")
-    b.arrow(4, 5, "y", "d")
-    return b.build()
-
-
-def _mod_G21_Z(datum, field):
-    b = _RepBuilder(datum, field)
-    b.basis(1, "r2")
-    b.basis(2, "r1")
-    b.basis(2, "r2")
-    b.tower(3, ["r1", "r2", "r3"])
-    return b.build()
-
-
-def _mod_G21_Y(datum, field):
-    b = _RepBuilder(datum, field)
-    b.basis(1, "s")
-    for lab in ("a", "b", "c", "d", "e"):
-        b.basis(2, lab)
-    b.tower(3, ["a", "b", "x"])
-    b.tower(3, ["c", "d", "e"])
-    b.arrow(2, 1, "s", "b")
-    b.arrow(2, 1, "s", "c")
-    return b.build()
-
-
 def _mod_Atilde_interval(datum, field, i=None, j=None):
     n = datum.n
     m = datum.d(1)
@@ -756,7 +444,36 @@ def _mod_Atilde_interval(datum, field, i=None, j=None):
     return b.build()
 
 
+def _spread(rank, size):
+    """A stated rank or row at the datum's size: ``...`` repeats the entry
+    before it, as many times as the size asks, possibly none."""
+    if ... not in rank:
+        return rank
+    cut = rank.index(...)
+    head, tail = rank[:cut - 1], rank[cut + 1:]
+    return head + rank[cut - 1:cut] * (size - len(head) - len(tail)) + tail
+
+
+@dataclass(frozen=True)
+class _Row:
+    """A module stated as one `_MODULE_TABLE` row, in the format of the
+    module docstring: `labels` per vertex, then the extra arrow `entries`."""
+
+    labels: tuple
+    entries: tuple = ()
+
+    def __call__(self, datum, field):
+        b = _RepBuilder(datum, field)
+        for v, entry in zip(datum.vertices, _spread(self.labels, datum.n), strict=True):
+            for chain in entry.split():
+                b.tower(v, chain.split(">"))
+        for i, j, src, dst in self.entries:
+            b.arrow(i % (datum.n + 1), j % (datum.n + 1), src, dst)
+        return b.build()
+
+
 _REQUIRED = object()
+_SIZED = {"n": _REQUIRED}
 
 # id -> (datum family, builder, parameter spec with defaults)
 _MODULE_TABLE = {
@@ -764,37 +481,42 @@ _MODULE_TABLE = {
     "A12.homog": ("A12", _mod_A12_homog, {"m": 1}),
     "G21.homog": ("G21", _mod_G21_homog, {"m": 1}),
     "Bn.MlamB": ("Bn", _mod_Bn_MlamB, {"n": _REQUIRED, "m": 1, "lam": 1}),
-    "Bn.MB": ("Bn", _mod_Bn_MB, {"n": _REQUIRED}),
-    "Bn.Z": ("Bn", _mod_Bn_Z, {"n": _REQUIRED}),
-    "Bn.Y": ("Bn", _mod_Bn_Y, {"n": _REQUIRED}),
-    "Cn.MC": ("Cn", _mod_Cn_MC, {"n": _REQUIRED}),
-    "BCn.MBC": ("BCn", _mod_BCn_MBC, {"n": _REQUIRED}),
-    "BDn.M1": ("BDn", _mod_BDn_M1, {"n": _REQUIRED}),
-    "BDn.M2": ("BDn", lambda d, f: _mod_BDn_M23(d, f, 1), {"n": _REQUIRED}),
-    "BDn.M3": ("BDn", lambda d, f: _mod_BDn_M23(d, f, 2), {"n": _REQUIRED}),
-    "CDn.M1": ("CDn", _mod_CDn_M1, {"n": _REQUIRED}),
-    "CDn.M2": ("CDn", lambda d, f: _mod_CDn_M23(d, f, 2), {"n": _REQUIRED}),
-    "CDn.M3": ("CDn", lambda d, f: _mod_CDn_M23(d, f, 1), {"n": _REQUIRED}),
-    "CDn.Z": ("CDn", _mod_CDn_Z, {"n": _REQUIRED}),
-    "CDn.Y": ("CDn", _mod_CDn_Y, {"n": _REQUIRED}),
-    "F41.T21": ("F41", _mod_F41_T21, {}),
-    "F41.T22": ("F41", _mod_F41_T22, {}),
-    "F41.T31": ("F41", _mod_F41_T31, {}),
-    "F41.T32": ("F41", _mod_F41_T32, {}),
-    "F41.T33": ("F41", _mod_F41_T33, {}),
-    "F41.Z": ("F41", _mod_F41_Z, {}),
-    "F41.Y": ("F41", _mod_F41_Y, {}),
-    "F42.T21": ("F42", _mod_F42_T21, {}),
-    "F42.T22": ("F42", _mod_F42_T22, {}),
-    "F42.T31": ("F42", _mod_F42_T31, {}),
-    "F42.T32": ("F42", _mod_F42_T32, {}),
-    "F42.T33": ("F42", _mod_F42_T33, {}),
-    "G21.T21": ("G21", _mod_G21_T21, {}),
-    "G21.T22": ("G21", _mod_G21_T22, {}),
-    "G21.Z": ("G21", _mod_G21_Z, {}),
-    "G21.Y": ("G21", _mod_G21_Y, {}),
-    "G22.T21": ("G22", _mod_G22_T21, {}),
-    "G22.T22": ("G22", _mod_G22_T22, {}),
+    "Bn.MB": ("Bn", _Row(("t b", "t>b", ..., "t b")), _SIZED),
+    "Bn.Z": ("Bn", _Row(("f", "p>f", ..., "f")), _SIZED),
+    "Bn.Y": ("Bn", _Row(("f", "p>f g>h", "p>f", ..., "f"), ((2, 1, "f", "g"),)), _SIZED),
+    "Cn.MC": ("Cn", _Row(("u>x", "x", ..., "x>w")), _SIZED),
+    "BCn.MBC": ("BCn", _Row(("t b", "t>b", ..., "q0>q1>q2>q3"),
+                            ((-1, -2, "t", "q0"), (-1, -2, "b", "q2"))), _SIZED),
+    "BDn.M1": ("BDn", _Row(("u>l", ..., "u l")), _SIZED),
+    "BDn.M2": ("BDn", _Row(("t>b", "", "t>b", ..., "b")), _SIZED),
+    "BDn.M3": ("BDn", _Row(("", "t>b", "t>b", ..., "b")), _SIZED),
+    "CDn.M1": ("CDn", _Row(("x", ..., "x>y")), _SIZED),
+    "CDn.M2": ("CDn", _Row(("", "t b", "t b", ..., "t>b")), _SIZED),
+    "CDn.M3": ("CDn", _Row(("t b", "", "t b", ..., "t>b")), _SIZED),
+    "CDn.Z": ("CDn", _Row(("u", "l", "u l", ..., "u>l")), _SIZED),
+    "CDn.Y": ("CDn", _Row(("r1 r3 r4", "r2", "r1 r2 r3 r4", ..., "r1>r2 r3>r4"), ((3, 2, "r2", "r3"),)), _SIZED),
+    "F41.T21": ("F41", _Row(("t", "t", "t b", "t>b", "")), {}),
+    "F41.T22": ("F41", _Row(("", "t", "t", "t>b", "t>b")), {}),
+    "F41.T31": ("F41", _Row(("", "t b", "t b", "t>b", "")), {}),
+    "F41.T32": ("F41", _Row(("r1 r3", "r1 r3", "r1 r3", "r1>r2 r4>r5", "r4>r5"),
+                            ((4, 3, "r3", "r2"), (4, 3, "r3", "r4"))), {}),
+    "F41.T33": ("F41", _Row(("", "", "t b", "t>b", "t>b")), {}),
+    "F41.Z": ("F41", _Row(("r1", "r1 r3", "r1 r3 r4", "r1>r2 r3>r4", "r1>r2"), ((4, 5, "r1", "r4"),)), {}),
+    "F41.Y": ("F41", _Row(("a", "a b c d", "a b x c d", "a>y b>x c>d", "a>y"),
+                          ((4, 5, "a", "x"), (4, 5, "a", "c"), (4, 5, "y", "d"))), {}),
+    "F42.T21": ("F42", _Row(("r3>r4", "r3>r4", "r1>r2 r3>r4", "r1 r3", "r1 r3"), ((3, 2, "r3", "r2"),)), {}),
+    "F42.T22": ("F42", _Row(("", "t>b", "t>b", "t b", "")), {}),
+    "F42.T31": ("F42", _Row(("t>b", "t>b", "t>b", "t", "")), {}),
+    "F42.T32": ("F42", _Row(("", "", "t>b", "t b", "t")), {}),
+    "F42.T33": ("F42", _Row(("", "t>b", "t>b", "t", "t")), {}),
+    "G21.T21": ("G21", _Row(("r1 r3 r5", "r1 r3 r5", "w0>w1>w2 z0>z1>z2"),
+                            ((3, 2, "r1", "w0"), (3, 2, "r3", "w1"), (3, 2, "r3", "z0"), (3, 2, "r5", "z1"))), {}),
+    "G21.T22": ("G21", _Row(("", "r1 r2 r3", "w0>w1>w2"),
+                            ((3, 2, "r1", "w0"), (3, 2, "r2", "w1"), (3, 2, "r3", "w2"))), {}),
+    "G21.Z": ("G21", _Row(("r2", "r1 r2", "r1>r2>r3")), {}),
+    "G21.Y": ("G21", _Row(("s", "a b c d e", "a>b>x c>d>e"), ((2, 1, "s", "b"), (2, 1, "s", "c"))), {}),
+    "G22.T21": ("G22", _Row(("r1>r2>r3", "r1>r2>r3", "r1")), {}),
+    "G22.T22": ("G22", _Row(("", "r1>r2>r3", "r1 r2")), {}),
     "Atilde.interval": ("Atilde", _mod_Atilde_interval, {"n": _REQUIRED, "m": 1, "i": _REQUIRED, "j": _REQUIRED}),
 }
 
@@ -879,15 +601,6 @@ def _vec_sub(a, b):
 
 # --------------------------------------------------------------------------
 # tube certification
-
-
-def _spread(rank, size):
-    """A stated rank at the datum's size: ``...`` repeats the entry before it."""
-    if ... not in rank:
-        return rank
-    cut = rank.index(...)
-    head, tail = rank[:cut], rank[cut + 1:]
-    return head + head[-1:] * (size - len(head) - len(tail)) + tail
 
 
 def _stated_tubes(datum, family):
@@ -1150,14 +863,18 @@ def _check_main2(check_id, field, family, n=None):
         problems.append("Y: endomorphism ring not local (residue dim %d)" % edy.residue_dim)
     if edy.dim != y_end:
         problems.append("Y: dim End = %d, expected %d" % (edy.dim, y_end))
-    freeness = is_tau_locally_free(Y)
-    evidence["Y"]["tauLocallyFree"] = freeness.status
-    evidence["Y"]["tauPeriod"] = freeness.period
-    if freeness.status != "verified" or freeness.period != expected_period:
-        problems.append(
-            "Y: tau-local-freeness %s with period %s, expected verified period %d"
-            % (freeness.status, freeness.period, expected_period)
-        )
+    try:
+        freeness = is_tau_locally_free(Y)
+    except NotIndecomposable as exc:
+        problems.append("Y: %s" % exc)
+    else:
+        evidence["Y"]["tauLocallyFree"] = freeness.status
+        evidence["Y"]["tauPeriod"] = freeness.period
+        if freeness.status != "verified" or freeness.period != expected_period:
+            problems.append(
+                "Y: tau-local-freeness %s with period %s, expected verified period %d"
+                % (freeness.status, freeness.period, expected_period)
+            )
     ry = rank_vector(Y)
     want = _vec_add(dlt, rank_vector(X))
     evidence["Y"]["rank"] = list(ry) if ry is not None else None

@@ -131,12 +131,11 @@ def is_morphism(f):
                     for key, A in M.arr.items()))
 
 
-def presentation_map(pres):
-    """The map P1 -> P0 of a minimal presentation, from the module P0: the
-    generator of the s-th summand P_a of P1 goes to the sum over t of entry
-    (s, t) in the t-th summand of P0, and a basis path p of P_a to p acting
-    on that image."""
-    P0 = pres.cover.src
+def presentation_map(pres, P0):
+    """The map P1 -> P0 of a minimal presentation, into the module P0 of
+    `projective_cover`: the generator of the s-th summand P_a of P1 goes to
+    the sum over t of entry (s, t) in the t-th summand of P0, and a basis
+    path p of P_a to p acting on that image."""
     datum, field = P0.datum, P0.field
     basis = algebra_basis(datum)
     images = []

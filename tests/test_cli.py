@@ -11,9 +11,9 @@ import pytest
 import tauforge
 from tauforge.cli import main
 from tauforge.linalg import Field
-from tauforge.modrep import rank_vector, rep_from_json, rep_to_json
+from tauforge.modrep import direct_sum, free_simple, rank_vector, rep_from_json, rep_to_json
 from tauforge.pathalg import build_projective
-from tauforge.zoo import build_named, named_datum
+from tauforge.zoo import build_named, named_datum, select_check_ids
 
 
 _SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(tauforge.__file__).resolve().parents[1]))
@@ -228,13 +228,28 @@ def _usage_error_lines(*argv):
     return proc.returncode, [line for line in proc.stderr.splitlines() if not line.startswith("#")]
 
 
-@pytest.mark.parametrize("field, check_id", [("p:3", "main2.Bn"), ("p:2", "main2.G21")])
-def test_small_prime_end_analysis_failure_is_one_line(field, check_id):
-    # the trace-form End analysis misreads End M over GF(p) when p <= dim End;
-    # until it is exact there, such a run ends with one error line
-    code, lines = _usage_error_lines("verify", "--suite", "paper", "--filter", check_id, "--field", field)
+@pytest.mark.parametrize("field, check_filter", [("p:3", "main2"), ("p:2", "main2.G21")])
+def test_small_prime_main2_reports_instead_of_dying(capsys, field, check_filter):
+    # the trace-form End analysis misreads End Y over GF(p) when p <= dim End;
+    # is_tau_locally_free then refuses Y, and the check records that as one of
+    # its problems instead of ending the run
+    code, out, err = run(capsys, "verify", "--suite", "paper", "--filter", check_filter, "--field", field)
     assert code == 1
-    assert len(lines) == 1 and lines[0].startswith("error: endomorphism residue dimension")
+    assert [line.split()[0] for line in out.splitlines()] == select_check_ids(check_filter)
+    assert [line for line in err.splitlines() if not line.startswith("#")] == []
+
+
+@pytest.mark.parametrize("vertex, direction", [("4", "+"), ("1", "-")])
+def test_reflect_killing_a_summand_is_math_failure(tmp_path, vertex, direction):
+    # F+ at a sink k (F- at a source k) kills the summand E_k, so the rank
+    # transport by s_k fails on Bn.Z + E_k
+    datum, Z = build_named("Bn.Z", n=3)
+    mod_file = tmp_path / "ze.json"
+    summand = free_simple(datum, Field.rational(), int(vertex))
+    mod_file.write_text(json.dumps(rep_to_json(direct_sum([Z, summand]), embed_datum=True)))
+    code, lines = _usage_error_lines("reflect", str(mod_file), "--vertex", vertex, "--dir", direction)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("fail: rank transport failed at ")
 
 
 def test_oversized_datum_name_is_usage_error(capsys, monkeypatch):
