@@ -12,16 +12,11 @@ from itertools import islice
 
 from .cartan import build_quiver
 from .linalg import Mat
-from .modrep import (Morphism, Representation, direct_sum, dual_rep, end_analysis,
-                     is_isomorphic, kernel_rep, local_free_rank, make_rep,
-                     rank_vector, zero_rep)
+from .modrep import (Morphism, Representation, direct_sum, dual_rep, is_isomorphic, kernel_rep,
+                     local_free_rank, make_rep, rank_vector, zero_rep)
 from .pathalg import (algebra_basis, build_injective, build_projective, element_from_coords,
                       mono_target, transport_dual)
 from .rootsys import classify_positive_root, coxeter_data
-
-
-class NotIndecomposable(ValueError):
-    pass
 
 
 def is_zero_rep(rep):
@@ -111,7 +106,17 @@ class PresentationData:
     entries: dict             # (s, t) -> AlgebraElement in paths(gens0[t], gens1[s])
 
 
+_presented = (None, None)     # the module presented last, and its presentation
+
+
 def minimal_presentation(M):
+    """The module presented last is kept with its presentation and matched
+    by identity, so that Hom and Ext^1 dimensions out of one module, or an
+    isomorphism test and the translate of one module, present it once.  No
+    module is changed once built, and callers only read the presentation."""
+    global _presented
+    if _presented[0] is M:
+        return _presented[1]
     datum = M.datum
     basis = algebra_basis(datum)
     P0, cover, gens0 = projective_cover(M)
@@ -130,7 +135,8 @@ def minimal_presentation(M):
             if not elt.is_zero():
                 entries[(s, t)] = elt
             offset += len(paths)
-    return PresentationData(gens0, gens1, entries)
+    _presented = (M, PresentationData(gens0, gens1, entries))
+    return _presented[1]
 
 
 @dataclass
@@ -215,21 +221,11 @@ class FreenessReport:
     period: int = None        # None with 'verified': both walks ended at zero
 
 
-def is_tau_locally_free(M, window=None):
-    """Walk the orbit of an indecomposable M both ways checking local
-    freeness at every step."""
+def _walk_local_freeness(M, window):
+    """Walk the orbit of M both ways, at most ``window`` steps each, checking
+    local freeness at every step; M is indecomposable, its End ring already
+    known to be local with residue field k."""
     datum = M.datum
-    if window is None:
-        window = default_window(datum)
-    if is_zero_rep(M):
-        raise NotIndecomposable("zero module")
-    end = end_analysis(M)
-    if end.residue_dim != 1:
-        reason = "endomorphism residue dimension is %d, not 1" % end.residue_dim
-        if M.field.p is not None and M.field.p <= end.dim:
-            reason += (" (over GF(%d) the trace-form radical of End is exact only for"
-                       " p > dim End = %d)" % (M.field.p, end.dim))
-        raise NotIndecomposable(reason)
 
     def fails(rep):
         return any(local_free_rank(rep, v) is None for v in datum.vertices)

@@ -28,6 +28,13 @@ class CartanDatum:
     affine_kernel: tuple = field(default=None, compare=False)
     name: str = field(default="", compare=False)
 
+    def __post_init__(self):
+        # every lru_cache keyed on a datum hashes it: hash the tuples once
+        object.__setattr__(self, "_hash", hash((self.cartan, self.symmetriser, self.orientation)))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def n(self):
         return len(self.symmetriser)

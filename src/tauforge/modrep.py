@@ -9,8 +9,8 @@ a matrix arr[(i,j,g)] : K^{dims[j]} -> K^{dims[i]}, subject to
 
 Everything here is exact; the field is rational by default or Z/p.
 
-Hom, Ext^1 cocycles and coboundaries are linear systems in families of
-matrix blocks, all built by ``_block_map``.  A family is a vector in the
+Hom bases, Ext^1 cocycles and coboundaries are linear systems in families
+of matrix blocks, all built by ``_block_map``.  A family is a vector in the
 row-major vec layout: the blocks one after another, entry (r, c) of an
 n x m block at its offset + r*m + c.  For psi = (psi_v : M_v -> N_v) the
 coboundary is the cochain
@@ -20,6 +20,11 @@ coboundary is the cochain
 
 Hom(M, N) is its kernel, and an extension cocycle with the same keys is a
 coboundary exactly when it lies in its image.
+
+The dimensions of Hom(M, N) and Ext^1(M, N) come from one smaller matrix,
+the relation matrix Hom(P0, N) -> Hom(P1, N) of the minimal presentation
+P1 -> P0 -> M -> 0: Hom is its kernel, and Ext^1 its cokernel when M has
+projective dimension <= 1.
 """
 
 import random
@@ -281,8 +286,10 @@ def hom_basis(M, N):
 
 
 def hom_dim(M, N):
-    delta, _, _ = _coboundary(M, N)
-    return delta.ncols - delta.rank()
+    """dim Hom(M, N): the kernel of the relation matrix, exact for every M
+    because Hom(-, N) is left exact."""
+    rel = _relation_matrix(M, N)
+    return rel.ncols - rel.rank()
 
 
 def kernel_rep(M, blocks):
@@ -418,14 +425,12 @@ def build_extension(M, N, cocycle):
     return E
 
 
-def ext1_dim(M, N):
-    """dim Ext^1(M, N) via the minimal presentation P1 -> P0 -> M of M.
-
-    Computed as dim coker(Hom(P0, N) -> Hom(P1, N)); exact whenever M has
-    projective dimension <= 1, in particular for locally free M.  Entry
-    (s, t) of the presentation acts on N through the images of the basis
-    paths, one path walk per generator vertex of P0.
-    """
+def _relation_matrix(M, N):
+    """The map Hom(P0, N) -> Hom(P1, N) of the minimal presentation
+    P1 -> P0 -> M -> 0 of M, with Hom(P_b, N) = N_b: one block row per
+    generator of P1, one block column per generator of P0.  Entry (s, t) of
+    the presentation acts on N through the images of the basis paths, one
+    path walk per generator vertex of P0."""
     from .artrans import _path_images, minimal_presentation
     from .pathalg import algebra_basis
     pres = minimal_presentation(M)
@@ -439,9 +444,15 @@ def ext1_dim(M, N):
         for mono, coeff in elt.terms.items():
             acc = acc + walks[b][a][basis.index[mono]].scale(coeff)
         blocks[(s, t)] = acc
-    big = Mat.block(N.field, blocks, [N.dims[a] for a in pres.gens1],
-                    [N.dims[b] for b in pres.gens0])
-    return big.nrows - big.rank()
+    return Mat.block(N.field, blocks, [N.dims[a] for a in pres.gens1],
+                     [N.dims[b] for b in pres.gens0])
+
+
+def ext1_dim(M, N):
+    """dim Ext^1(M, N): the cokernel of the relation matrix, exact whenever
+    M has projective dimension <= 1, in particular for locally free M."""
+    rel = _relation_matrix(M, N)
+    return rel.nrows - rel.rank()
 
 
 def is_rigid(M):
@@ -518,8 +529,9 @@ def is_isomorphic(M, N):
         if cand:
             return IsoResult("yes", certificate=cand)
     # an isomorphism forces symmetric Hom dimensions, so no attempt above
-    # could have succeeded when they are asymmetric
-    if hom_dim(N, M) != e or hom_dim(M, M) != hom_dim(N, N):
+    # could have succeeded when they are asymmetric; the two calls on N
+    # share one presentation of N
+    if hom_dim(N, M) != e or hom_dim(N, N) != hom_dim(M, M):
         return IsoResult("no", reason="Hom dimensions are asymmetric")
     return IsoResult("unknown", reason=f"no invertible combination in {_SAMPLES} samples")
 

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .artrans import (NotIndecomposable, is_tau_locally_free, is_zero_rep, tau, tau_inverse, tau_period,
+from .artrans import (_walk_local_freeness, default_window, is_zero_rep, tau, tau_inverse, tau_period,
                       tau_walk)
 from .cartan import admissible_sequence, delta, validate_datum
 from .linalg import Field, Mat
@@ -728,25 +728,31 @@ def _homog_entry(module_id, datum, M, extras, problems, items):
 
 def _check_homog(check_id, field, family, n):
     """The homogeneous modules of the fixed-size families, then the family's
-    deformation family M_lam at size n."""
+    deformation family M_lam at size n.  A lam that is 0 in the field (lam = 2
+    over GF(2)) gives no module; its refusal is one problem of the report."""
     fixed = [row.homog for row in _FAMILIES.values() if row.homog and row.size is None]
     deformed = _FAMILIES[family].homog
     problems = []
     items = []
+    refused = {}
     for m in (1, 2):
         for module_id in fixed:
             datum, M = build_named(module_id, field=field, m=m)
             _homog_entry(module_id, datum, M, {"m": m}, problems, items)
         for lam in (1, 2):
-            datum, M = build_named(deformed, field=field, n=n, m=m, lam=lam)
+            try:
+                datum, M = build_named(deformed, field=field, n=n, m=m, lam=lam)
+            except BadParams as exc:
+                refused.setdefault(lam, "%s lam=%d: %s" % (deformed, lam, exc))
+                continue
             _homog_entry(deformed, datum, M, {"m": m, "lam": lam}, problems, items)
-    _, M1 = build_named(deformed, field=field, n=n, m=1, lam=1)
-    _, M2 = build_named(deformed, field=field, n=n, m=1, lam=2)
-    evidence = {
-        "modules": items,
+    problems += refused.values()
+    evidence = {"modules": items}
+    if not refused:
+        _, M1 = build_named(deformed, field=field, n=n, m=1, lam=1)
+        _, M2 = build_named(deformed, field=field, n=n, m=1, lam=2)
         # recorded for information only; no stated expectation either way
-        "distinctLambdaIso": {"verdict": is_isomorphic(M1, M2).verdict, "asserted": False},
-    }
+        evidence["distinctLambdaIso"] = {"verdict": is_isomorphic(M1, M2).verdict, "asserted": False}
     return _report(check_id, problems, evidence)
 
 
@@ -863,11 +869,8 @@ def _check_main2(check_id, field, family, n=None):
         problems.append("Y: endomorphism ring not local (residue dim %d)" % edy.residue_dim)
     if edy.dim != y_end:
         problems.append("Y: dim End = %d, expected %d" % (edy.dim, y_end))
-    try:
-        freeness = is_tau_locally_free(Y)
-    except NotIndecomposable as exc:
-        problems.append("Y: %s" % exc)
-    else:
+    if edy.residue_dim == 1:          # the orbit walk takes Y indecomposable
+        freeness = _walk_local_freeness(Y, default_window(datum))
         evidence["Y"]["tauLocallyFree"] = freeness.status
         evidence["Y"]["tauPeriod"] = freeness.period
         if freeness.status != "verified" or freeness.period != expected_period:

@@ -1,12 +1,13 @@
-"""Test-side helpers: a reader and writer for path literals, and
-independent routes to results the package computes another way, which the
-tests compare."""
+"""Test-side helpers: a reader and writer for path literals, independent
+routes to results the package computes another way, which the tests
+compare, and the End-checked orbit walk that only the tests call."""
 
 import re
 
 from tauforge.linalg import Mat
-from tauforge.modrep import (Morphism, direct_sum, extension_cocycle_space, hom_dim,
-                             zero_rep)
+from tauforge.artrans import _walk_local_freeness, default_window, is_zero_rep
+from tauforge.modrep import (Morphism, direct_sum, end_analysis, extension_cocycle_space,
+                             hom_basis, zero_rep)
 from tauforge.pathalg import (AlgebraElement, Monomial, _absorb, _emit, algebra_basis, arrow,
                               build_projective, loop, mono_mul, mono_target)
 
@@ -103,10 +104,27 @@ def normalize_random(datum, src, arrows, exps, rng):
 
 def ext1_dim_cocycle(M, N):
     """dim Ext^1(M, N) as cocycles modulo coboundaries, against the
-    presentation route of ``modrep.ext1_dim``."""
+    presentation route of ``modrep.ext1_dim``, with Hom from the coboundary
+    map rather than the presentation."""
     z = len(extension_cocycle_space(M, N))
     shifts = sum(N.dims[v] * M.dims[v] for v in M.datum.vertices)
-    return z - shifts + hom_dim(M, N)
+    return z - shifts + len(hom_basis(M, N))
+
+
+class NotIndecomposable(ValueError):
+    pass
+
+
+def is_tau_locally_free(M, window=None):
+    """Walk the orbit of an indecomposable M both ways checking local
+    freeness at every step; M whose End ring is not local with residue
+    field k is refused."""
+    if is_zero_rep(M):
+        raise NotIndecomposable("zero module")
+    end = end_analysis(M)
+    if end.residue_dim != 1:
+        raise NotIndecomposable("endomorphism residue dimension is %d, not 1" % end.residue_dim)
+    return _walk_local_freeness(M, default_window(M.datum) if window is None else window)
 
 
 def apply_monomial(rep, mono):

@@ -5,14 +5,13 @@ from itertools import islice
 
 import pytest
 
-from support import apply_monomial, is_morphism, presentation_map
+from support import (NotIndecomposable, apply_monomial, is_morphism, is_tau_locally_free,
+                     presentation_map)
 from tauforge.artrans import (
-    NotIndecomposable,
     _generators,
     _radical_complement,
     classify_module,
     default_window,
-    is_tau_locally_free,
     is_zero_rep,
     minimal_presentation,
     projective_cover,
@@ -108,6 +107,16 @@ def test_tau_walk_ends_before_zero():
 
 # ---------------------------------------------------------------------------
 # Minimal presentations
+
+
+def test_minimal_presentation_keeps_only_the_module_presented_last():
+    cd = b3()
+    E2, E3 = free_simple(cd, Q, 2), free_simple(cd, Q, 3)
+    pres = minimal_presentation(E2)
+    assert minimal_presentation(E2) is pres
+    assert minimal_presentation(E3).gens0 == (3,)
+    again = minimal_presentation(E2)
+    assert again is not pres and again == pres
 
 
 def test_minimal_presentation_is_presentation():

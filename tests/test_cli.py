@@ -13,7 +13,7 @@ from tauforge.cli import main
 from tauforge.linalg import Field
 from tauforge.modrep import direct_sum, free_simple, rank_vector, rep_from_json, rep_to_json
 from tauforge.pathalg import build_projective
-from tauforge.zoo import build_named, named_datum, select_check_ids
+from tauforge.zoo import all_check_ids, build_named, named_datum, select_check_ids
 
 
 _SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(tauforge.__file__).resolve().parents[1]))
@@ -231,12 +231,27 @@ def _usage_error_lines(*argv):
 @pytest.mark.parametrize("field, check_filter", [("p:3", "main2"), ("p:2", "main2.G21")])
 def test_small_prime_main2_reports_instead_of_dying(capsys, field, check_filter):
     # the trace-form End analysis misreads End Y over GF(p) when p <= dim End;
-    # is_tau_locally_free then refuses Y, and the check records that as one of
-    # its problems instead of ending the run
+    # the check records that as one of its problems, skips the orbit walk of
+    # Y, and the run goes on
     code, out, err = run(capsys, "verify", "--suite", "paper", "--filter", check_filter, "--field", field)
     assert code == 1
     assert [line.split()[0] for line in out.splitlines()] == select_check_ids(check_filter)
     assert [line for line in err.splitlines() if not line.startswith("#")] == []
+
+
+def test_verify_over_gf2_prints_every_report(tmp_path):
+    # lam = 2 of the prop:homog deformation family is 0 in GF(2): the check
+    # records the refused module as one problem and the run goes on
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-m", "tauforge.cli", "verify", "--suite", "paper",
+                           "--field", "p:2", "--json", str(report)],
+                          capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=300)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == all_check_ids()
+    homog = next(r for r in json.loads(report.read_text()) if r["checkId"] == "prop:homog")
+    assert homog["evidence"]["problems"] == [
+        "Bn.MlamB lam=2: the deformation parameter lam must be nonzero"]
 
 
 @pytest.mark.parametrize("vertex, direction", [("4", "+"), ("1", "-")])

@@ -25,6 +25,7 @@ from tauforge.modrep import (
     is_isomorphic,
     is_rigid,
     kernel_rep,
+    make_rep,
     rank_vector,
     rep_from_json,
     rep_to_json,
@@ -183,6 +184,20 @@ def test_random_coboundaries_are_coboundaries(field):
         assert check_relations(build_extension(M, N, cocycle)) == []
 
 
+@pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("family, n, vertex", [("A11", None, 2), ("Bn", 3, 2), ("G21", None, 3)])
+def test_hom_dim_is_the_size_of_the_hom_basis(field, family, n, vertex):
+    # hom_dim reads the relation matrix of M's presentation, hom_basis the
+    # coboundary map; the 1-dimensional simple at a vertex with d > 1 is not
+    # locally free, and Hom out of it is still the kernel of that matrix
+    cd = named_datum(family, n=n)
+    assert cd.d(vertex) > 1
+    mods = [M for _, M in module_battery(cd, field, size=14)] + [make_rep(cd, field, {vertex: 1})]
+    for M in mods:
+        for N in mods:
+            assert hom_dim(M, N) == len(hom_basis(M, N))
+
+
 def test_hom_basis_valid_over_prime_field_battery():
     mods = [M for _, M in module_battery(named_datum("G21"), GF, size=8)]
     for M in mods:
@@ -278,6 +293,29 @@ def test_iso_no_from_asymmetric_hom(field):
     assert not cocycle_is_coboundary(M, N, cocycle)
     E, S = build_extension(M, N, cocycle), direct_sum([N, M])
     assert hom_dim(S, E) != hom_dim(E, S) or hom_dim(E, E) != hom_dim(S, S)
+    res = is_isomorphic(E, S)
+    assert (res.verdict, res.reason, res.certificate) == ("no", "Hom dimensions are asymmetric", None)
+
+
+def test_iso_no_from_asymmetric_hom_on_a_44_dimensional_extension():
+    # a non-split 0 -> tau^-1 P2 -> E -> tau^-2 P2 -> 0 of A11 over GF(32003)
+    # with a generic cocycle, against the split sum: the Hom systems of
+    # these pairs are large, their relation matrices small
+    cd = named_datum("A11")
+    N = tau_inverse(build_projective(cd, GF, 2)).module
+    M = tau_inverse(N).module
+    basis = extension_cocycle_space(M, N)
+    rng = random.Random(1)
+    coeffs = [rng.randrange(1, GF.p) for _ in basis]
+    cocycle = {}
+    for key in basis[0]:
+        acc = Mat.zeros(GF, *basis[0][key].shape)
+        for a, b in zip(coeffs, basis):
+            acc = acc + b[key].scale(a)
+        cocycle[key] = acc
+    assert not cocycle_is_coboundary(M, N, cocycle)
+    E, S = build_extension(M, N, cocycle), direct_sum([N, M])
+    assert E.total_dim() == 44
     res = is_isomorphic(E, S)
     assert (res.verdict, res.reason, res.certificate) == ("no", "Hom dimensions are asymmetric", None)
 
