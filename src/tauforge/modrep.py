@@ -123,11 +123,12 @@ def local_free_rank(rep, vertex):
         return None
     r = dim // d
     n = rep.eps[vertex]
-    if not n.power(d).is_zero():
+    top = n.power(d - 1)
+    if not (top @ n).is_zero():
         return None
     if d == 1:
         return r
-    return r if n.power(d - 1).rank() == r else None
+    return r if top.rank() == r else None
 
 
 def rank_vector(rep):
@@ -181,6 +182,14 @@ class Morphism:
 
     def is_iso(self):
         return all(b.is_invertible() for b in self.blocks.values())
+
+    def is_morphism(self):
+        """Does the map commute with every loop and arrow?"""
+        M, N = self.src, self.dst
+        return (all((self.blocks[v] @ M.eps[v] - N.eps[v] @ self.blocks[v]).is_zero()
+                    for v in M.datum.vertices)
+                and all((self.blocks[key[0]] @ A - N.arr[key] @ self.blocks[key[1]]).is_zero()
+                        for key, A in M.arr.items()))
 
     def compose(self, other):
         """self o other."""
@@ -288,8 +297,8 @@ def hom_basis(M, N):
 def hom_dim(M, N):
     """dim Hom(M, N): the kernel of the relation matrix, exact for every M
     because Hom(-, N) is left exact."""
-    rel = _relation_matrix(M, N)
-    return rel.ncols - rel.rank()
+    _, ncols, rank = _relation_rank(M, N)
+    return ncols - rank
 
 
 def kernel_rep(M, blocks):
@@ -448,11 +457,26 @@ def _relation_matrix(M, N):
                      [N.dims[b] for b in pres.gens0])
 
 
+_ranked = (None, None, None)     # the pair ranked last, and (nrows, ncols, rank)
+
+
+def _relation_rank(M, N):
+    """(nrows, ncols, rank) of the relation matrix of (M, N).  The pair
+    ranked last is kept, matched by ``is``, so hom_dim then ext1_dim on one
+    pair ranks it once; modules are not changed after they are built."""
+    global _ranked
+    if _ranked[0] is M and _ranked[1] is N:
+        return _ranked[2]
+    rel = _relation_matrix(M, N)
+    _ranked = (M, N, (rel.nrows, rel.ncols, rel.rank()))
+    return _ranked[2]
+
+
 def ext1_dim(M, N):
     """dim Ext^1(M, N): the cokernel of the relation matrix, exact whenever
     M has projective dimension <= 1, in particular for locally free M."""
-    rel = _relation_matrix(M, N)
-    return rel.nrows - rel.rank()
+    nrows, _, rank = _relation_rank(M, N)
+    return nrows - rank
 
 
 def is_rigid(M):
@@ -473,9 +497,11 @@ def _invariants_differ(M, N):
     if M.dims != N.dims:
         return "dimension vectors differ"
     for v in M.datum.vertices:
-        for k in range(1, M.datum.d(v)):
-            if M.eps[v].power(k).rank() != N.eps[v].power(k).rank():
+        m, n = M.eps[v], N.eps[v]      # running powers eps_v^k, k = 1 .. d-1
+        for _ in range(1, M.datum.d(v)):
+            if m.rank() != n.rank():
                 return f"loop rank profile differs at vertex {v}"
+            m, n = m @ M.eps[v], n @ N.eps[v]
     for key in M.arr:
         if M.arr[key].rank() != N.arr[key].rank():
             return f"arrow rank differs at {key}"

@@ -12,11 +12,19 @@ wrap-around; the new arrows are the slot projections.
 
 The contracts (rank transport by s_k, relations on the output) are checked
 on every call and failures abort: they are part of the interface.
+
+Prop 2.4's round trips are certified by their natural maps, not by an
+isomorphism search.  The counit F-F+M -> M at a sink k is the identity away
+from k and at k the solution phi_k of phi_k . mult(F-F+M) = mult(M), with
+mult the multiplication map above; the unit M -> F+F-M at a source is the
+transpose of the counit of the duals.  Each is checked as a morphism and as
+invertible before it is returned.  Prop 2.6 (tau M ~ T C+ M) has no such
+map here and stays on ``is_isomorphic``.
 """
 
 from .cartan import admissible_sequence, build_quiver, opposite_datum, reflect_orientation
 from .linalg import Mat
-from .modrep import check_relations, dual_rep, make_rep, rank_vector
+from .modrep import Morphism, check_relations, dual_rep, make_rep, rank_vector
 from .rootsys import simple_reflection
 
 
@@ -49,6 +57,14 @@ def _slots(datum, k):
     return slots
 
 
+def _multiplication(k, M, slots):
+    """The multiplication map T -> M_k, slot (j, g, a) acting by
+    M(eps_k)^a M(alpha^(g))."""
+    return Mat.block(M.field, {(0, t): M.eps[k].power(a) @ M.arr[(k, j, g)]
+                               for t, (j, g, a) in enumerate(slots)},
+                     [M.dims[k]], [M.dims[j] for (j, _, _) in slots])
+
+
 def _check_contract(datum, k, M, out, check_rank, where):
     """Check the reflected module ``out`` against the algebra relations and,
     when asked, its rank vector against s_k of the rank vector of M;
@@ -77,11 +93,7 @@ def reflect_plus(datum, k, M, check_rank=True):
     slot_dims = [M.dims[j] for (j, _, _) in slots]
     pos = {s: t for t, s in enumerate(slots)}
 
-    # multiplication map T -> M_k, slotwise M(eps_k)^a M(alpha^(g))
-    mult_grid = {}
-    for t, (j, g, a) in enumerate(slots):
-        mult_grid[(0, t)] = M.eps[k].power(a) @ M.arr[(k, j, g)]
-    mult = Mat.block(field, mult_grid, [M.dims[k]], slot_dims)
+    mult = _multiplication(k, M, slots)
 
     # loop action on T: slot (j,g,a) -> (j,g,a+1), wrapping through eps_j^{f(k,j)}
     eps_grid = {}
@@ -133,6 +145,44 @@ def reflect_minus(datum, k, M, check_rank=True):
     out = make_rep(new_datum, M.field, dict(back.dims), dict(back.eps), dict(back.arr))
     _check_contract(datum, k, M, out, check_rank, "source")
     return out
+
+
+def _certified(f):
+    """f if it is a morphism and invertible, else None."""
+    return f if f is not None and f.is_morphism() and f.is_iso() else None
+
+
+def _counit_map(k, back, M):
+    """The map back -> M that is the identity away from k and at k the
+    phi_k with phi_k . mult(back) = mult(M), one solve against the
+    multiplication map; None when back and M differ in dimension away from k
+    or no such phi_k exists."""
+    if back.datum != M.datum or back.field != M.field:
+        return None
+    if any(back.dims[v] != M.dims[v] for v in M.datum.vertices if v != k):
+        return None
+    slots = _slots(M.datum, k)
+    phi_t = _multiplication(k, back, slots).transpose().solve(
+        _multiplication(k, M, slots).transpose())
+    if phi_t is None:
+        return None
+    return Morphism(back, M, {v: phi_t.transpose() if v == k else Mat.identity(M.field, M.dims[v])
+                              for v in M.datum.vertices})
+
+
+def counit(k, back, M):
+    """The counit F-F+M -> M at the sink k as a certified isomorphism, or
+    None; ``back`` is reflect_minus of reflect_plus of M."""
+    return _certified(_counit_map(k, back, M))
+
+
+def unit(k, M, forth):
+    """The unit M -> F+F-M at the source k as a certified isomorphism, or
+    None; ``forth`` is reflect_plus of reflect_minus of M.  reflect_minus
+    dualizes around reflect_plus, so the unit is the transpose of the counit
+    of the duals."""
+    dual = _counit_map(k, dual_rep(forth), dual_rep(M))
+    return _certified(dual and Morphism(M, forth, {v: b.transpose() for v, b in dual.blocks.items()}))
 
 
 def coxeter_functor(datum, direction, M):

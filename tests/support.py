@@ -140,15 +140,6 @@ def apply_monomial(rep, mono):
     return m
 
 
-def is_morphism(f):
-    """Does f commute with every loop and arrow?"""
-    M, N = f.src, f.dst
-    return (all((f.blocks[v] @ M.eps[v] - N.eps[v] @ f.blocks[v]).is_zero()
-                for v in M.datum.vertices)
-            and all((f.blocks[key[0]] @ A - N.arr[key] @ f.blocks[key[1]]).is_zero()
-                    for key, A in M.arr.items()))
-
-
 def presentation_map(pres, P0):
     """The map P1 -> P0 of a minimal presentation, into the module P0 of
     `projective_cover`: the generator of the s-th summand P_a of P1 goes to

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import apply_monomial, ext1_dim_cocycle, is_morphism, parse_path
+from support import apply_monomial, ext1_dim_cocycle, parse_path
 from tauforge.artrans import tau, tau_inverse
 from tauforge.cartan import opposite_datum
 from tauforge.linalg import Field, Mat
@@ -77,7 +77,7 @@ def test_hom_basis_morphisms_are_valid():
         basis = hom_basis(M, N)
         assert len(basis) == hom_dim(M, N)
         for f in basis:
-            assert is_morphism(f)
+            assert f.is_morphism()
 
 
 def test_hom_basis_mismatched_datum_rejected():
@@ -204,7 +204,7 @@ def test_hom_basis_valid_over_prime_field_battery():
         for N in mods:
             basis = hom_basis(M, N)
             assert len(basis) == hom_dim(M, N)
-            assert all(is_morphism(f) for f in basis)
+            assert all(f.is_morphism() for f in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +214,15 @@ def test_hom_basis_valid_over_prime_field_battery():
 def test_kernel_of_identity_and_zero():
     _, Z = build_named("G21.Z")
     ident = Morphism(Z, Z, {v: Mat.identity(Q, Z.dims[v]) for v in Z.datum.vertices})
-    assert is_morphism(ident) and ident.is_iso()
+    assert ident.is_morphism() and ident.is_iso()
     K, incl = kernel_rep(Z, ident.blocks)
     assert K.total_dim() == 0
     zero = Morphism(Z, Z, {v: Mat.zeros(Q, Z.dims[v], Z.dims[v]) for v in Z.datum.vertices})
-    assert is_morphism(zero)
+    assert zero.is_morphism()
     K0, incl0 = kernel_rep(Z, zero.blocks)
     assert K0.dims == Z.dims
     assert all(zero.blocks[v].rank() == 0 for v in Z.datum.vertices)
-    assert is_morphism(incl0)
+    assert incl0.is_morphism()
 
 
 def test_direct_sum_dims_and_end_blocks():
@@ -264,7 +264,7 @@ def test_iso_yes_has_invertible_certificate():
     res = is_isomorphic(Z, Z)
     assert res.verdict == "yes"
     assert res.certificate.is_iso()
-    assert is_morphism(res.certificate)
+    assert res.certificate.is_morphism()
 
 
 def test_iso_no_for_different_simples():

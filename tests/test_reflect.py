@@ -2,26 +2,30 @@
 
 import pytest
 
+from tauforge import zoo
 from tauforge.artrans import is_zero_rep, tau
 from tauforge.cartan import admissible_sequence, reflect_orientation
-from tauforge.linalg import Field
+from tauforge.linalg import Field, Mat
 from tauforge.modrep import (
     check_relations,
     free_simple,
     is_isomorphic,
+    make_rep,
     rank_vector,
 )
 from tauforge.pathalg import build_projective
 from tauforge.reflect import (
     NotASink,
     NotASource,
+    counit,
     coxeter_functor,
     reflect_minus,
     reflect_plus,
     twist,
+    unit,
 )
 from tauforge.rootsys import simple_reflection
-from tauforge.zoo import build_named, named_datum
+from tauforge.zoo import build_named, module_battery, named_datum
 
 Q = Field.rational()
 
@@ -119,3 +123,75 @@ def test_coxeter_minus_inverts_coxeter_plus():
     C = coxeter_functor(cd, "+", Z)
     back = coxeter_functor(cd, "-", C)
     assert is_isomorphic(back, Z).verdict == "yes"
+
+
+def _round_trips(cd, field, size):
+    """(label, M, F-F+M at the sink, F+F-M at the source) over the battery."""
+    sink = admissible_sequence(cd)[0]
+    source = next(v for v in cd.vertices if cd.is_source(v))
+    for label, M in module_battery(cd, field, size):
+        plus = reflect_plus(cd, sink, M)
+        minus = reflect_minus(cd, source, M)
+        yield (label, M, reflect_minus(plus.datum, sink, plus),
+               reflect_plus(minus.datum, source, minus))
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(32003)], ids=["QQ", "GF32003"])
+def test_round_trip_maps_agree_with_is_isomorphic(field):
+    # members supported at the sink or the source alone do not come back,
+    # so both answers occur
+    cd = b3()
+    sink = admissible_sequence(cd)[0]
+    source = next(v for v in cd.vertices if cd.is_source(v))
+    seen = set()
+    for _, M, back, forth in _round_trips(cd, field, 20):
+        for f, X in ((counit(sink, back, M), back), (unit(source, M, forth), forth)):
+            iso = is_isomorphic(X, M).verdict == "yes"
+            assert (f is not None) == iso
+            assert f is None or (f.is_morphism() and f.is_iso())
+            seen.add(iso)
+    assert seen == {True, False}
+
+
+def _zero_an_arrow_into(X, k):
+    """X with its first nonzero arrow into k set to zero, or None."""
+    key = next((key for key in sorted(X.arr) if key[0] == k and not X.arr[key].is_zero()), None)
+    if key is None:
+        return None
+    zero = Mat.zeros(X.field, *X.arr[key].shape)
+    return make_rep(X.datum, X.field, dict(X.dims), dict(X.eps), {**X.arr, key: zero})
+
+
+def test_broken_round_trip_gets_no_certificate(monkeypatch):
+    cd = b3()
+    sink = admissible_sequence(cd)[0]
+    broken = set()
+    for label, M, back, _ in _round_trips(cd, Q, 12):
+        bad = _zero_an_arrow_into(back, sink)
+        if bad is not None:
+            assert counit(sink, back, M) is not None
+            assert counit(sink, bad, M) is None
+            broken.add(label)
+    assert broken
+
+    real = reflect_minus
+
+    def lossy(datum, k, M, check_rank=True):
+        out = real(datum, k, M, check_rank)
+        if k == sink and out.datum == cd:
+            return _zero_an_arrow_into(out, k) or out
+        return out
+
+    monkeypatch.setattr(zoo, "reflect_minus", lossy)
+    problems = zoo.verify_proposition("prop2.4", size=12).evidence["problems"]
+    lost = {p.split("/")[1].split(":")[0] for p in problems
+            if p.startswith("B3/") and p.endswith("F-F+ round trip lost the module")}
+    assert lost == broken
+
+
+def test_prop2_4_needs_no_isomorphism_search(monkeypatch):
+    def refuse(M, N):
+        raise AssertionError("prop2.4 called is_isomorphic")
+
+    monkeypatch.setattr(zoo, "is_isomorphic", refuse)
+    assert zoo.verify_proposition("prop2.4", size=34).passed
