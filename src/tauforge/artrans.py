@@ -14,7 +14,7 @@ from .cartan import build_quiver
 from .linalg import Mat
 from .modrep import (Morphism, Representation, direct_sum, dual_rep, is_isomorphic, kernel_rep,
                      local_free_rank, make_rep, rank_vector, zero_rep)
-from .pathalg import (algebra_basis, build_injective, build_projective, element_from_coords,
+from .pathalg import (AlgebraElement, algebra_basis, build_injective, build_projective,
                       mono_target, transport_dual)
 from .rootsys import classify_positive_root, coxeter_data
 
@@ -25,12 +25,16 @@ def is_zero_rep(rep):
 
 def _radical_complement(rep, v):
     """Columns of M_v completing the radical part to a basis (a lift of the
-    top at v): the unit vectors e_k that are pivots of [radical | I]."""
+    top at v): the unit vectors e_k, in order, whose k is the last nonzero
+    coordinate of no radical vector.  Those k are the pivots of the RREF of
+    the radical's transpose with its coordinates reversed."""
     arrows = build_quiver(rep.datum).arrows_into(v)
     stacked = rep.eps[v].hstack(*(rep.arr[key] for key in arrows))
-    dim, n = rep.dims[v], stacked.ncols
-    _, piv = stacked.hstack(Mat.identity(rep.field, dim)).rref()
-    return [Mat.from_dict(rep.field, (dim, 1), {(j - n, 0): 1}) for j in piv if j >= n]
+    dim = rep.dims[v]
+    _, piv = Mat.from_dict(rep.field, (stacked.ncols, dim),
+                           {(j, dim - 1 - i): x for i, j, x in stacked.items()}).rref()
+    last = {dim - 1 - j for j in piv}
+    return [Mat.from_dict(rep.field, (dim, 1), {(k, 0): 1}) for k in range(dim) if k not in last]
 
 
 def _generators(rep):
@@ -123,18 +127,21 @@ def minimal_presentation(M):
     K, incl = kernel_rep(P0, cover.blocks)
     kgens = _generators(K)
     gens1 = tuple(a for a, _ in kgens)
-    entries = {}
+    # generator s = (a, e_k) of K maps to column k of incl[a] inside (P0)_a,
+    # whose rows run over the basis paths from gens0[t] to a, t in turn; its
+    # coefficient on such a path is entry (s, t) of the presentation
+    cols = {a: {} for a in gens1}
+    for a, col in cols.items():
+        for r, k, x in incl.blocks[a].items():
+            col.setdefault(k, []).append((r, x))
+    owner = {a: [(t, p) for t, b in enumerate(gens0) for p in basis.paths(b, a)] for a in cols}
+    cells = {}
     for s, (a, w) in enumerate(kgens):
-        x = incl.blocks[a] @ w            # generator image inside (P0)_a
-        col = [row[0] for row in x.rows()]
-        offset = 0
-        for t, b in enumerate(gens0):
-            paths = basis.paths(b, a)
-            coords = [(r, col[offset + r]) for r in range(len(paths))]
-            elt = element_from_coords(datum, b, a, coords)
-            if not elt.is_zero():
-                entries[(s, t)] = elt
-            offset += len(paths)
+        (k, _, _), = w.items()            # w is the unit vector e_k
+        for r, x in cols[a][k]:
+            t, path = owner[a][r]
+            cells.setdefault((s, t), {})[path] = x
+    entries = {(s, t): AlgebraElement(gens0[t], gens1[s], terms) for (s, t), terms in cells.items()}
     _presented = (M, PresentationData(gens0, gens1, entries))
     return _presented[1]
 

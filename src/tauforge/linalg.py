@@ -14,7 +14,11 @@ on Python ints (Bareiss, Math. Comp. 22, 1968), dividing each reduced row
 by its pivot only at the end.  The reduced row echelon form is unique, so
 the results do not depend on the order of the eliminations.  Nullspace
 bases are the canonical ones read off the RREF; over GF(p) they are scaled
-by the product of the raw pivots (see ``Mat.nullspace_cols``).
+by the product of the raw pivots (see ``Mat.nullspace_cols``).  A map on a
+kernel is read in that canonical basis by ``Mat.basis_coords``, which runs
+no elimination: the basis is den times the identity on its free rows.  So
+tau, whose two kernels (of the cover and of the transported presentation)
+carry all its maps, calls no ``solve``.
 
 No floating point is used anywhere: ``Field.convert`` refuses floats.
 """
@@ -300,8 +304,12 @@ class Mat:
     def power(self, k):
         if self.nrows != self.ncols:
             raise ValueError("power of non-square matrix")
-        acc = Mat.identity(self.field, self.nrows)
-        for _ in range(k):
+        if k < 0:
+            raise ValueError("negative power %d" % k)
+        if k == 0:
+            return Mat.identity(self.field, self.nrows)
+        acc = self
+        for _ in range(k - 1):
             acc = acc @ self
         return acc
 
@@ -362,6 +370,28 @@ class Mat:
             if out:
                 data[pc] = out
         return Mat(self.field, (n, len(free)), data)
+
+    def basis_coords(self, rhs):
+        """The X with self @ X = rhs, or None, for a basis ``self`` returned
+        by ``nullspace_cols``.  Row free[k] of that basis is den times the
+        unit row e_k, free[k] being the last nonzero row of column k, so X is
+        rows free[k] of rhs divided by den; no elimination is run.  X is
+        returned only if self @ X equals rhs."""
+        self._check(rhs, self.nrows == rhs.nrows, "basis_coords")
+        free = {}
+        for i, row in self._data.items():
+            for k in row:
+                if free.get(k, -1) < i:
+                    free[k] = i
+        p = self.field.p
+        rows = rhs._data
+        data = {k: rows[i] for k, i in free.items() if i in rows}
+        if p is not None and free:
+            inv = pow(self._data[free[0]][0], -1, p)
+            if inv != 1:
+                data = {k: {j: v * inv % p for j, v in row.items()} for k, row in data.items()}
+        X = Mat(self.field, (self.ncols, rhs.ncols), data)
+        return X if self @ X == rhs else None
 
     def solve(self, rhs):
         """A particular solution X of self @ X = rhs, or None if inconsistent."""

@@ -303,19 +303,21 @@ def hom_dim(M, N):
 
 def kernel_rep(M, blocks):
     """Kernel of the morphism out of M with per-vertex ``blocks``, with its
-    inclusion."""
+    inclusion.  The kernel at v has the canonical basis incl[v] from
+    ``nullspace_cols``, and its maps are read in that basis by
+    ``basis_coords``."""
     datum, field = M.datum, M.field
     incl = {v: blocks[v].nullspace_cols() for v in datum.vertices}
     dims = {v: incl[v].ncols for v in datum.vertices}
     eps = {}
     for v in datum.vertices:
-        sol = incl[v].solve(M.eps[v] @ incl[v])
+        sol = incl[v].basis_coords(M.eps[v] @ incl[v])
         if sol is None:
             raise RuntimeError("kernel not stable under loop (not a morphism?)")
         eps[v] = sol
     arr = {}
     for (i, j, g), A in M.arr.items():
-        sol = incl[i].solve(A @ incl[j])
+        sol = incl[i].basis_coords(A @ incl[j])
         if sol is None:
             raise RuntimeError("kernel not stable under arrow (not a morphism?)")
         arr[(i, j, g)] = sol

@@ -14,6 +14,7 @@ nilpotency degree of its vertex.  ``None`` plays the role of the zero path.
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .cartan import build_quiver
 from .linalg import Mat
@@ -136,9 +137,6 @@ class AlgebraElement:
     tgt: int
     terms: dict            # Monomial -> Fraction/int coefficient
 
-    def is_zero(self):
-        return not self.terms
-
 
 # ---------------------------------------------------------------------------
 # projective and injective representations
@@ -207,17 +205,6 @@ def build_injective(datum, field, i):
     return _indecomposable(datum, field, i, left=False)
 
 
-def element_from_coords(datum, src, tgt, coords):
-    """Algebra element from scalar coordinates over paths(src, tgt)."""
-    basis = algebra_basis(datum)
-    paths = basis.paths(src, tgt)
-    terms = {}
-    for idx, c in coords:
-        if c:
-            terms[paths[idx]] = c
-    return AlgebraElement(src, tgt, terms)
-
-
 def transport_dual(datum, field, sources, targets, entries):
     """Carry a matrix of algebra elements between sums of projectives over
     to the corresponding map between sums of injectives.
@@ -232,7 +219,16 @@ def transport_dual(datum, field, sources, targets, entries):
     blocks = {}
     for v in datum.vertices:
         dims = {x: len(basis.paths(v, x)) for x in datum.vertices}
-        grid = {(t, s): _mult_matrix(datum, field, elt, v, left=True).transpose()
-                for (s, t), elt in entries.items()}
-        blocks[v] = Mat.block(field, grid, [dims[b] for b in targets], [dims[a] for a in sources])
+        roff = list(accumulate((dims[b] for b in targets), initial=0))
+        coff = list(accumulate((dims[a] for a in sources), initial=0))
+        # cell (r, c) of left multiplication by a term lands transposed at
+        # (c, r) of block (t, s)
+        cells = {}
+        for (s, t), elt in entries.items():
+            r0, c0 = roff[t], coff[s]
+            for mono, coeff in elt.terms.items():
+                for r, c in _action(datum, mono, v, True):
+                    key = (r0 + c, c0 + r)
+                    cells[key] = cells[key] + coeff if key in cells else coeff
+        blocks[v] = Mat.from_dict(field, (roff[-1], coff[-1]), cells)
     return blocks

@@ -106,7 +106,7 @@ def reflect_plus(datum, k, M, check_rank=True):
 
     U = mult.nullspace_cols()                 # basis of the new space at k
     new_dim_k = U.ncols
-    new_eps_k = U.solve(eps_T @ U)
+    new_eps_k = U.basis_coords(eps_T @ U)
     if new_eps_k is None:
         raise ContractViolation("kernel not stable under the loop at the sink")
 

@@ -1,7 +1,8 @@
 """Golden output: the module JSON of every catalogue module and of its tau
 and tau^-1 translates, pinned by sha256 over QQ and GF(32003), one sha256
-per field over the whole parameter grid of the catalogue, and one per field
-over the projectives P_i and injectives I_i of every catalogued datum.
+per field over the whole parameter grid of the catalogue, one per field
+over the projectives P_i and injectives I_i of every catalogued datum, and
+one per field over C+M and C-M of every catalogue module.
 
 A refactor must leave these bytes alone.  When a change of output is meant,
 print the new tables with ``PYTHONPATH=src python tests/test_golden.py`` and
@@ -17,6 +18,7 @@ from tauforge.artrans import tau, tau_inverse
 from tauforge.linalg import Field
 from tauforge.modrep import rep_to_json
 from tauforge.pathalg import build_injective, build_projective
+from tauforge.reflect import coxeter_functor
 from tauforge.zoo import _FAMILIES, _MODULE_TABLE, BadParams, build_named, named_datum, named_module_ids
 
 # parameters by datum family, the prefix of the module id
@@ -92,6 +94,18 @@ def projective_injective_digest(field):
     return len(docs), hashlib.sha256(text.encode()).hexdigest()
 
 
+def coxeter_digest(field):
+    """sha256 over the module JSON of C+M and then C-M for every catalogue
+    module id in turn, at the parameters of ``golden_hashes``."""
+    docs = []
+    for mid in named_module_ids():
+        _, M = build_named(mid, field=field, **_PARAMS.get(mid.split(".")[0], {}))
+        for direction in "+-":
+            docs.append(rep_to_json(coxeter_functor(M.datum, direction, M), embed_datum=True))
+    text = json.dumps(docs, sort_keys=True)
+    return len(docs), hashlib.sha256(text.encode()).hexdigest()
+
+
 GRID = {
     "GF32003": (417, "e9d5605301f7ff642210ce3cbbf2db7ce73f32997de00b6e9eeee64875416b2a"),
     "QQ": (417, "e25ba77e990c14816c775995f202d1931d0b9a00530b355329ab3ae057d2e110"),
@@ -101,6 +115,12 @@ GRID = {
 PROJ_INJ = {
     "GF32003": (46, "07195eb61e6110039678a60e548a803de5fe258e055c0eafc4a210134ccd5876"),
     "QQ": (46, "aedc3b2bd0221a91832588d49af134fc36009d8355ff735b76470fce33988018"),
+}
+
+
+COXETER = {
+    "GF32003": (72, "8638177e004fda3133fd9a9166c808170de6522b3323164b2c53823a38e205cb"),
+    "QQ": (72, "80c62578f167a968263ef8e6422f737af3ad9f719b66c40ced76614470914ee5"),
 }
 
 
@@ -487,6 +507,11 @@ def test_projectives_and_injectives_are_byte_stable(name):
     assert projective_injective_digest(FIELDS[name]) == PROJ_INJ[name]
 
 
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_coxeter_translates_are_byte_stable(name):
+    assert coxeter_digest(FIELDS[name]) == COXETER[name]
+
+
 if __name__ == "__main__":
     print("GRID = {")
     for name in sorted(FIELDS):
@@ -495,6 +520,10 @@ if __name__ == "__main__":
     print("PROJ_INJ = {")
     for name in sorted(FIELDS):
         print("    %r: %r," % (name, projective_injective_digest(FIELDS[name])))
+    print("}")
+    print("COXETER = {")
+    for name in sorted(FIELDS):
+        print("    %r: %r," % (name, coxeter_digest(FIELDS[name])))
     print("}")
     print("GOLDEN = {")
     for name in sorted(FIELDS):

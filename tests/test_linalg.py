@@ -143,6 +143,28 @@ def test_elimination_matches_domain_matrix(field):
             assert A @ X == rhs
 
 
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(32003)], ids=_field_id)
+def test_basis_coords_agree_with_solve(field):
+    # B = A.nullspace_cols() has full column rank, so B @ X = Y has at most
+    # one solution: the read-off and solve give it, or both give None
+    rng = random.Random(4000 + (field.p or 0))
+    cases = [Mat.identity(field, 5), Mat.zeros(field, 3, 6)]       # zero and full kernel
+    cases += [_random_matrix(rng, field, rng.randint(0, 9), rng.randint(1, 12),
+                             rng.choice((0.1, 0.3, 0.6))) for _ in range(60)]
+    outside = 0
+    for A in cases:
+        B = A.nullspace_cols()
+        n, r = B.shape
+        k = rng.randint(1, 3)
+        X0 = _random_matrix(rng, field, r, k, 0.5)
+        assert B.basis_coords(B @ X0) == X0 == B.solve(B @ X0)
+        Y = _random_matrix(rng, field, n, k, 0.5)
+        X = B.basis_coords(Y)
+        assert X == B.solve(Y)
+        outside += X is None
+    assert outside >= 20
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=_field_id)
 def test_arithmetic_matches_domain_matrix(field):
     rng = random.Random(3000 + (field.p or 0))

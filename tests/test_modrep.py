@@ -225,6 +225,25 @@ def test_kernel_of_identity_and_zero():
     assert incl0.is_morphism()
 
 
+def test_kernel_of_blocks_that_are_no_morphism_is_refused():
+    cd = b3()
+    v = next(v for v in cd.vertices if cd.d(v) >= 2)
+    E = free_simple(cd, Q, v)
+    # the kernel of the last coordinate at v is not stable under the loop
+    last = {w: Mat.from_dict(Q, (1, E.dims[w]), {(0, E.dims[w] - 1): 1}) if w == v
+            else Mat.zeros(Q, 0, E.dims[w]) for w in cd.vertices}
+    with pytest.raises(RuntimeError, match="kernel not stable under loop"):
+        kernel_rep(E, last)
+    # all of P_j but nothing at the target of a nonzero arrow out of j
+    j, i = next((j, i) for (i, j, _), A in build_projective(cd, Q, 1).arr.items()
+                if j == 1 and not A.is_zero())
+    P = build_projective(cd, Q, j)
+    blocks = {w: Mat.identity(Q, P.dims[w]) if w == i else Mat.zeros(Q, 0, P.dims[w])
+              for w in cd.vertices}
+    with pytest.raises(RuntimeError, match="kernel not stable under arrow"):
+        kernel_rep(P, blocks)
+
+
 def test_direct_sum_dims_and_end_blocks():
     cd, Z = build_named("G21.Z")
     S = direct_sum([Z, Z])
