@@ -108,6 +108,7 @@ class PresentationData:
     gens0: tuple              # projective indices of P0
     gens1: tuple              # projective indices of P1
     entries: dict             # (s, t) -> AlgebraElement in paths(gens0[t], gens1[s])
+    cover: dict               # w -> the block of the cover P0 -> M at w
 
 
 _presented = (None, None)     # the module presented last, and its presentation
@@ -142,7 +143,7 @@ def minimal_presentation(M):
             t, path = owner[a][r]
             cells.setdefault((s, t), {})[path] = x
     entries = {(s, t): AlgebraElement(gens0[t], gens1[s], terms) for (s, t), terms in cells.items()}
-    _presented = (M, PresentationData(gens0, gens1, entries))
+    _presented = (M, PresentationData(gens0, gens1, entries, cover.blocks))
     return _presented[1]
 
 

@@ -6,8 +6,7 @@ import re
 
 from tauforge.linalg import Mat
 from tauforge.artrans import _walk_local_freeness, default_window, is_zero_rep
-from tauforge.modrep import (Morphism, direct_sum, end_analysis, extension_cocycle_space,
-                             hom_basis, zero_rep)
+from tauforge.modrep import Morphism, direct_sum, end_analysis, extension_cocycle_space, zero_rep
 from tauforge.pathalg import (AlgebraElement, Monomial, _absorb, _emit, algebra_basis, arrow,
                               build_projective, loop, mono_mul, mono_target)
 
@@ -102,13 +101,43 @@ def normalize_random(datum, src, arrows, exps, rng):
         exps[t + 1] += _emit(datum, arrows[t])
 
 
+def hom_basis_delta(M, N):
+    """Hom(M, N) as the kernel of the coboundary map, built here entry by
+    entry: the ``nullspace_cols`` matrix whose columns are the maps psi in
+    the vec layout of ``modrep`` (the blocks psi_v : M_v -> N_v vertex by
+    vertex, each row-major).  The equations are psi_v eps_v = eps_v psi_v
+    and psi_i M(a) = N(a) psi_j for each arrow a : j -> i."""
+    field, vertices = M.field, M.datum.vertices
+    at, size = {}, 0
+    for v in vertices:
+        at[v] = size
+        size += N.dims[v] * M.dims[v]
+    equations = []
+    for (i, j), A, B in ([((v, v), M.eps[v], N.eps[v]) for v in vertices]
+                         + [((key[0], key[1]), A, N.arr[key]) for key, A in M.arr.items()]):
+        A, B = A.rows(), B.rows()
+        for r in range(N.dims[i]):
+            for c in range(M.dims[j]):
+                row = {}
+                for b in range(M.dims[i]):      # (psi_i A)[r][c]
+                    u = at[i] + r * M.dims[i] + b
+                    row[u] = row.get(u, 0) + A[b][c]
+                for a in range(N.dims[j]):      # - (B psi_j)[r][c]
+                    u = at[j] + a * M.dims[j] + c
+                    row[u] = row.get(u, 0) - B[r][a]
+                equations.append(row)
+    delta = Mat.from_dict(field, (len(equations), size),
+                          {(k, u): x for k, row in enumerate(equations) for u, x in row.items()})
+    return delta.nullspace_cols()
+
+
 def ext1_dim_cocycle(M, N):
     """dim Ext^1(M, N) as cocycles modulo coboundaries, against the
     presentation route of ``modrep.ext1_dim``, with Hom from the coboundary
     map rather than the presentation."""
     z = len(extension_cocycle_space(M, N))
     shifts = sum(N.dims[v] * M.dims[v] for v in M.datum.vertices)
-    return z - shifts + len(hom_basis(M, N))
+    return z - shifts + hom_basis_delta(M, N).ncols
 
 
 class NotIndecomposable(ValueError):

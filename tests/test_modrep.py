@@ -1,11 +1,13 @@
 """Representation layer: homs, extensions, duality, certificates, JSON."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from support import apply_monomial, ext1_dim_cocycle, parse_path
+from support import apply_monomial, ext1_dim_cocycle, hom_basis_delta, parse_path
+from tauforge import modrep
 from tauforge.artrans import tau, tau_inverse
 from tauforge.cartan import opposite_datum
 from tauforge.linalg import Field, Mat
@@ -32,6 +34,7 @@ from tauforge.modrep import (
     zero_rep,
 )
 from tauforge.pathalg import build_projective, loop
+from tauforge.reflect import coxeter_functor, twist
 from tauforge.zoo import build_named, module_battery, named_datum
 
 Q = Field.rational()
@@ -184,18 +187,50 @@ def test_random_coboundaries_are_coboundaries(field):
         assert check_relations(build_extension(M, N, cocycle)) == []
 
 
+_BATTERIES = pytest.mark.parametrize("family, n, vertex",
+                                     [("A11", None, 2), ("Bn", 3, 2), ("G21", None, 3)])
+
+
 @pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
-@pytest.mark.parametrize("family, n, vertex", [("A11", None, 2), ("Bn", 3, 2), ("G21", None, 3)])
+@_BATTERIES
 def test_hom_dim_is_the_size_of_the_hom_basis(field, family, n, vertex):
-    # hom_dim reads the relation matrix of M's presentation, hom_basis the
-    # coboundary map; the 1-dimensional simple at a vertex with d > 1 is not
-    # locally free, and Hom out of it is still the kernel of that matrix
+    # hom_dim reads the relation matrix of M's presentation, the reference
+    # the coboundary map; the 1-dimensional simple at a vertex with d > 1 is
+    # not locally free, and Hom out of it is still the kernel of that matrix
     cd = named_datum(family, n=n)
     assert cd.d(vertex) > 1
     mods = [M for _, M in module_battery(cd, field, size=14)] + [make_rep(cd, field, {vertex: 1})]
     for M in mods:
         for N in mods:
-            assert hom_dim(M, N) == len(hom_basis(M, N))
+            assert hom_dim(M, N) == hom_basis_delta(M, N).ncols
+
+
+def _last_entries(cols):
+    """The entry at the last nonzero row of each column."""
+    last = {}
+    for i, k, x in cols.items():
+        if i >= last.get(k, (-1, None))[0]:
+            last[k] = (i, x)
+    return [last[k][1] for k in sorted(last)]
+
+
+@pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
+@_BATTERIES
+def test_hom_routes_give_the_canonical_basis(field, family, n, vertex):
+    # the coboundary route and the presentation route of hom_basis on the
+    # battery, a 1-dimensional simple that is not locally free, the zero
+    # module and a projective (a presentation without relations)
+    cd = named_datum(family, n=n)
+    mods = ([M for _, M in module_battery(cd, field, size=14)]
+            + [make_rep(cd, field, {vertex: 1}), zero_rep(cd, field),
+               build_projective(cd, field, vertex)])
+    for M in mods:
+        for N in mods:
+            cols = modrep._hom_delta(M, N)
+            assert modrep._hom_presented(M, N) == cols
+            assert _last_entries(cols) == [1] * cols.ncols
+            if field == Q:
+                assert cols == hom_basis_delta(M, N)
 
 
 def test_hom_basis_valid_over_prime_field_battery():
@@ -316,10 +351,10 @@ def test_iso_no_from_asymmetric_hom(field):
     assert (res.verdict, res.reason, res.certificate) == ("no", "Hom dimensions are asymmetric", None)
 
 
-def test_iso_no_from_asymmetric_hom_on_a_44_dimensional_extension():
-    # a non-split 0 -> tau^-1 P2 -> E -> tau^-2 P2 -> 0 of A11 over GF(32003)
-    # with a generic cocycle, against the split sum: the Hom systems of
-    # these pairs are large, their relation matrices small
+@functools.lru_cache(maxsize=None)
+def _a11_extension():
+    """A non-split 0 -> tau^-1 P2 -> E -> tau^-2 P2 -> 0 of A11 over
+    GF(32003) with a generic cocycle, and the split sum tau^-1 P2 + tau^-2 P2."""
     cd = named_datum("A11")
     N = tau_inverse(build_projective(cd, GF, 2)).module
     M = tau_inverse(N).module
@@ -333,10 +368,73 @@ def test_iso_no_from_asymmetric_hom_on_a_44_dimensional_extension():
             acc = acc + b[key].scale(a)
         cocycle[key] = acc
     assert not cocycle_is_coboundary(M, N, cocycle)
-    E, S = build_extension(M, N, cocycle), direct_sum([N, M])
+    return build_extension(M, N, cocycle), direct_sum([N, M])
+
+
+def test_iso_no_from_asymmetric_hom_on_a_44_dimensional_extension(monkeypatch):
+    # the Hom systems of these pairs are large, their relation matrices
+    # small; the asymmetric Hom dimensions give "no" before any random draw
+    E, S = _a11_extension()
     assert E.total_dim() == 44
+
+    def refuse(*args):
+        raise AssertionError("random combinations drawn")
+
+    monkeypatch.setattr(modrep.random, "Random", refuse)
     res = is_isomorphic(E, S)
     assert (res.verdict, res.reason, res.certificate) == ("no", "Hom dimensions are asymmetric", None)
+
+
+def test_hom_basis_of_the_44_dimensional_pair_needs_no_coboundary_map(monkeypatch):
+    E, S = _a11_extension()
+
+    def refuse(*args):
+        raise AssertionError("coboundary map built")
+
+    monkeypatch.setattr(modrep, "_coboundary", refuse)
+    for M, N in ((E, S), (S, E), (E, E)):
+        basis = hom_basis(M, N)
+        # the dual pair is presented from the other side
+        assert len(basis) == hom_dim(dual_rep(N), dual_rep(M))
+        assert all(f.is_morphism() for f in basis)
+
+
+@pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
+def test_end_analysis_on_both_hom_routes(field):
+    # the A11 battery members are indecomposable, so End is local with
+    # residue field k; the larger ones take the presentation route
+    routes = set()
+    for _, M in module_battery(named_datum("A11"), field, size=14):
+        end = end_analysis(M)
+        assert (end.dim, end.residue_dim) == (hom_dim(dual_rep(M), dual_rep(M)), 1)
+        routes.add(sum(d * d for d in M.dims.values()) > modrep._DELTA_MAX_UNKNOWNS)
+    assert routes == {False, True}
+
+
+def test_iso_yes_and_unknown_keep_their_verdicts_without_random_draws(monkeypatch):
+    # every "yes" on the B3 battery (tau M against T C+ M, Prop 2.6) comes
+    # from a basis map or their sum; tau Z against Z of G21 has symmetric
+    # Hom dimensions and stays "unknown" after the random draws
+    cd = b3()
+    pairs = [(tau(M).module, twist(coxeter_functor(cd, "+", M)))
+             for _, M in module_battery(cd, Q, size=14)]
+
+    def refuse(*args):
+        raise AssertionError("random combinations drawn")
+
+    monkeypatch.setattr(modrep.random, "Random", refuse)
+    yes = 0
+    for X, Y in pairs:
+        if X.total_dim():
+            res = is_isomorphic(X, Y)
+            assert res.verdict == "yes"
+            assert res.certificate.is_iso() and res.certificate.is_morphism()
+            yes += 1
+    assert yes >= 9
+    monkeypatch.undo()
+    _, Z = build_named("G21.Z")
+    res = is_isomorphic(tau(Z).module, Z)
+    assert (res.verdict, res.reason) == ("unknown", "no invertible combination in 20 samples")
 
 
 # ---------------------------------------------------------------------------
