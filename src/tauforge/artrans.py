@@ -27,14 +27,17 @@ def _radical_complement(rep, v):
     """Columns of M_v completing the radical part to a basis (a lift of the
     top at v): the unit vectors e_k, in order, whose k is the last nonzero
     coordinate of no radical vector.  Those k are the pivots of the RREF of
-    the radical's transpose with its coordinates reversed."""
-    arrows = build_quiver(rep.datum).arrows_into(v)
-    stacked = rep.eps[v].hstack(*(rep.arr[key] for key in arrows))
+    the radical's transpose with its coordinates reversed, whose rows are
+    built directly from the entries of [eps_v | the arrows into v]."""
     dim = rep.dims[v]
-    _, piv = Mat.from_dict(rep.field, (stacked.ncols, dim),
-                           {(j, dim - 1 - i): x for i, j, x in stacked.items()}).rref()
+    data, offset = {}, 0
+    for A in (rep.eps[v], *(rep.arr[key] for key in build_quiver(rep.datum).arrows_into(v))):
+        for i, j, x in A.items():
+            data.setdefault(offset + j, {})[dim - 1 - i] = x
+        offset += A.ncols
+    _, piv = Mat(rep.field, (offset, dim), data).rref()
     last = {dim - 1 - j for j in piv}
-    return [Mat.from_dict(rep.field, (dim, 1), {(k, 0): 1}) for k in range(dim) if k not in last]
+    return [Mat(rep.field, (dim, 1), {k: {0: 1}}) for k in range(dim) if k not in last]
 
 
 def _generators(rep):
@@ -47,30 +50,35 @@ def _generators(rep):
 
 
 def _path_images(M, basis, b, U):
-    """{w: [p @ U for the basis paths p from b to w]}.  Each path is applied
-    through its parent: p with one loop less at the end, or else without its
-    last arrow; parents are basis paths too, as their exponent bounds are
-    weaker."""
+    """{w: [p @ U for the basis paths p from b to w]}."""
     images = {}
+    return {w: [_path_image(M, U, images, p) for p in basis.paths(b, w)]
+            for w in M.datum.vertices}
 
-    def image(p):
-        if p not in images:
-            if p.exps[-1]:
-                parent = p._replace(exps=p.exps[:-1] + (p.exps[-1] - 1,))
-                images[p] = M.eps[mono_target(p)] @ image(parent)
-            elif p.arrows:
-                parent = p._replace(arrows=p.arrows[:-1], exps=p.exps[:-1])
-                images[p] = M.arr[p.arrows[-1]] @ image(parent)
-            else:
-                images[p] = U
-        return images[p]
 
-    return {w: [image(p) for p in basis.paths(b, w)] for w in M.datum.vertices}
+def _path_image(M, U, images, p):
+    """p @ U, kept in ``images``.  Each path is applied through its parent:
+    p with one loop less at the end, or else without its last arrow; parents
+    are basis paths too, as their exponent bounds are weaker.  Not a closure
+    calling itself: that is a reference cycle, which holds every image until
+    the cyclic collector frees it."""
+    if p not in images:
+        if p.exps[-1]:
+            parent = p._replace(exps=p.exps[:-1] + (p.exps[-1] - 1,))
+            images[p] = M.eps[mono_target(p)] @ _path_image(M, U, images, parent)
+        elif p.arrows:
+            parent = p._replace(arrows=p.arrows[:-1], exps=p.exps[:-1])
+            images[p] = M.arr[p.arrows[-1]] @ _path_image(M, U, images, parent)
+        else:
+            images[p] = U
+    return images[p]
 
 
 def projective_cover(M):
     """(P0, cover morphism, generator vertices).  The cover block at w holds,
-    for each generator in turn, its images under the basis paths to w."""
+    for each generator in turn, its images under the basis paths to w.  On a
+    module (loops nilpotent) the cover is surjective; ``minimal_presentation``
+    checks that on the kernel bases it takes of the blocks."""
     datum, field = M.datum, M.field
     gens = _generators(M)
     verts = tuple(v for v, _ in gens)
@@ -83,24 +91,22 @@ def projective_cover(M):
     # one path walk per generator vertex b, on the generators at b side by
     # side; _generators lists them vertex by vertex, so generator t at b
     # owns the columns start + t * (number of paths from b to w)
-    gens_at = {b: [u for v, u in gens if v == b] for b in dict.fromkeys(verts)}
-    images = {b: _path_images(M, basis, b, Mat.zeros(field, M.dims[b], 0).hstack(*us))
-              for b, us in gens_at.items()}
+    gens_at = {b: [k for v, u in gens if v == b for k, _, _ in u.items()]
+               for b in dict.fromkeys(verts)}
+    images = {b: _path_images(M, basis, b, Mat(field, (M.dims[b], len(ks)),
+                                               {k: {t: 1} for t, k in enumerate(ks)}))
+              for b, ks in gens_at.items()}
     blocks = {}
     for w in datum.vertices:
-        cells, start = {}, 0
-        for b, us in gens_at.items():
+        data, start = {}, 0
+        for b, ks in gens_at.items():
             n = len(basis.paths(b, w))
             for r, img in enumerate(images[b][w]):
                 for i, t, x in img.items():
-                    cells[(i, start + t * n + r)] = x
-            start += len(us) * n
-        blocks[w] = Mat.from_dict(field, (M.dims[w], start), cells)
-    cover = Morphism(P0, M, blocks)
-    for v in datum.vertices:
-        if blocks[v].rank() != M.dims[v]:
-            raise RuntimeError("projective cover is not surjective (bad input module?)")
-    return P0, cover, verts
+                    data.setdefault(i, {})[start + t * n + r] = x
+            start += len(ks) * n
+        blocks[w] = Mat(field, (M.dims[w], start), data)
+    return P0, Morphism(P0, M, blocks), verts
 
 
 @dataclass
@@ -125,7 +131,19 @@ def minimal_presentation(M):
     datum = M.datum
     basis = algebra_basis(datum)
     P0, cover, gens0 = projective_cover(M)
-    K, incl = kernel_rep(P0, cover.blocks)
+    # one elimination per cover block: its rank is its width less the size
+    # of its kernel basis.  A bad module can also leave the kernel without
+    # its loop or arrow maps; if its cover misses part of it as well, that
+    # is the fault reported, and only then are the ranks taken apart
+    try:
+        K, incl = kernel_rep(P0, cover.blocks)
+        ranks = {v: block.ncols - incl.blocks[v].ncols for v, block in cover.blocks.items()}
+    except RuntimeError:
+        ranks = {v: block.rank() for v, block in cover.blocks.items()}
+        if ranks == M.dims:
+            raise
+    if ranks != M.dims:
+        raise RuntimeError("projective cover is not surjective (bad input module?)")
     kgens = _generators(K)
     gens1 = tuple(a for a, _ in kgens)
     # generator s = (a, e_k) of K maps to column k of incl[a] inside (P0)_a,

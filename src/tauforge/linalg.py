@@ -11,14 +11,20 @@ Every elimination (``rank``, ``rref``, ``nullspace_cols``, ``solve``) runs
 one sparse Gauss-Jordan, ``Mat._eliminate``: ``_gfp_rref`` over GF(p), and
 ``_qq_rref`` over QQ, which has the same loop shape but works fraction-free
 on Python ints (Bareiss, Math. Comp. 22, 1968), dividing each reduced row
-by its pivot only at the end.  The reduced row echelon form is unique, so
-the results do not depend on the order of the eliminations.  Nullspace
-bases are the canonical ones read off the RREF; over GF(p) they are scaled
-by the product of the raw pivots (see ``Mat.nullspace_cols``).  A map on a
-kernel is read in that canonical basis by ``Mat.basis_coords``, which runs
-no elimination: the basis is den times the identity on its free rows.  So
-tau, whose two kernels (of the cover and of the transported presentation)
-carry all its maps, calls no ``solve``.
+by its pivot only at the end.  Rows of one entry each need no arithmetic
+and skip the loop: a third of the eliminations of a tau walk get such rows.
+The reduced row echelon form is unique, so the results do not depend on the
+order of the eliminations.  Nullspace bases are the canonical ones read off
+the RREF; over GF(p) they are scaled by the product of the raw pivots (see
+``Mat.nullspace_cols``).  A map on a kernel is read in that canonical basis
+by ``Mat.basis_coords``, which runs no elimination: the basis is den times
+the identity on its free rows, so the coordinates are those rows of the
+right-hand side divided by den, and only the pivot rows of the product are
+multiplied out to check them.  So tau, whose two kernels (of the cover and
+of the transported presentation) carry all its maps, calls no ``solve``.
+
+A product takes a left row that is a single 1 as the right row itself:
+no stored row is ever changed after it is built, so rows may be shared.
 
 No floating point is used anywhere: ``Field.convert`` refuses floats.
 """
@@ -274,6 +280,12 @@ class Mat:
         right = other._data
         data = {}
         for i, row in self._data.items():
+            if len(row) == 1:
+                (t, a), = row.items()
+                if a == 1:              # the right row itself, shared
+                    if t in right:
+                        data[i] = right[t]
+                    continue
             acc = {}
             for t, a in row.items():
                 rrow = right.get(t)
@@ -329,8 +341,19 @@ class Mat:
 
     def _eliminate(self, rows):
         """The one elimination kernel: ``(R, den)`` for sparse rows over this
-        matrix's field, as returned by ``_gfp_rref``; over QQ ``den`` is 1."""
+        matrix's field, as returned by ``_gfp_rref``; over QQ ``den`` is 1.
+        Rows of one entry each need no arithmetic: R has an empty row at
+        each column they hit, and the raw pivot at such a column is the
+        entry of the first row, by index, that hits it."""
         p = self.field.p
+        if all(len(row) == 1 for row in rows.values()):
+            R, den = {}, 1
+            for j, i in sorted((j, i) for i, row in rows.items() for j in row):
+                if j not in R:
+                    R[j] = {}
+                    if p is not None:
+                        den = den * rows[i][j] % p
+            return R, den
         if p is None:
             return _qq_rref(rows), 1
         return _gfp_rref(rows, p)
@@ -363,35 +386,64 @@ class Mat:
         index = {j: k for k, j in enumerate(free)}
         data = {j: {k: den} for k, j in enumerate(free)}
         for pc, row in R.items():
+            if not row:
+                continue
             if p is None:
-                out = {index[j]: -v for j, v in row.items()}
+                data[pc] = {index[j]: -v for j, v in row.items()}
             else:
-                out = {index[j]: -den * v % p for j, v in row.items()}
-            if out:
-                data[pc] = out
+                data[pc] = {index[j]: -den * v % p for j, v in row.items()}
         return Mat(self.field, (n, len(free)), data)
 
     def basis_coords(self, rhs):
         """The X with self @ X = rhs, or None, for a basis ``self`` returned
         by ``nullspace_cols``.  Row free[k] of that basis is den times the
         unit row e_k, free[k] being the last nonzero row of column k, so X is
-        rows free[k] of rhs divided by den; no elimination is run.  X is
-        returned only if self @ X equals rhs."""
-        self._check(rhs, self.nrows == rhs.nrows, "basis_coords")
+        rows free[k] of rhs divided by den; no elimination is run.  Those
+        rows of self @ X equal rhs by construction, so only the other rows
+        (the pivot rows) are multiplied out and compared with rhs; X is
+        returned only if they agree.  For any other ``self`` the rows that
+        are not den times a unit row are checked too, so X is still returned
+        exactly when self @ X equals rhs."""
+        return self._coords(self._read_off(), rhs)
+
+    def _read_off(self):
+        """What ``basis_coords`` needs of the basis, found once per basis:
+        ``(free, inv, checked)`` with free[k] the last nonzero row of column
+        k, inv the inverse of den (of 1 over QQ), and checked the rows
+        ``(i, row)`` that are not den times the unit row e_k at i = free[k]."""
+        data = self._data
         free = {}
-        for i, row in self._data.items():
+        for i, row in data.items():
             for k in row:
                 if free.get(k, -1) < i:
                     free[k] = i
         p = self.field.p
+        den = data[free[0]][0] if p is not None and free else 1
+        units = {i for k, i in free.items() if len(data[i]) == 1 and data[i].get(k) == den}
+        checked = [(i, row) for i, row in data.items() if i not in units]
+        return free, 1 if p is None else pow(den, -1, p), checked
+
+    def _coords(self, read_off, rhs):
+        """``basis_coords`` with ``_read_off()`` of self given."""
+        self._check(rhs, self.nrows == rhs.nrows, "basis_coords")
+        free, inv, checked = read_off
         rows = rhs._data
+        if not rows.keys() <= self._data.keys():
+            return None             # a nonzero row of rhs where self is zero
+        p = self.field.p
         data = {k: rows[i] for k, i in free.items() if i in rows}
-        if p is not None and free:
-            inv = pow(self._data[free[0]][0], -1, p)
-            if inv != 1:
-                data = {k: {j: v * inv % p for j, v in row.items()} for k, row in data.items()}
-        X = Mat(self.field, (self.ncols, rhs.ncols), data)
-        return X if self @ X == rhs else None
+        if inv != 1:
+            data = {k: {j: v * inv % p for j, v in row.items()} for k, row in data.items()}
+        for i, row in checked:
+            acc = {}
+            for k, a in row.items():
+                xrow = data.get(k)
+                if xrow is not None:
+                    for j, b in xrow.items():
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            if _clean(acc, p) != rows.get(i, {}):
+                return None
+        return Mat(self.field, (self.ncols, rhs.ncols), data)
 
     def solve(self, rhs):
         """A particular solution X of self @ X = rhs, or None if inconsistent."""

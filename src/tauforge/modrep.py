@@ -118,16 +118,31 @@ def free_simple(datum, field, vertex):
     return make_rep(datum, field, {vertex: d}, eps, {})
 
 
+def _running_powers(A, k):
+    """[A, A^2, ..., A^k] for a square A, each power one product after the
+    last, so that a caller needing several powers of one loop runs them up
+    once."""
+    run = [A]
+    for _ in range(k - 1):
+        run.append(run[-1] @ A)
+    return run
+
+
 def check_relations(rep):
     """Return a list of violated relation descriptions (empty when valid)."""
     datum = rep.datum
+    top = {v: datum.d(v) for v in datum.vertices}
+    for i, j, _ in rep.arr:
+        top[i] = max(top[i], datum.f(j, i))
+        top[j] = max(top[j], datum.f(i, j))
+    run = {v: _running_powers(rep.eps[v], top[v]) for v in datum.vertices}
     bad = []
     for v in datum.vertices:
-        if not rep.eps[v].power(datum.d(v)).is_zero():
+        if not run[v][datum.d(v) - 1].is_zero():
             bad.append(f"eps[{v}]^{datum.d(v)} != 0")
     for (i, j, g), A in rep.arr.items():
-        lhs = rep.eps[i].power(datum.f(j, i)) @ A
-        rhs = A @ rep.eps[j].power(datum.f(i, j))
+        lhs = run[i][datum.f(j, i) - 1] @ A
+        rhs = A @ run[j][datum.f(i, j) - 1]
         if not (lhs - rhs).is_zero():
             bad.append(f"eps[{i}]^{datum.f(j, i)} a[{i}<-{j}]#{g} != a[{i}<-{j}]#{g} eps[{j}]^{datum.f(i, j)}")
     return bad
@@ -171,14 +186,18 @@ def direct_sum(reps):
     dims = {v: sum(r.dims[v] for r in reps) for v in datum.vertices}
     quiver = build_quiver(datum)
     row_dims = {v: [r.dims[v] for r in reps] for v in datum.vertices}
+    # a missing block is zero, so zero blocks are left out of each grid:
+    # they are about half of the blocks in the sums that tau builds
     eps = {}
     for v in quiver.vertices:
-        eps[v] = Mat.block(field, {(t, t): r.eps[v] for t, r in enumerate(reps)},
+        eps[v] = Mat.block(field, {(t, t): r.eps[v] for t, r in enumerate(reps)
+                                   if not r.eps[v].is_zero()},
                            row_dims[v], row_dims[v])
     arr = {}
     for key in quiver.arrows:
         i, j, _ = key
-        arr[key] = Mat.block(field, {(t, t): r.arr[key] for t, r in enumerate(reps)},
+        arr[key] = Mat.block(field, {(t, t): r.arr[key] for t, r in enumerate(reps)
+                                     if not r.arr[key].is_zero()},
                              row_dims[i], row_dims[j])
     return make_rep(datum, field, dims, eps, arr)
 
@@ -396,19 +415,28 @@ def kernel_rep(M, blocks):
     """Kernel of the morphism out of M with per-vertex ``blocks``, with its
     inclusion.  The kernel at v has the canonical basis incl[v] from
     ``nullspace_cols``, and its maps are read in that basis by
-    ``basis_coords``."""
+    ``basis_coords``; what that needs of each basis is found once.  A zero
+    map keeps every subspace and restricts to zero, so it is not read: the
+    loops at vertices with d = 1 are all zero."""
     datum, field = M.datum, M.field
     incl = {v: blocks[v].nullspace_cols() for v in datum.vertices}
     dims = {v: incl[v].ncols for v in datum.vertices}
+    read = {v: incl[v]._read_off() for v in datum.vertices}
     eps = {}
     for v in datum.vertices:
-        sol = incl[v].basis_coords(M.eps[v] @ incl[v])
+        if M.eps[v].is_zero():
+            eps[v] = Mat.zeros(field, dims[v], dims[v])
+            continue
+        sol = incl[v]._coords(read[v], M.eps[v] @ incl[v])
         if sol is None:
             raise RuntimeError("kernel not stable under loop (not a morphism?)")
         eps[v] = sol
     arr = {}
     for (i, j, g), A in M.arr.items():
-        sol = incl[i].basis_coords(A @ incl[j])
+        if A.is_zero():
+            arr[(i, j, g)] = Mat.zeros(field, dims[i], dims[j])
+            continue
+        sol = incl[i]._coords(read[i], A @ incl[j])
         if sol is None:
             raise RuntimeError("kernel not stable under arrow (not a morphism?)")
         arr[(i, j, g)] = sol

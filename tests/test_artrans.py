@@ -148,6 +148,30 @@ def test_presentation_of_projective_has_no_relations():
     assert pres.gens1 == ()
 
 
+# (module of B3, its vertex, the loop put at 2, the message)
+_BAD_MODULES = {
+    # the loop at 2 of P1 made invertible: all of M_2 counts as radical, so
+    # no generator sits at 2 and the cover misses M_2; the cover's kernel is
+    # not stable under that loop either, and the cover is the fault reported
+    "cover-misses": (build_projective, 1, lambda field: Mat.identity(field, 2),
+                     r"^projective cover is not surjective \(bad input module\?\)$"),
+    # the loop at 2 of I2 made a swap: the generators at 1 still span M_2,
+    # so the cover is onto, but it is no morphism
+    "cover-onto": (build_injective, 2, lambda field: Mat.from_rows(field, [[0, 1], [1, 0]]),
+                   r"^kernel not stable under loop \(not a morphism\?\)$"),
+}
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("case", list(_BAD_MODULES))
+def test_presentation_of_a_bad_module_names_its_fault(field, case):
+    build, v, loop, message = _BAD_MODULES[case]
+    M = build(b3(), field, v)
+    M = make_rep(M.datum, field, dict(M.dims), {**M.eps, 2: loop(field)}, dict(M.arr))
+    with pytest.raises(RuntimeError, match=message):
+        minimal_presentation(M)
+
+
 # ---------------------------------------------------------------------------
 # Orbits, periods, local freeness
 

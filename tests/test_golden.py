@@ -1,20 +1,24 @@
 """Golden output: the module JSON of every catalogue module and of its tau
 and tau^-1 translates, pinned by sha256 over QQ and GF(32003), one sha256
 per field over the whole parameter grid of the catalogue, one per field
-over the projectives P_i and injectives I_i of every catalogued datum, and
-one per field over C+M and C-M of every catalogue module.
+over the projectives P_i and injectives I_i of every catalogued datum, one
+per field over C+M and C-M of every catalogue module, and one per field
+over the tau^-1 walks from every P_v and tau walks from every I_v of five
+data, four steps deep.
 
 A refactor must leave these bytes alone.  When a change of output is meant,
 print the new tables with ``PYTHONPATH=src python tests/test_golden.py`` and
-paste them over ``GOLDEN``, ``GRID`` and ``PROJ_INJ``.
+paste them over ``GOLDEN``, ``GRID``, ``PROJ_INJ``, ``COXETER`` and
+``DEEP_WALKS``.
 """
 
 import hashlib
 import json
+from itertools import islice
 
 import pytest
 
-from tauforge.artrans import tau, tau_inverse
+from tauforge.artrans import tau, tau_inverse, tau_walk
 from tauforge.linalg import Field
 from tauforge.modrep import rep_to_json
 from tauforge.pathalg import build_injective, build_projective
@@ -106,6 +110,26 @@ def coxeter_digest(field):
     return len(docs), hashlib.sha256(text.encode()).hexdigest()
 
 
+# the data of the translate walks, as (family, n)
+_WALK_DATA = (("A11", None), ("Bn", 3), ("G21", None), ("CDn", 4), ("F41", None))
+
+
+def deep_walk_digest(field, depth=4):
+    """sha256 over the module JSON of the tau^-1 walk from P_v and the tau
+    walk from I_v, ``depth`` steps or until the walk reaches zero, for every
+    vertex v of each datum of ``_WALK_DATA``."""
+    docs = []
+    for family, n in _WALK_DATA:
+        datum = named_datum(family, n=n)
+        for v in datum.vertices:
+            for start, step in ((build_projective(datum, field, v), tau_inverse),
+                                (build_injective(datum, field, v), tau)):
+                docs.append([rep_to_json(M, embed_datum=True)
+                             for M in islice(tau_walk(start, step), depth)])
+    text = json.dumps(docs, sort_keys=True)
+    return sum(map(len, docs)), hashlib.sha256(text.encode()).hexdigest()
+
+
 GRID = {
     "GF32003": (417, "e9d5605301f7ff642210ce3cbbf2db7ce73f32997de00b6e9eeee64875416b2a"),
     "QQ": (417, "e25ba77e990c14816c775995f202d1931d0b9a00530b355329ab3ae057d2e110"),
@@ -121,6 +145,12 @@ PROJ_INJ = {
 COXETER = {
     "GF32003": (72, "8638177e004fda3133fd9a9166c808170de6522b3323164b2c53823a38e205cb"),
     "QQ": (72, "80c62578f167a968263ef8e6422f737af3ad9f719b66c40ced76614470914ee5"),
+}
+
+
+DEEP_WALKS = {
+    "GF32003": (152, "e61eed2d4ef2e403c3644a51bde1f83ca6ee8f459acb73052238c2fbe106a23d"),
+    "QQ": (152, "fe85f6b0b05be3e3e1a7375d8242e1d9f5f20ccffb79104f01d6ff7ced09185a"),
 }
 
 
@@ -493,6 +523,11 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
+def test_deep_translate_walks_are_byte_stable(name):
+    assert deep_walk_digest(FIELDS[name]) == DEEP_WALKS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
 def test_catalogue_module_json_is_byte_stable(name):
     assert golden_hashes(FIELDS[name]) == GOLDEN[name]
 
@@ -524,6 +559,10 @@ if __name__ == "__main__":
     print("COXETER = {")
     for name in sorted(FIELDS):
         print("    %r: %r," % (name, coxeter_digest(FIELDS[name])))
+    print("}")
+    print("DEEP_WALKS = {")
+    for name in sorted(FIELDS):
+        print("    %r: %r," % (name, deep_walk_digest(FIELDS[name])))
     print("}")
     print("GOLDEN = {")
     for name in sorted(FIELDS):

@@ -165,6 +165,28 @@ def test_basis_coords_agree_with_solve(field):
     assert outside >= 20
 
 
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(32003)], ids=_field_id)
+def test_basis_coords_checks_every_pivot_row(field):
+    # Y agrees with B @ X0 on the free rows of B (row free[k] is den * e_k),
+    # which fix the read-off X = X0, and differs on one other row
+    rng = random.Random(4100 + (field.p or 0))
+    tried = 0
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(2, 10)
+        A = _random_matrix(rng, field, m, n, rng.choice((0.3, 0.6)))
+        B = A.nullspace_cols()
+        n, r = B.shape
+        rows = B.rows()
+        free = {max(i for i in range(n) if rows[i][k]) for k in range(r)}
+        X0 = _random_matrix(rng, field, r, 2, 0.5)
+        for i in sorted(set(range(n)) - free):
+            bump = Mat.from_dict(field, (n, 2), {(i, rng.randrange(2)): _scalar(rng, field)})
+            Y = B @ X0 + bump
+            assert B.basis_coords(Y) is None
+            tried += 1
+    assert tried >= 40
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=_field_id)
 def test_arithmetic_matches_domain_matrix(field):
     rng = random.Random(3000 + (field.p or 0))
