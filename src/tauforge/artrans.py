@@ -201,23 +201,16 @@ def tau_walk(M, step):
         cur = step(cur).module
 
 
-@dataclass
-class OrbitEntry:
-    k: int
-    module: Representation
-    rank: tuple               # or None when not locally free
-
-
-@dataclass
-class TauOrbit:
-    entries: list             # OrbitEntry, sorted by k
-    period: int = None        # smallest r with tau^r M == M certified, if found
-
-    def member(self, k):
-        for e in self.entries:
-            if e.k == k:
-                return e
-        return None
+def orbit_walk(M, window):
+    """Yield (k, tau^k M, returned) for k = 1 .. window, ending before the
+    first zero module; returned says that ``is_isomorphic`` certifies
+    tau^k M = M, and the walk ends at the first k where it does.  Every
+    search for a tau-period walks through here."""
+    for k, cur in enumerate(islice(tau_walk(M, tau), window), start=1):
+        returned = is_isomorphic(cur, M).verdict == "yes"
+        yield k, cur, returned
+        if returned:
+            return
 
 
 def default_window(datum):
@@ -225,31 +218,30 @@ def default_window(datum):
     return 2 * cox.N if cox.N else 2 * datum.n
 
 
-def tau_orbit(M, window=None):
-    datum = M.datum
-    if window is None:
-        window = default_window(datum)
-    entries = [OrbitEntry(0, M, rank_vector(M))]
-    period = None
-    for k, cur in enumerate(islice(tau_walk(M, tau), window), start=1):
-        entries.append(OrbitEntry(k, cur, rank_vector(cur)))
-        if period is None and is_isomorphic(cur, M).verdict == "yes":
-            period = k
-    for k, cur in enumerate(islice(tau_walk(M, tau_inverse), window), start=1):
-        entries.append(OrbitEntry(-k, cur, rank_vector(cur)))
-    entries.sort(key=lambda e: e.k)
-    return TauOrbit(entries, period)
-
-
-@dataclass
-class FreenessReport:
-    status: str               # 'verified' | 'verified_on_window' | 'fails'
-    period: int = None        # None with 'verified': both walks ended at zero
+def tau_orbit(M, window):
+    """(ranks, period, witness): ranks maps each k in -window .. window with
+    tau^k M nonzero to the rank vector of tau^k M; period is the first k <=
+    window with tau^k M = M certified, and witness that tau^k M, both None
+    when there is none.  Past a period p the rank at k is the rank at k mod
+    p, a rank vector being an isomorphism invariant, so nothing is walked
+    past p or backwards."""
+    orbit = [M]
+    for k, cur, returned in orbit_walk(M, window):
+        if returned:
+            ranks = [rank_vector(N) for N in orbit]
+            return {j: ranks[j % k] for j in range(-window, window + 1)}, k, cur
+        orbit.append(cur)
+    ranks = {k: rank_vector(N) for k, N in enumerate(orbit)}
+    ranks.update((-k, rank_vector(N)) for k, N in enumerate(islice(tau_walk(M, tau_inverse), window), start=1))
+    return ranks, None, None
 
 
 def _walk_local_freeness(M, window):
-    """Walk the orbit of M both ways, at most ``window`` steps each, checking
-    local freeness at every step; M is indecomposable, its End ring already
+    """(status, period) of the walks of the orbit of M both ways, at most
+    ``window`` steps each, checking local freeness at every step (GLS I's
+    tau-local freeness); status is 'verified', 'verified_on_window' or
+    'fails', and period is the tau-period found, None with 'verified' when
+    both walks ended at zero.  M is indecomposable, its End ring already
     known to be local with residue field k."""
     datum = M.datum
 
@@ -257,18 +249,19 @@ def _walk_local_freeness(M, window):
         return any(local_free_rank(rep, v) is None for v in datum.vertices)
 
     if fails(M):
-        return FreenessReport("fails")
-    closed = 0
-    for sign, step in ((1, tau), (-1, tau_inverse)):
-        walked = 0
-        for k, cur in enumerate(islice(tau_walk(M, step), window), start=1):
-            if fails(cur):
-                return FreenessReport("fails")
-            if sign > 0 and is_isomorphic(cur, M).verdict == "yes":
-                return FreenessReport("verified", period=k)
-            walked = k
-        closed += walked < window
-    return FreenessReport("verified" if closed == 2 else "verified_on_window")
+        return "fails", None
+    k = 0
+    for k, cur, returned in orbit_walk(M, window):
+        if fails(cur):
+            return "fails", None
+        if returned:
+            return "verified", k
+    closed = k < window
+    k = 0
+    for k, cur in enumerate(islice(tau_walk(M, tau_inverse), window), start=1):
+        if fails(cur):
+            return "fails", None
+    return ("verified" if closed and k < window else "verified_on_window"), None
 
 
 def classify_module(M):
@@ -277,11 +270,3 @@ def classify_module(M):
     if r is None:
         raise ValueError("module is not locally free; rank vector undefined")
     return classify_positive_root(M.datum, r)
-
-
-def tau_period(M, cap):
-    """Smallest r <= cap with a certified isomorphism tau^r M = M, or None."""
-    for r, cur in enumerate(islice(tau_walk(M, tau), cap), start=1):
-        if is_isomorphic(cur, M).verdict == "yes":
-            return r
-    return None

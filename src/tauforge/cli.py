@@ -234,13 +234,12 @@ def _cmd_mod(args):
     if args.orbit is not None:
         if args.orbit < 1:
             raise UsageError("--orbit window must be positive")
-        orbit = tau_orbit(M, window=args.orbit)
-        for entry in orbit.entries:
-            print("tau^%d rank=%s" % (entry.k, _rank_text(entry.rank)))
-        print("period=%s" % (orbit.period if orbit.period is not None else "none"))
-        if args.json is not None and orbit.period is not None:
-            witness = orbit.member(orbit.period)
-            _emit_module(witness.module, args.json)
+        ranks, period, witness = tau_orbit(M, args.orbit)
+        for k in sorted(ranks):
+            print("tau^%d rank=%s" % (k, _rank_text(ranks[k])))
+        print("period=%s" % (period if period is not None else "none"))
+        if witness is not None:
+            _emit_module(witness, args.json)
         return exit_code
     moved = (tau_inverse(M) if args.inverse else tau(M)).module
     print("translate-rank=%s" % _rank_text(rank_vector(moved)))

@@ -527,10 +527,19 @@ def extension_cocycle_space(M, N):
     return _unvec(M.field, at, system.nullspace_cols())
 
 
-def cocycle_is_coboundary(M, N, cocycle):
-    """Does the cocycle come from a vertexwise map psi (c = psi.M - N.psi)?"""
+def coboundary_mask(M, N, cocycles):
+    """For each cocycle, does it come from a vertexwise map psi (c = psi.M -
+    N.psi)?  The coboundaries are the image of delta, the common kernel of
+    the rows of K, a basis of the left kernel of delta taken once for the
+    pair: c is one exactly when K c = 0."""
     delta, _, chain_at = _coboundary(M, N)
-    return delta.solve(_vec(M.field, chain_at, cocycle)) is not None
+    K = delta.transpose().nullspace_cols().transpose()
+    return [(K @ _vec(M.field, chain_at, c)).is_zero() for c in cocycles]
+
+
+def cocycle_is_coboundary(M, N, cocycle):
+    """``coboundary_mask`` of one cocycle."""
+    return coboundary_mask(M, N, [cocycle])[0]
 
 
 def build_extension(M, N, cocycle):
@@ -643,7 +652,8 @@ def is_isomorphic(M, N):
     verdicts.
 
     'yes' comes with an explicit invertible morphism, 'no' only from
-    deterministic invariants, otherwise 'unknown'.
+    deterministic invariants or from a brick M (dim End M = 1) with no
+    invertible basis map of Hom(M, N), otherwise 'unknown'.
     """
     if M.datum != N.datum or M.field != N.field:
         return IsoResult("no", reason="different datum or field")
@@ -678,8 +688,12 @@ def is_isomorphic(M, N):
     # an isomorphism forces symmetric Hom dimensions, so when they are
     # asymmetric no random attempt can succeed; the two calls on N share
     # one presentation of N
-    if hom_dim(N, M) != e or hom_dim(N, N) != hom_dim(M, M):
+    if hom_dim(N, M) != e or hom_dim(N, N) != (end := hom_dim(M, M)):
         return IsoResult("no", reason="Hom dimensions are asymmetric")
+    # an isomorphism phi out of a brick spans Hom(M, N) = phi . End M = k phi,
+    # so every nonzero map would be invertible, and no basis map is
+    if end == 1:
+        return IsoResult("no", reason="End M = k and no basis map of Hom(M, N) is invertible")
     rng = random.Random(0)
     for trial in range(_SAMPLES):
         bound = 1 + trial // 4

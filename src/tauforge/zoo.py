@@ -26,14 +26,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .artrans import (_walk_local_freeness, default_window, is_zero_rep, tau, tau_inverse, tau_period,
+from .artrans import (_walk_local_freeness, default_window, is_zero_rep, orbit_walk, tau, tau_inverse,
                       tau_walk)
 from .cartan import admissible_sequence, delta, validate_datum
 from .linalg import Field, Mat
 from .modrep import (
     build_extension,
     check_relations,
-    cocycle_is_coboundary,
+    coboundary_mask,
     end_analysis,
     ext1_dim,
     extension_cocycle_space,
@@ -651,23 +651,20 @@ def _certify_tube(datum, field, stated, expected_end):
             problems.append("%s: dim End = %d, stated %d" % (label, ed.dim, expected_end))
     order = [mouths[0][0]]
     remaining = list(mouths[1:])
-    walk = tau_walk(mouths[0][1], tau)
     closed = False
-    while remaining:
-        cur = next(walk, None)
-        hit = None
-        if cur is not None:
-            hit = next((idx for idx, (_, cand) in enumerate(remaining)
-                        if is_isomorphic(cur, cand).verdict == "yes"), None)
+    for _, cur, returned in orbit_walk(mouths[0][1], len(mouths)):
+        if not remaining:
+            closed = returned
+            break
+        hit = next((idx for idx, (_, cand) in enumerate(remaining)
+                    if is_isomorphic(cur, cand).verdict == "yes"), None)
         if hit is None:
-            problems.append("tau-orbit left the stated mouth set after %s" % order[-1])
             break
         order.append(remaining.pop(hit)[0])
-    else:
-        cur = next(walk, None)
-        closed = cur is not None and is_isomorphic(cur, mouths[0][1]).verdict == "yes"
-        if not closed:
-            problems.append("tau-orbit failed to close after %d steps" % len(mouths))
+    if remaining:
+        problems.append("tau-orbit left the stated mouth set after %s" % order[-1])
+    elif not closed:
+        problems.append("tau-orbit failed to close after %d steps" % len(mouths))
     evidence = {
         "period": len(mouths),
         "tauOrder": order,
@@ -791,13 +788,12 @@ def _check_lem0(check_id, field, family, n):
         periodic.append({"vertex": i, "period": r})
         M = free_simple(datum, field, i)
         closed = False
-        for step, cur in enumerate(itertools.islice(tau_walk(M, tau), r), start=1):
+        for step, cur, returned in orbit_walk(M, r):
             if rank_vector(cur) is None:
                 problems.append("E%d: tau^%d iterate is not locally free" % (i, step))
                 break
-            if step == r:
-                closed = is_isomorphic(cur, M).verdict == "yes"
-            elif not is_rigid(cur):
+            closed = returned and step == r
+            if step < r and not is_rigid(cur):
                 problems.append("E%d: tau^%d iterate is not rigid" % (i, step))
         else:
             if not closed:
@@ -826,8 +822,8 @@ def _extension_reproduces(Z, X, Y):
     candidates = list(basis)
     for a, b in itertools.combinations(range(len(basis)), 2):
         candidates.append(_cocycle_sum(basis[a], basis[b]))
-    for cocycle in candidates:
-        if cocycle_is_coboundary(Z, X, cocycle):
+    for cocycle, split in zip(candidates, coboundary_mask(Z, X, candidates)):
+        if split:
             continue
         middle = build_extension(Z, X, cocycle)
         if is_isomorphic(middle, Y).verdict == "yes":
@@ -858,7 +854,7 @@ def _check_main2(check_id, field, family, n=None):
     evidence["Z"]["selfExt"] = self_ext
     if self_ext != 1:
         problems.append("Z: dim Ext^1(Z, Z) = %d, expected 1" % self_ext)
-    pz = tau_period(Z, cap=expected_period + 1)
+    pz = next((k for k, _, returned in orbit_walk(Z, expected_period + 1) if returned), None)
     evidence["Z"]["tauPeriod"] = pz
     if pz != expected_period:
         problems.append("Z: tau-period %s, expected %d" % (pz, expected_period))
@@ -870,13 +866,13 @@ def _check_main2(check_id, field, family, n=None):
     if edy.dim != y_end:
         problems.append("Y: dim End = %d, expected %d" % (edy.dim, y_end))
     if edy.residue_dim == 1:          # the orbit walk takes Y indecomposable
-        freeness = _walk_local_freeness(Y, default_window(datum))
-        evidence["Y"]["tauLocallyFree"] = freeness.status
-        evidence["Y"]["tauPeriod"] = freeness.period
-        if freeness.status != "verified" or freeness.period != expected_period:
+        status, py = _walk_local_freeness(Y, default_window(datum))
+        evidence["Y"]["tauLocallyFree"] = status
+        evidence["Y"]["tauPeriod"] = py
+        if status != "verified" or py != expected_period:
             problems.append(
                 "Y: tau-local-freeness %s with period %s, expected verified period %d"
-                % (freeness.status, freeness.period, expected_period)
+                % (status, py, expected_period)
             )
     ry = rank_vector(Y)
     want = _vec_add(dlt, rank_vector(X))

@@ -145,9 +145,9 @@ class NotIndecomposable(ValueError):
 
 
 def is_tau_locally_free(M, window=None):
-    """Walk the orbit of an indecomposable M both ways checking local
-    freeness at every step; M whose End ring is not local with residue
-    field k is refused."""
+    """(status, period) of the walks of the orbit of an indecomposable M both
+    ways, checking local freeness at every step; M whose End ring is not
+    local with residue field k is refused."""
     if is_zero_rep(M):
         raise NotIndecomposable("zero module")
     end = end_analysis(M)

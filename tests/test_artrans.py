@@ -14,11 +14,11 @@ from tauforge.artrans import (
     default_window,
     is_zero_rep,
     minimal_presentation,
+    orbit_walk,
     projective_cover,
     tau,
     tau_inverse,
     tau_orbit,
-    tau_period,
     tau_walk,
 )
 from tauforge.linalg import Field, Mat
@@ -33,7 +33,7 @@ from tauforge.modrep import (
 from tauforge.pathalg import algebra_basis, build_injective, build_projective
 from tauforge.cartan import build_quiver, datum_to_json, delta
 from tauforge.rootsys import coxeter_data
-from tauforge.zoo import build_named, module_battery, named_datum
+from tauforge.zoo import _FAMILIES, _build_id, _stated_tubes, build_named, module_battery, named_datum
 
 Q = Field.rational()
 
@@ -178,43 +178,79 @@ def test_presentation_of_a_bad_module_names_its_fault(field, case):
 
 def test_tau_orbit_period_and_ranks():
     cd, Z = build_named("G21.Z")
-    orbit = tau_orbit(Z)
-    assert orbit.period == 2
-    assert orbit.member(0).rank == delta(cd)
-    assert orbit.member(1) is not None
-    assert orbit.member(1).rank == coxeter_data(cd).c_apply(delta(cd), 1)
+    ranks, period, _ = tau_orbit(Z, default_window(cd))
+    assert period == 2
+    assert ranks[0] == delta(cd)
+    assert 1 in ranks
+    assert ranks[1] == coxeter_data(cd).c_apply(delta(cd), 1)
+
+
+def _periodic_modules(field):
+    """(module, period): every stated tube mouth of the catalogue at its
+    suite size, with the number of mouths of its tube, and the Z of every
+    non-rigid pair, with the period of its tube mouth X."""
+    out = []
+    for family, row in _FAMILIES.items():
+        if not row.tubes:
+            continue
+        datum = named_datum(family, n=row.size[1] if row.size else None)
+        tubes = _stated_tubes(datum, family)
+        out += [(_build_id(datum, field, mid), len(stated)) for stated, _ in tubes for mid, _ in stated]
+        if row.pair:
+            z_id, _, x_id, _ = row.pair
+            out.append((_build_id(datum, field, z_id),
+                        next(len(stated) for stated, _ in tubes if x_id in dict(stated))))
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(32003)], ids=["QQ", "GF32003"])
+def test_orbit_walker_matches_plain_walks(field):
+    # past the period the walker reads ranks off the first period's modules;
+    # the plain walks translate every step, both ways
+    for M, period in _periodic_modules(field):
+        window = period + 1
+        ranks, found, witness = tau_orbit(M, window)
+        forward = list(islice(tau_walk(M, tau), window))
+        backward = list(islice(tau_walk(M, tau_inverse), window))
+        assert found == period
+        assert next(k for k, N in enumerate(forward, start=1) if is_isomorphic(N, M).verdict == "yes") == period
+        assert witness == forward[period - 1]
+        plain = {0: rank_vector(M)}
+        plain.update((k, rank_vector(N)) for k, N in enumerate(forward, start=1))
+        plain.update((-k, rank_vector(N)) for k, N in enumerate(backward, start=1))
+        assert ranks == plain
 
 
 def test_orbit_of_projective_terminates():
     cd = b3()
     P1 = build_projective(cd, Q, 1)
-    orbit = tau_orbit(P1, window=6)
-    assert orbit.member(1) is None          # tau P = 0, forward stops
-    assert orbit.member(-1) is not None     # tau^- P lives
-    assert orbit.period is None
+    ranks, period, witness = tau_orbit(P1, window=6)
+    assert 1 not in ranks                   # tau P = 0, forward stops
+    assert -1 in ranks                      # tau^- P lives
+    assert period is None and witness is None
 
 
 def test_is_tau_locally_free_verified_with_period():
     cd = b3()
     E2 = free_simple(cd, Q, 2)
-    report = is_tau_locally_free(E2)
-    assert report.status == "verified"
-    assert report.period == 3
+    status, period = is_tau_locally_free(E2)
+    assert status == "verified"
+    assert period == 3
 
 
 def test_is_tau_locally_free_fails_at_the_start():
     cd = named_datum("G21")
     S3 = make_rep(cd, Q, {3: 1})            # d_3 = 3, so not free at vertex 3
-    report = is_tau_locally_free(S3)
-    assert report.status == "fails"
+    status, _ = is_tau_locally_free(S3)
+    assert status == "fails"
 
 
 def test_is_tau_locally_free_on_an_open_window():
     cd = b3()
     P1 = build_projective(cd, Q, 1)         # tau P1 = 0, tau^-k P1 never is
-    report = is_tau_locally_free(P1, window=3)
-    assert report.status == "verified_on_window"
-    assert report.period is None
+    status, period = is_tau_locally_free(P1, window=3)
+    assert status == "verified_on_window"
+    assert period is None
 
 
 def test_is_tau_locally_free_rejects_decomposable():
@@ -223,13 +259,17 @@ def test_is_tau_locally_free_rejects_decomposable():
         is_tau_locally_free(direct_sum([Z, Z]))
 
 
+def _period(M, window):
+    return next((k for k, _, returned in orbit_walk(M, window) if returned), None)
+
+
 def test_tau_period_values():
     _, Z3 = build_named("Bn.Z", n=3)
-    assert tau_period(Z3, cap=4) == 3
+    assert _period(Z3, 4) == 3
     _, ZG = build_named("G21.Z")
-    assert tau_period(ZG, cap=3) == 2
+    assert _period(ZG, 3) == 2
     cd = b3()
-    assert tau_period(build_projective(cd, Q, 1), cap=3) is None
+    assert _period(build_projective(cd, Q, 1), 3) is None
 
 
 def test_default_window_positive():

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, stdout payloads, JSON artifacts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -148,6 +149,42 @@ def test_mod_tau_orbit_stdout(capsys, tmp_path):
         code, out, _ = run(capsys, "mod", "tau", str(path), "--orbit", "6")
         assert code == 0
         assert out == want
+
+
+_ORBIT_G21_Z = "rank=1,2,1\n" + "".join("tau^%d rank=1,2,1\n" % k for k in range(-5, 6)) + "period=2\n"
+_ORBIT_B3_E2 = """rank=0,1,0,0
+tau^-4 rank=2,1,1,2
+tau^-3 rank=0,1,0,0
+tau^-2 rank=0,0,1,0
+tau^-1 rank=2,1,1,2
+tau^0 rank=0,1,0,0
+tau^1 rank=0,0,1,0
+tau^2 rank=2,1,1,2
+tau^3 rank=0,1,0,0
+tau^4 rank=0,0,1,0
+period=3
+"""
+
+
+@pytest.mark.parametrize("module, window, want, witness_sha256", [
+    (lambda: build_named("Bn.Z", n=3)[1], 6, _ORBIT_BN_Z,
+     "f2ca0c72e4548911ef95e47dd1ab96859043c08951eba6522d13de5becab400d"),
+    (lambda: build_named("G21.Z")[1], 5, _ORBIT_G21_Z,
+     "c77aefd161c21d1eaf0899c6b4d8e89a314b5e8f8f92d90442c7ca4ab3f30061"),
+    (lambda: free_simple(named_datum("Bn", n=3), Field.rational(), 2), 4, _ORBIT_B3_E2,
+     "a6f1add38ede603536f11c424513eacd0ed85eea2793cc238473155dad8f44c7"),
+], ids=["Bn.Z", "G21.Z", "B3.E2"])
+def test_mod_tau_orbit_stdout_and_witness_past_the_period(capsys, tmp_path, module, window, want,
+                                                         witness_sha256):
+    # the window is past the period, and for G21.Z and E2 not a multiple of it;
+    # the witness is tau^period M as the walk computed it
+    mod_file, witness = tmp_path / "m.json", tmp_path / "w.json"
+    mod_file.write_text(json.dumps(rep_to_json(module(), embed_datum=True)))
+    code, out, _ = run(capsys, "mod", "tau", str(mod_file), "--orbit", str(window),
+                       "--json", str(witness))
+    assert code == 0
+    assert out == want
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == witness_sha256
 
 
 def test_mod_classify_stdout(capsys, tmp_path):

@@ -187,6 +187,27 @@ def test_random_coboundaries_are_coboundaries(field):
         assert check_relations(build_extension(M, N, cocycle)) == []
 
 
+@pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
+def test_coboundary_mask_matches_solving_against_delta(field):
+    # the basis cocycles, their sums with random coboundaries and the random
+    # coboundaries themselves, all of one pair in one call, against a solve
+    # of delta psi = c for each cocycle on its own
+    rng = random.Random(6)
+    mods = [M for _, M in module_battery(b3(), field, size=8)]
+    seen = set()
+    for _ in range(10):
+        M, N = rng.choice(mods), rng.choice(mods)
+        basis = extension_cocycle_space(M, N)
+        exact = [_random_coboundary(rng, M, N) for _ in range(3)]
+        cocycles = basis + [{key: c[key] + b[key] for key in c} for c, b in zip(basis, exact)] + exact
+        delta, _, chain_at = modrep._coboundary(M, N)
+        want = [delta.solve(modrep._vec(field, chain_at, c)) is not None for c in cocycles]
+        assert modrep.coboundary_mask(M, N, cocycles) == want
+        assert want[-len(exact):] == [True] * len(exact)
+        seen.update(want)
+    assert seen == {True, False}
+
+
 _BATTERIES = pytest.mark.parametrize("family, n, vertex",
                                      [("A11", None, 2), ("Bn", 3, 2), ("G21", None, 3)])
 
@@ -411,10 +432,11 @@ def test_end_analysis_on_both_hom_routes(field):
     assert routes == {False, True}
 
 
-def test_iso_yes_and_unknown_keep_their_verdicts_without_random_draws(monkeypatch):
+def test_iso_yes_and_brick_no_keep_their_verdicts_without_random_draws(monkeypatch):
     # every "yes" on the B3 battery (tau M against T C+ M, Prop 2.6) comes
     # from a basis map or their sum; tau Z against Z of G21 has symmetric
-    # Hom dimensions and stays "unknown" after the random draws
+    # Hom dimensions, End Z = k and a basis map that is not invertible, so
+    # it is a certified "no", also reached without random draws
     cd = b3()
     pairs = [(tau(M).module, twist(coxeter_functor(cd, "+", M)))
              for _, M in module_battery(cd, Q, size=14)]
@@ -431,10 +453,9 @@ def test_iso_yes_and_unknown_keep_their_verdicts_without_random_draws(monkeypatc
             assert res.certificate.is_iso() and res.certificate.is_morphism()
             yes += 1
     assert yes >= 9
-    monkeypatch.undo()
     _, Z = build_named("G21.Z")
     res = is_isomorphic(tau(Z).module, Z)
-    assert (res.verdict, res.reason) == ("unknown", "no invertible combination in 20 samples")
+    assert (res.verdict, res.reason) == ("no", "End M = k and no basis map of Hom(M, N) is invertible")
 
 
 # ---------------------------------------------------------------------------

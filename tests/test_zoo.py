@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tauforge import zoo
+from tauforge import artrans, modrep, zoo
 from tauforge.cartan import delta
 from tauforge.linalg import Field
 from tauforge.modrep import check_relations, rank_vector
@@ -245,6 +245,25 @@ def test_report_over_prime_field_is_pinned(unchanged_report, check_id):
     # reports carry no field and their evidence does not depend on it, so
     # the digests pinned over QQ hold over GF(32003) too
     assert unchanged_report(verify_proposition(check_id, field=Field.prime(32003)))
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(32003)], ids=["QQ", "GF32003"])
+def test_main2_checks_reach_no_unknown_verdict(monkeypatch, unchanged_report, field):
+    # the tau-period walks of Z compare bricks whose one Hom basis map is not
+    # invertible: the brick rule answers them "no", not "unknown"
+    verdicts = []
+
+    def recorded(M, N):
+        res = modrep.is_isomorphic(M, N)
+        verdicts.append(res.verdict)
+        return res
+
+    for module in (artrans, zoo):
+        monkeypatch.setattr(module, "is_isomorphic", recorded)
+    for check_id in ("main2.Bn", "main2.CDn", "main2.F41", "main2.G21"):
+        assert unchanged_report(verify_proposition(check_id, field=field))
+    assert "yes" in verdicts and "no" in verdicts
+    assert "unknown" not in verdicts
 
 
 def test_run_suite_filter_and_order():
