@@ -682,7 +682,8 @@ def is_isomorphic(M, N):
         cand = attempt([1 if s == t else 0 for s in range(e)])
         if cand:
             return IsoResult("yes", certificate=cand)
-    cand = attempt([1] * e)
+    # for e = 1 the sum is the one basis map, tried above
+    cand = attempt([1] * e) if e > 1 else None
     if cand:
         return IsoResult("yes", certificate=cand)
     # an isomorphism forces symmetric Hom dimensions, so when they are

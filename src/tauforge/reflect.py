@@ -142,11 +142,11 @@ def reflect_minus(datum, k, M, check_rank=True):
     dop = opposite_datum(datum)
     dM = dual_rep(M)
     refl = reflect_plus(dop, k, dM, check_rank=False)
+    # the dual of a module over the opposite of reflect_orientation(dop, k)
+    # is already over reflect_orientation(datum, k), anonymous as well
     back = dual_rep(refl)
-    new_datum = reflect_orientation(datum, k)
-    out = make_rep(new_datum, M.field, dict(back.dims), dict(back.eps), dict(back.arr))
-    _check_contract(datum, k, M, out, check_rank, "source")
-    return out
+    _check_contract(datum, k, M, back, check_rank, "source")
+    return back
 
 
 def _certified(f):

@@ -2,18 +2,27 @@
 
 The catalogue states explicit bases and structure maps for a fixed
 collection of affine data: tube mouth modules, homogeneous-tube modules, and
-the non-rigid counterexample pairs (Z, Y).  It follows the row rule: a basis
-label names a row that runs through the quiver, so a label at both ends of an
-arrow (i, j, 1) is mapped to itself, and a module states only its basis and
-the entries that are not such row identities.  A module whose basis depends
-on n alone is one row of `_MODULE_TABLE`: one string per vertex listing its
-labels in basis order, with a>b>c for a loop chain along a, b, c, where
-``...`` repeats the vertex entry before it to fill the datum; then the arrow
-entries (i, j, src, dst) that are not row identities, a negative vertex
-counting back from the last.  The five modules whose basis scales with m or
-takes lam, i or j are functions that state the same things.  Every module is
-validated against the algebra relations at build time, so a typo fails
-loudly instead of corrupting downstream computations.
+the non-rigid counterexample pairs (Z, Y).  Every module is one row of
+`_MODULE_TABLE` (a `_Row`); the two that take parameters (lam of Bn.MlamB,
+the interval (i, j) of Atilde.interval) check them and then state a row.
+
+A row gives one string per vertex listing its labels in basis order, with
+a>b>c for a loop chain along a, b, c, where ``...`` repeats the vertex entry
+before it to fill the datum.  It follows the row rule: a basis label names a
+row that runs through the quiver, so a label at both ends of an arrow
+(i, j, 1) is mapped to itself.  The row then lists the arrow entries that
+are not such row identities, each (i, j, src, dst) or (i, j, src, dst,
+coeff) or (i, j, src, dst, coeff, g): coeff (default 1) times dst at vertex
+i is added to the image of src at vertex j under the arrow (i, j, g)
+(default g = 1, the first of parallel arrows); a negative vertex counts
+back from the last.
+
+At symmetriser multiple m (the datum scaled by m) each label l becomes the
+m labels (l, t), t = 0..m-1: a chain a>b runs (a,0)>(b,0)>(a,1)>(b,1)>...,
+a lone label l runs (l,0)>(l,1)>..., every entry holds for each t, and the
+row rule maps each (l, t) to itself.  Every module is validated against the
+algebra relations at build time, so a typo fails loudly instead of
+corrupting downstream computations.
 
 `verify_proposition` runs named verification scenarios that certify the
 advertised properties (rank vectors, rigidity, tube periods, endomorphism
@@ -302,148 +311,6 @@ def datum_from_name(name):
 # assembling explicit modules
 
 
-class _RepBuilder:
-    """Accumulate labelled basis vectors plus unit entries, then emit a
-    relation-checked representation.
-
-    The row rule: `build` gives every arrow (i, j, 1) of the orientation the
-    entry label -> label for each label present at both j and i.  `arrow`
-    adds the entries that are not such row identities; a parallel arrow with
-    g >= 2 gets only those."""
-
-    def __init__(self, datum, field):
-        self.datum = datum
-        self.field = field
-        self._index = {}
-        self._dims = {v: 0 for v in datum.vertices}
-        self._eps = {v: {} for v in datum.vertices}
-        self._arr = {}
-
-    def basis(self, v, label):
-        key = (v, label)
-        if key not in self._index:
-            self._index[key] = self._dims[v]
-            self._dims[v] += 1
-        return self._index[key]
-
-    def tower(self, v, labels):
-        """Create the labelled vectors and chain the loop along them."""
-        for lab in labels:
-            self.basis(v, lab)
-        for src, dst in zip(labels, labels[1:]):
-            self._eps[v][(self.basis(v, dst), self.basis(v, src))] = 1
-
-    def arrow(self, target, source, src_label, dst_label, coeff=1, g=1):
-        """Add coeff * (dst at target) to the image of (src at source)."""
-        r = self.basis(target, dst_label)
-        c = self.basis(source, src_label)
-        entries = self._arr.setdefault((target, source, g), {})
-        entries[(r, c)] = entries.get((r, c), 0) + coeff
-
-    def build(self):
-        fld = self.field
-        index = self._index
-        maps = {(i, j, 1): {(index[(i, label)], c): 1
-                            for (v, label), c in index.items() if v == j and (i, label) in index}
-                for i, j in self.datum.orientation}
-        for key, entries in self._arr.items():
-            block = maps.setdefault(key, {})
-            for rc, coeff in entries.items():
-                block[rc] = block.get(rc, 0) + coeff
-        eps = {
-            v: Mat.from_dict(fld, (self._dims[v], self._dims[v]), entries)
-            for v, entries in self._eps.items()
-            if entries
-        }
-        arr = {
-            (i, j, g): Mat.from_dict(fld, (self._dims[i], self._dims[j]), entries)
-            for (i, j, g), entries in maps.items()
-        }
-        rep = make_rep(self.datum, fld, self._dims, eps, arr)
-        bad = check_relations(rep)
-        if bad:
-            raise ValueError("module table violates the relations: %s" % (bad[0],))
-        return rep
-
-
-def _scaled_tower(prefix, count):
-    return [(prefix, t) for t in range(count)]
-
-
-def _mod_A11_homog(datum, field):
-    m = datum.d(1)
-    b = _RepBuilder(datum, field)
-    b.tower(1, _scaled_tower("u", m))
-    b.tower(1, _scaled_tower("v", m))
-    b.tower(2, _scaled_tower("w", 4 * m))
-    for t in range(m):
-        b.arrow(2, 1, ("u", t), ("w", 4 * t))
-        b.arrow(2, 1, ("v", t), ("w", 4 * t + 1))
-    return b.build()
-
-
-def _mod_A12_homog(datum, field):
-    m = datum.d(1)
-    b = _RepBuilder(datum, field)
-    b.tower(1, _scaled_tower("x", m))
-    b.tower(2, _scaled_tower("y", m))
-    for t in range(m):
-        b.arrow(2, 1, ("x", t), ("y", t), g=2)
-    return b.build()
-
-
-def _mod_G21_homog(datum, field):
-    m = datum.d(1)
-    b = _RepBuilder(datum, field)
-    b.tower(1, _scaled_tower("x", m))
-    b.tower(2, _scaled_tower("u", m))
-    b.tower(2, _scaled_tower("l", m))
-    b.tower(3, _scaled_tower("w", 3 * m))
-    for t in range(m):
-        b.arrow(2, 1, ("x", t), ("l", t))
-        b.arrow(3, 2, ("u", t), ("w", 3 * t + 1))
-        b.arrow(3, 2, ("l", t), ("w", 3 * t))
-    return b.build()
-
-
-def _mod_Bn_MlamB(datum, field, lam=1):
-    try:
-        lam_value = field.to_scalar(field.convert(lam))
-    except ValueError as exc:
-        raise BadParams(str(exc))
-    if lam_value == 0:
-        raise BadParams("the deformation parameter lam must be nonzero")
-    n = datum.n - 1
-    m = datum.d(1)
-    b = _RepBuilder(datum, field)
-    b.tower(1, _scaled_tower("f", m))
-    b.tower(n + 1, _scaled_tower("f", m))
-    for j in range(2, n + 1):
-        interleaved = []
-        for t in range(m):
-            interleaved += [("f", t), ("p", t)]
-        b.tower(j, interleaved)
-    for t in range(m):
-        b.arrow(n + 1, n, ("p", t), ("f", t), coeff=lam)
-    return b.build()
-
-
-def _mod_Atilde_interval(datum, field, i=None, j=None):
-    n = datum.n
-    m = datum.d(1)
-    if not (isinstance(i, int) and 1 <= i <= n) or not (isinstance(j, int) and 1 <= j <= n):
-        raise BadParams("interval endpoints must be vertices between 1 and %d" % n)
-    support = [i]
-    v = i
-    while v != j:
-        v = v % n + 1
-        support.append(v)
-    b = _RepBuilder(datum, field)
-    for v in support:
-        b.tower(v, _scaled_tower("e", m))
-    return b.build()
-
-
 def _spread(rank, size):
     """A stated rank or row at the datum's size: ``...`` repeats the entry
     before it, as many times as the size asks, possibly none."""
@@ -457,19 +324,62 @@ def _spread(rank, size):
 @dataclass(frozen=True)
 class _Row:
     """A module stated as one `_MODULE_TABLE` row, in the format of the
-    module docstring: `labels` per vertex, then the extra arrow `entries`."""
+    module docstring: `labels` per vertex, then the extra arrow `entries`.
+    Called with the symmetriser multiple m of the datum, it builds the module
+    whose labels are the pairs (label, t), t < m, and checks it against the
+    algebra relations."""
 
     labels: tuple
     entries: tuple = ()
 
-    def __call__(self, datum, field):
-        b = _RepBuilder(datum, field)
+    def __call__(self, datum, field, m=1):
+        index = {}  # vertex -> {(label, t): basis position}
+        eps = {}
         for v, entry in zip(datum.vertices, _spread(self.labels, datum.n), strict=True):
+            at = index[v] = {}
+            loop = {}
             for chain in entry.split():
-                b.tower(v, chain.split(">"))
-        for i, j, src, dst in self.entries:
-            b.arrow(i % (datum.n + 1), j % (datum.n + 1), src, dst)
-        return b.build()
+                run = [(label, t) for t in range(m) for label in chain.split(">")]
+                for label in run:
+                    at.setdefault(label, len(at))
+                for src, dst in zip(run, run[1:]):
+                    loop[(at[dst], at[src])] = 1
+            if loop:
+                eps[v] = Mat.from_dict(field, (len(at), len(at)), loop)
+        maps = {(i, j, 1): {(index[i][label], c): 1 for label, c in index[j].items() if label in index[i]}
+                for i, j in datum.orientation}
+        for t in range(m):
+            for entry in self.entries:
+                i, j, src, dst, coeff, g = (*entry, 1, 1)[:6]
+                i, j = i % (datum.n + 1), j % (datum.n + 1)
+                block = maps.setdefault((i, j, g), {})
+                rc = (index[i][(dst, t)], index[j][(src, t)])
+                block[rc] = block.get(rc, 0) + coeff
+        arr = {(i, j, g): Mat.from_dict(field, (len(index[i]), len(index[j])), block)
+               for (i, j, g), block in maps.items()}
+        rep = make_rep(datum, field, {v: len(at) for v, at in index.items()}, eps, arr)
+        bad = check_relations(rep)
+        if bad:
+            raise ValueError("module table violates the relations: %s" % (bad[0],))
+        return rep
+
+
+def _mod_Bn_MlamB(datum, field, m, lam):
+    try:
+        lam_value = field.to_scalar(field.convert(lam))
+    except ValueError as exc:
+        raise BadParams(str(exc))
+    if lam_value == 0:
+        raise BadParams("the deformation parameter lam must be nonzero")
+    return _Row(("f", "f>p", ..., "f"), ((-1, -2, "p", "f", lam),))(datum, field, m)
+
+
+def _mod_Atilde_interval(datum, field, m, i, j):
+    n = datum.n
+    if not (isinstance(i, int) and 1 <= i <= n) or not (isinstance(j, int) and 1 <= j <= n):
+        raise BadParams("interval endpoints must be vertices between 1 and %d" % n)
+    support = {(i - 1 + k) % n + 1 for k in range((j - i) % n + 1)}
+    return _Row(tuple("e" if v in support else "" for v in datum.vertices))(datum, field, m)
 
 
 _REQUIRED = object()
@@ -477,9 +387,10 @@ _SIZED = {"n": _REQUIRED}
 
 # id -> (datum family, builder, parameter spec with defaults)
 _MODULE_TABLE = {
-    "A11.homog": ("A11", _mod_A11_homog, {"m": 1}),
-    "A12.homog": ("A12", _mod_A12_homog, {"m": 1}),
-    "G21.homog": ("G21", _mod_G21_homog, {"m": 1}),
+    "A11.homog": ("A11", _Row(("u v", "w0>w1>w2>w3"), ((2, 1, "u", "w0"), (2, 1, "v", "w1"))), {"m": 1}),
+    "A12.homog": ("A12", _Row(("x", "y"), ((2, 1, "x", "y", 1, 2),)), {"m": 1}),
+    "G21.homog": ("G21", _Row(("x", "u l", "w0>w1>w2"),
+                              ((2, 1, "x", "l"), (3, 2, "u", "w1"), (3, 2, "l", "w0"))), {"m": 1}),
     "Bn.MlamB": ("Bn", _mod_Bn_MlamB, {"n": _REQUIRED, "m": 1, "lam": 1}),
     "Bn.MB": ("Bn", _Row(("t b", "t>b", ..., "t b")), _SIZED),
     "Bn.Z": ("Bn", _Row(("f", "p>f", ..., "f")), _SIZED),
@@ -545,13 +456,9 @@ def build_named(module_id, field=None, **params):
     field = field if field is not None else Field.rational()
     family, builder, spec = _MODULE_TABLE[module_id]
     taken = _take_params(params, spec)
-    datum_kwargs = {}
-    if "n" in taken:
-        datum_kwargs["n"] = taken.pop("n")
-    if "m" in taken:
-        datum_kwargs["m"] = taken.pop("m")
-    datum = named_datum(family, **datum_kwargs)
-    return datum, builder(datum, field, **taken)
+    m = taken.pop("m", 1)
+    datum = named_datum(family, n=taken.pop("n", None), m=m)
+    return datum, builder(datum, field, m, **taken)
 
 
 # --------------------------------------------------------------------------
@@ -762,7 +669,7 @@ def _check_intervals(check_id, field, family, n, m):
             length = (j - i) % n + 1
             if length == n:
                 continue  # full cycle: not a proper interval
-            M = _mod_Atilde_interval(datum, field, i=i, j=j)
+            M = _mod_Atilde_interval(datum, field, m, i, j)
             ed = end_analysis(M)
             if ed.dim != m:
                 problems.append("M(%d,%d): dim End = %d, expected %d" % (i, j, ed.dim, m))

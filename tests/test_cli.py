@@ -1,6 +1,9 @@
 """Command-line driver: exit codes, stdout payloads, JSON artifacts."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tauforge
 from tauforge.cli import main
@@ -394,6 +399,87 @@ def test_datum_with_a_non_integer_entry_is_usage_error(tmp_path, change, kind):
     assert code == 2
     assert len(lines) == 1 and "malformed %s file" % kind in lines[0]
     assert "entries must be integers" in lines[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_seeds():
+    """Module files of the catalogue, with the datum by name and embedded, as
+    JSON text, so that each example mutates a fresh copy."""
+    docs = []
+    for module_id, params in (("Bn.Z", {"n": 2}), ("G21.Z", {}), ("A12.homog", {}), ("CDn.M3", {"n": 3})):
+        _, M = build_named(module_id, **params)
+        docs += [rep_to_json(M), rep_to_json(M, embed_datum=True)]
+    return json.dumps(docs)
+
+
+def _json_nodes(node, path=()):
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_nodes(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# an explicit alphabet spares the first run building Hypothesis's unicode tables
+_TEXT = st.text(alphabet="aBCm039[]<-#/.\u00e9\x00 ", max_size=6)
+_NOT_A_NUMBER = st.one_of(_TEXT, st.floats(), st.booleans(), st.none())
+_BAD_KEYS = st.one_of(st.sampled_from(["dim", "Maps", "0", "-1", "99", "eps[0]", "eps[99999999999999999999]",
+                                       "a[1<-2]", "a[2<-1]#0", "a[2<-1]#2", "a[2<-1]#01"]),
+                      _TEXT)
+
+
+def _mutate(data, doc):
+    """One mutation of a module document: drop, truncate or add a row of a
+    matrix; rename a key; put a string, float or huge int in an entry (a
+    dimension takes only 0..6 as an integer); or name an unknown datum."""
+    nodes = list(_json_nodes(doc))
+    matrices = [path for path, node in nodes if node and isinstance(node, list) and isinstance(node[0], list)]
+    kind = data.draw(st.sampled_from(["key", "entry", "datum"] + ["row"] * bool(matrices)))
+    if kind == "row":
+        rows = _at(doc, data.draw(st.sampled_from(matrices)))
+        k = data.draw(st.integers(0, len(rows) - 1))
+        how = data.draw(st.sampled_from(["drop", "truncate", "add"]))
+        if how == "drop":
+            del rows[k]
+        elif how == "truncate":
+            rows[k] = rows[k][:-1]
+        else:
+            rows.append(list(rows[k]))
+    elif kind == "key":
+        path = data.draw(st.sampled_from([path for path, node in nodes if isinstance(node, dict) and node]))
+        obj = _at(doc, path)
+        obj[data.draw(_BAD_KEYS)] = obj.pop(data.draw(st.sampled_from(sorted(obj))))
+    elif kind == "entry":
+        path = data.draw(st.sampled_from([path for path, node in nodes if path and not isinstance(node, (dict, list))]))
+        if path[0] == "maps":
+            value = data.draw(st.one_of(_NOT_A_NUMBER, st.integers(2 ** 64, 2 ** 200), st.integers(-2 ** 200, -2 ** 64)))
+        elif path[0] == "dims":
+            value = data.draw(st.one_of(_NOT_A_NUMBER, st.integers(0, 6)))
+        else:
+            value = data.draw(_NOT_A_NUMBER)
+        _at(doc, path[:-1])[path[-1]] = value
+    else:
+        doc["datum"] = data.draw(st.one_of(st.sampled_from(["Q9", "B0", "B3m0", "At2", "A113", "B20000", ""]), _TEXT))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_module_files_never_raise(tmp_path_factory, data):
+    docs = json.loads(_fuzz_seeds())
+    doc = docs[data.draw(st.integers(0, len(docs) - 1))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["mod", "tau", str(path)])
+    assert code in (0, 1, 2)
 
 
 def test_cli_import_loads_no_sympy():

@@ -372,6 +372,25 @@ def test_iso_no_from_asymmetric_hom(field):
     assert (res.verdict, res.reason, res.certificate) == ("no", "Hom dimensions are asymmetric", None)
 
 
+def test_iso_with_one_basis_map_tests_it_once(monkeypatch):
+    # Hom(tau Z, Z) of G21 has one basis map; the sum of the basis maps is
+    # that map again, so one invertibility test decides the brick "no"
+    _, Z = build_named("G21.Z")
+    M = tau(Z).module
+    assert len(hom_basis(M, Z)) == 1
+    tested = []
+    is_iso = modrep.Morphism.is_iso
+
+    def counted(self):
+        tested.append(self)
+        return is_iso(self)
+
+    monkeypatch.setattr(modrep.Morphism, "is_iso", counted)
+    res = is_isomorphic(M, Z)
+    assert (res.verdict, res.reason) == ("no", "End M = k and no basis map of Hom(M, N) is invertible")
+    assert len(tested) == 1
+
+
 @functools.lru_cache(maxsize=None)
 def _a11_extension():
     """A non-split 0 -> tau^-1 P2 -> E -> tau^-2 P2 -> 0 of A11 over

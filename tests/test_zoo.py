@@ -15,7 +15,7 @@ from tauforge.zoo import (
     UnknownCheck,
     UnknownId,
     UnknownType,
-    _RepBuilder,
+    _Row,
     all_check_ids,
     build_named,
     datum_from_name,
@@ -127,34 +127,42 @@ def _rows(M, key):
 
 
 def test_row_rule_maps_a_label_at_both_ends_to_itself():
-    b = _RepBuilder(named_datum("A11"), Field.rational())
-    b.basis(1, "x")
-    b.basis(2, "x")
-    b.basis(2, "y")
-    assert _rows(b.build(), (2, 1, 1)) == [[1], [0]]
+    M = _Row(("x", "x y"))(named_datum("A11"), Field.rational())
+    assert _rows(M, (2, 1, 1)) == [[1], [0]]
 
 
 def test_row_rule_gives_the_second_parallel_arrow_nothing():
-    b = _RepBuilder(named_datum("A12"), Field.rational())
-    b.basis(1, "x")
-    b.basis(2, "x")
-    M = b.build()
+    M = _Row(("x", "x"))(named_datum("A12"), Field.rational())
     assert _rows(M, (2, 1, 1)) == [[1]]
     assert _rows(M, (2, 1, 2)) == [[0]]
 
 
 def test_row_rule_with_explicit_entries_and_one_ended_labels():
     # B3: 2 <- 1, 3 <- 2, 4 <- 3
-    b = _RepBuilder(named_datum("Bn", n=3), Field.rational())
-    b.basis(1, "f")
-    b.tower(2, ["p", "f"])
-    b.tower(2, ["g", "h"])
-    b.tower(3, ["p", "f"])
-    b.arrow(2, 1, "f", "g")
-    b.arrow(2, 1, "f", "f", coeff=2)
-    M = b.build()
+    M = _Row(("f", "p>f g>h", "p>f", ""), ((2, 1, "f", "g"), (2, 1, "f", "f", 2)))(
+        named_datum("Bn", n=3), Field.rational())
     assert _rows(M, (2, 1, 1)) == [[0], [3], [1], [0]]
     assert _rows(M, (3, 2, 1)) == [[1, 0, 0, 0], [0, 1, 0, 0]]   # g and h are not at 3
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(32003)], ids=["QQ", "GF32003"])
+def test_row_scales_by_m_with_interleaved_chains_and_per_t_entries(field):
+    # A11.homog at m = 2: the labels (u, t), (v, t) at vertex 1 and the chain
+    # (w0,0)>(w1,0)>(w2,0)>(w3,0)>(w0,1)>... at vertex 2, with u -> w0 and
+    # v -> w1 for each t
+    row = zoo._MODULE_TABLE["A11.homog"][1]
+    assert isinstance(row, _Row)
+    M = row(named_datum("A11", m=2), field, 2)
+    assert M.dims == {1: 4, 2: 8}
+    assert _rows(M, (2, 1, 1)) == [[1, 0, 0, 0], [0, 0, 1, 0], [0] * 4, [0] * 4,
+                                   [0, 1, 0, 0], [0, 0, 0, 1], [0] * 4, [0] * 4]
+    assert [list(r) for r in M.eps[1].rows()] == [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
+    assert [list(r) for r in M.eps[2].rows()] == [[int(r == c + 1) for c in range(8)] for r in range(8)]
+    assert check_relations(M) == []
+    assert modrep.rep_to_json(M) == modrep.rep_to_json(build_named("A11.homog", field=field, m=2)[1])
+    # only the two modules that check parameters are functions, ending in a row
+    assert sorted(mid for mid, (_, builder, _) in zoo._MODULE_TABLE.items()
+                  if not isinstance(builder, _Row)) == ["Atilde.interval", "Bn.MlamB"]
 
 
 def test_module_rank_spot_checks():
