@@ -450,44 +450,64 @@ def kernel_rep(M, blocks):
 @dataclass
 class EndData:
     dim: int
-    residue_dim: int
+    local: bool         # End M is local with residue field k
 
 
 def end_analysis(M):
-    """Dimension, radical (trace form) and residue of End(M).
+    """dim End M, and whether End M is local with residue field k.
 
-    The trace-form radical criterion is valid in characteristic zero, and
-    over GF(p) only when p > dim End.
+    On the canonical basis, with b_s b_t = sum_k c_st^k b_k, End M is local
+    with residue field k exactly when
+      (i)  each basis map b has minimal polynomial (x - lam_b)^r, lam_b in k;
+      (ii) b -> lam_b is multiplicative: sum_k c_st^k lam_k = lam_s lam_t.
+    Then ker lam is an ideal of codimension 1 spanned by the nilpotents
+    b - lam_b; no simple algebra is spanned by nilpotents, which have
+    reduced trace 0, so ker lam is the radical (Auslander-Reiten-Smalo,
+    I.4).  The minimal polynomial of b is the first relation of the Krylov
+    chain 1, b, b^2, ... in coordinates.  lam_b is read off it without
+    dividing by r, which p may divide: for r = q s with q the largest power
+    of p dividing r (q = 1 over QQ), (x - lam)^r = (x^q - lam^q)^s and
+    lam^q = lam, so lam = -(coefficient of x^(r-q)) / s.
     """
     basis = hom_basis(M, M)
     e = len(basis)
     field = M.field
     if e == 0:
-        return EndData(0, 0)
+        return EndData(0, False)
 
     at, _ = _cochain_layouts(M, M)
     V = Mat.hstack(*(_vec(field, at, b.blocks) for b in basis))
-    P = Mat.hstack(*(_vec(field, at, bs.compose(bt).blocks) for bs in basis for bt in basis))
-    coords = V.basis_coords(P)      # V is the canonical basis, den 1
-    if coords is None:
-        raise RuntimeError("product of endomorphisms escaped End basis")
-    crows = coords.rows()
+    read = V._read_off()
 
-    def structure(s, t, k):
-        return crows[k][s * e + t]
+    def coords(maps):
+        X = V._coords(read, Mat.hstack(*(_vec(field, at, m) for m in maps)))
+        if X is None:       # V is the canonical basis, den 1
+            raise RuntimeError("product of endomorphisms escaped End basis")
+        return X
 
-    # Gram matrix of (x, y) -> trace(L_x L_y) on the basis; structure
-    # constants are plain scalars, so the arithmetic below is exact
-    gram = {}
-    for a in range(e):
-        for b in range(e):
-            tr = 0
-            for s in range(e):
-                for t in range(e):
-                    tr += structure(a, t, s) * structure(b, s, t)
-            gram[(a, b)] = tr
-    G = Mat.from_dict(field, (e, e), gram)
-    return EndData(e, G.rank())
+    one = coords([{v: Mat.identity(field, M.dims[v]) for v in M.datum.vertices}])
+    lams, left = [], []
+    for bs in basis:
+        L = coords([bs.compose(bt).blocks for bt in basis])     # x -> b_s x
+        chain = [one]
+        for _ in range(e):
+            chain.append(L @ chain[-1])
+        f = Mat.hstack(*chain).nullspace_cols().col_vector(0)
+        r = max(i for i, c in enumerate(f) if c)
+        f = [field.convert(Fraction(c, f[r])) for c in f[:r + 1]]   # monic, x^0 first
+        q = 1
+        while field.p and r % (q * field.p) == 0:
+            q *= field.p
+        lam = field.convert(Fraction(-f[r - q], r // q))
+        power = [1]
+        for _ in range(r):
+            power = [field.convert(a - lam * b) for a, b in zip([0] + power, power + [0])]
+        if power != f:
+            return EndData(e, False)
+        lams.append(lam)
+        left.append(L)
+    want = [ls * lt for ls in lams for lt in lams]
+    return EndData(e, Mat.from_rows(field, [lams]) @ Mat.hstack(*left) == Mat.from_rows(field, [want]))
 
 
 # ---------------------------------------------------------------------------
@@ -644,16 +664,15 @@ def _invariants_differ(M, N):
     return None
 
 
-_SAMPLES = 20      # random combinations tried after the basis maps and their sum
-
-
 def is_isomorphic(M, N):
-    """Randomized isomorphism test with certificate, seeded for repeatable
-    verdicts.
+    """Isomorphism test with certificate, seeded for repeatable verdicts.
 
-    'yes' comes with an explicit invertible morphism, 'no' only from
-    deterministic invariants or from a brick M (dim End M = 1) with no
-    invertible basis map of Hom(M, N), otherwise 'unknown'.
+    'yes' comes with an invertible basis map of Hom(M, N), or, for an End M
+    that is not local, an invertible combination of them found by a seeded
+    search.  'no' comes from invariants, asymmetric Hom dimensions, or a
+    local End M with no invertible basis map: an isomorphism phi would make
+    Hom(M, N) = phi . End M, whose non-isomorphisms phi . rad End M form a
+    hyperplane, and a basis does not lie in a hyperplane.
     """
     if M.datum != N.datum or M.field != N.field:
         return IsoResult("no", reason="different datum or field")
@@ -665,43 +684,24 @@ def is_isomorphic(M, N):
     basis = hom_basis(M, N)
     if not basis:
         return IsoResult("no", reason="Hom(M, N) = 0 with equal dimensions")
-
-    def attempt(coeffs):
-        blocks = {}
-        for v in M.datum.vertices:
-            acc = Mat.zeros(M.field, N.dims[v], M.dims[v])
-            for c, b in zip(coeffs, basis):
-                if c:
-                    acc = acc + b.blocks[v].scale(c)
-            blocks[v] = acc
-        cand = Morphism(M, N, blocks)
-        return cand if cand.is_iso() else None
-
-    e = len(basis)
-    for t in range(e):
-        cand = attempt([1 if s == t else 0 for s in range(e)])
-        if cand:
-            return IsoResult("yes", certificate=cand)
-    # for e = 1 the sum is the one basis map, tried above
-    cand = attempt([1] * e) if e > 1 else None
-    if cand:
-        return IsoResult("yes", certificate=cand)
-    # an isomorphism forces symmetric Hom dimensions, so when they are
-    # asymmetric no random attempt can succeed; the two calls on N share
-    # one presentation of N
-    if hom_dim(N, M) != e or hom_dim(N, N) != (end := hom_dim(M, M)):
+    for b in basis:
+        if b.is_iso():
+            return IsoResult("yes", certificate=b)
+    # an isomorphism forces symmetric Hom dimensions; the two calls on N
+    # share one presentation of N
+    if hom_dim(N, M) != len(basis) or hom_dim(N, N) != hom_dim(M, M):
         return IsoResult("no", reason="Hom dimensions are asymmetric")
-    # an isomorphism phi out of a brick spans Hom(M, N) = phi . End M = k phi,
-    # so every nonzero map would be invertible, and no basis map is
-    if end == 1:
-        return IsoResult("no", reason="End M = k and no basis map of Hom(M, N) is invertible")
+    if end_analysis(M).local:
+        return IsoResult("no", reason="End M is local and no basis map of Hom(M, N) is invertible")
+    # End M is not local (Z + Z, say): until Fitting's lemma splits it, search
     rng = random.Random(0)
-    for trial in range(_SAMPLES):
-        bound = 1 + trial // 4
-        cand = attempt([rng.randint(-bound, bound) for _ in range(e)])
-        if cand:
+    for trial in range(20):
+        coeffs = [rng.randint(-1 - trial // 4, 1 + trial // 4) for _ in basis]
+        cand = Morphism(M, N, {v: sum((b.blocks[v].scale(c) for c, b in zip(coeffs, basis) if c),
+                                      Mat.zeros(M.field, N.dims[v], M.dims[v])) for v in M.datum.vertices})
+        if cand.is_iso():
             return IsoResult("yes", certificate=cand)
-    return IsoResult("unknown", reason=f"no invertible combination in {_SAMPLES} samples")
+    return IsoResult("unknown", reason="End M is not local and no invertible combination in 20 samples")
 
 
 # ---------------------------------------------------------------------------

@@ -544,7 +544,7 @@ def _certify_tube(datum, field, stated, expected_end):
                 "label": label,
                 "rank": list(rk) if rk is not None else None,
                 "endDim": ed.dim,
-                "residueDim": ed.residue_dim,
+                "residueDim": 1 if ed.local else None,
                 "rigid": rigid,
             }
         )
@@ -552,7 +552,7 @@ def _certify_tube(datum, field, stated, expected_end):
             problems.append("%s: rank %s, expected %s" % (label, rk, tuple(want)))
         if not rigid:
             problems.append("%s: not rigid" % label)
-        if ed.residue_dim != 1:
+        if not ed.local:
             problems.append("%s: endomorphism ring not local" % label)
         if expected_end is not None and ed.dim != expected_end:
             problems.append("%s: dim End = %d, stated %d" % (label, ed.dim, expected_end))
@@ -767,12 +767,12 @@ def _check_main2(check_id, field, family, n=None):
         problems.append("Z: tau-period %s, expected %d" % (pz, expected_period))
 
     edy = end_analysis(Y)
-    evidence["Y"] = {"endDim": edy.dim, "residueDim": edy.residue_dim}
-    if edy.residue_dim != 1:
-        problems.append("Y: endomorphism ring not local (residue dim %d)" % edy.residue_dim)
+    evidence["Y"] = {"endDim": edy.dim, "residueDim": 1 if edy.local else None}
+    if not edy.local:
+        problems.append("Y: endomorphism ring not local")
     if edy.dim != y_end:
         problems.append("Y: dim End = %d, expected %d" % (edy.dim, y_end))
-    if edy.residue_dim == 1:          # the orbit walk takes Y indecomposable
+    if edy.local:  # the orbit walk takes Y indecomposable
         status, py = _walk_local_freeness(Y, default_window(datum))
         evidence["Y"]["tauLocallyFree"] = status
         evidence["Y"]["tauPeriod"] = py

@@ -151,8 +151,8 @@ def is_tau_locally_free(M, window=None):
     if is_zero_rep(M):
         raise NotIndecomposable("zero module")
     end = end_analysis(M)
-    if end.residue_dim != 1:
-        raise NotIndecomposable("endomorphism residue dimension is %d, not 1" % end.residue_dim)
+    if not end.local:
+        raise NotIndecomposable("endomorphism ring is not local with residue field k")
     return _walk_local_freeness(M, default_window(M.datum) if window is None else window)
 
 

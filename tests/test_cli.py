@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import CHECK_SHA256
 import tauforge
 from tauforge.cli import main
 from tauforge.linalg import Field
@@ -156,6 +157,23 @@ def test_mod_tau_orbit_stdout(capsys, tmp_path):
         assert out == want
 
 
+_ORBIT_G21_ZZ = "rank=2,4,2\n" + "".join("tau^%d rank=2,4,2\n" % k for k in range(-6, 7)) + "period=2\n"
+
+
+def test_mod_tau_orbit_of_a_square_finds_its_period(capsys, tmp_path):
+    # no basis map of End(Z + Z) = M_2(k) is invertible and End is not local,
+    # so the "yes" at tau^2 comes from the seeded search; the witness is the
+    # one it has always been
+    _, Z = build_named("G21.Z")
+    mod_file, witness = tmp_path / "zz.json", tmp_path / "w.json"
+    mod_file.write_text(json.dumps(rep_to_json(direct_sum([Z, Z]), embed_datum=True)))
+    code, out, _ = run(capsys, "mod", "tau", str(mod_file), "--orbit", "6", "--json", str(witness))
+    assert code == 0
+    assert out == _ORBIT_G21_ZZ
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == (
+        "cf1ad1d01854e305a86bcc942b6927eb353665cb0216fed26c77803ef067fbf1")
+
+
 _ORBIT_G21_Z = "rank=1,2,1\n" + "".join("tau^%d rank=1,2,1\n" % k for k in range(-5, 6)) + "period=2\n"
 _ORBIT_B3_E2 = """rank=0,1,0,0
 tau^-4 rank=2,1,1,2
@@ -270,30 +288,55 @@ def _usage_error_lines(*argv):
     return proc.returncode, [line for line in proc.stderr.splitlines() if not line.startswith("#")]
 
 
+def _report_digests(path):
+    """check id -> sha256 of each report in a ``verify --json`` file, taken
+    as ``CHECK_SHA256`` takes it."""
+    return {r["checkId"]: hashlib.sha256(json.dumps(r, sort_keys=True).encode()).hexdigest()
+            for r in json.loads(path.read_text())}
+
+
 @pytest.mark.parametrize("field, check_filter", [("p:3", "main2"), ("p:2", "main2.G21")])
-def test_small_prime_main2_reports_instead_of_dying(capsys, field, check_filter):
-    # the trace-form End analysis misreads End Y over GF(p) when p <= dim End;
-    # the check records that as one of its problems, skips the orbit walk of
-    # Y, and the run goes on
-    code, out, err = run(capsys, "verify", "--suite", "paper", "--filter", check_filter, "--field", field)
-    assert code == 1
-    assert [line.split()[0] for line in out.splitlines()] == select_check_ids(check_filter)
+def test_small_prime_main2_reports_instead_of_dying(capsys, tmp_path, field, check_filter):
+    # End Y of the main2 counterexamples is local in every characteristic,
+    # so the reports over GF(2) and GF(3) are the pinned QQ ones
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--suite", "paper", "--filter", check_filter,
+                         "--field", field, "--json", str(report))
+    assert code == 0
+    assert [line.split() for line in out.splitlines()] == [
+        [check_id, "pass"] for check_id in select_check_ids(check_filter)]
     assert [line for line in err.splitlines() if not line.startswith("#")] == []
+    assert _report_digests(report) == {c: CHECK_SHA256[c] for c in select_check_ids(check_filter)}
+
+
+def test_verify_over_gf3_is_byte_identical_to_qq(tmp_path):
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-m", "tauforge.cli", "verify", "--suite", "paper",
+                           "--field", "p:3", "--json", str(report)],
+                          capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=300)
+    assert proc.returncode == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "dc590af490eda8a0cd732bb5900bef52256959e2dbf0ecb39dadddc807b9d250")
 
 
 def test_verify_over_gf2_prints_every_report(tmp_path):
     # lam = 2 of the prop:homog deformation family is 0 in GF(2): the check
-    # records the refused module as one problem and the run goes on
+    # records the refused module as one problem and the run goes on; every
+    # other check passes with its pinned QQ report
     report = tmp_path / "report.json"
     proc = subprocess.run([sys.executable, "-m", "tauforge.cli", "verify", "--suite", "paper",
                            "--field", "p:2", "--json", str(report)],
                           capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=300)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert [line.split()[0] for line in proc.stdout.splitlines()] == all_check_ids()
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        [check_id, "fail" if check_id == "prop:homog" else "pass"] for check_id in all_check_ids()]
     homog = next(r for r in json.loads(report.read_text()) if r["checkId"] == "prop:homog")
     assert homog["evidence"]["problems"] == [
         "Bn.MlamB lam=2: the deformation parameter lam must be nonzero"]
+    digests = _report_digests(report)
+    del digests["prop:homog"]
+    assert digests == {c: CHECK_SHA256[c] for c in all_check_ids() if c != "prop:homog"}
 
 
 @pytest.mark.parametrize("vertex, direction", [("4", "+"), ("1", "-")])

@@ -57,9 +57,9 @@ def test_free_simple_dims_and_end():
         assert all(E.dims[w] == 0 for w in cd.vertices if w != v)
         assert rank_vector(E) == tuple(1 if w == v else 0 for w in cd.vertices)
         end = end_analysis(E)
-        # End(E_v) = K[x]/(x^{d_v}): local with one-dimensional residue.
+        # End(E_v) = K[x]/(x^{d_v}): local with residue field K.
         assert end.dim == cd.d(v)
-        assert end.residue_dim == 1
+        assert end.local
 
 
 def test_zero_rep_is_zero():
@@ -306,7 +306,7 @@ def test_direct_sum_dims_and_end_blocks():
     assert S.dims == {v: 2 * Z.dims[v] for v in cd.vertices}
     assert check_relations(S) == []
     end = end_analysis(S)
-    assert end.residue_dim >= 2
+    assert not end.local
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +373,8 @@ def test_iso_no_from_asymmetric_hom(field):
 
 
 def test_iso_with_one_basis_map_tests_it_once(monkeypatch):
-    # Hom(tau Z, Z) of G21 has one basis map; the sum of the basis maps is
-    # that map again, so one invertibility test decides the brick "no"
+    # Hom(tau Z, Z) of G21 has one basis map and End tau Z = k is local, so
+    # one invertibility test decides the brick "no"
     _, Z = build_named("G21.Z")
     M = tau(Z).module
     assert len(hom_basis(M, Z)) == 1
@@ -387,8 +387,23 @@ def test_iso_with_one_basis_map_tests_it_once(monkeypatch):
 
     monkeypatch.setattr(modrep.Morphism, "is_iso", counted)
     res = is_isomorphic(M, Z)
-    assert (res.verdict, res.reason) == ("no", "End M = k and no basis map of Hom(M, N) is invertible")
+    assert (res.verdict, res.reason) == ("no", "End M is local and no basis map of Hom(M, N) is invertible")
     assert len(tested) == 1
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2)], ids=["QQ", "GF2"])
+def test_iso_of_decomposables_without_an_invertible_basis_map_is_certified(field):
+    # Hom(Z + Z, Z + Z) = M_2(k) has the four matrix units as its basis, none
+    # invertible, and End is not local; the seeded search finds the "yes"
+    _, Z = build_named("G21.Z", field=field)
+    _, T = build_named("G21.T21", field=field)
+    for M, N in ((direct_sum([Z, Z]), direct_sum([Z, Z])), (direct_sum([Z, T]), direct_sum([T, Z]))):
+        assert not any(f.is_iso() for f in hom_basis(M, N))
+        assert not end_analysis(M).local
+        res = is_isomorphic(M, N)
+        assert res.verdict == "yes"
+        f = res.certificate
+        assert (f.src, f.dst) == (M, N) and f.is_morphism() and f.is_iso()
 
 
 @functools.lru_cache(maxsize=None)
@@ -446,16 +461,70 @@ def test_end_analysis_on_both_hom_routes(field):
     routes = set()
     for _, M in module_battery(named_datum("A11"), field, size=14):
         end = end_analysis(M)
-        assert (end.dim, end.residue_dim) == (hom_dim(dual_rep(M), dual_rep(M)), 1)
+        assert (end.dim, end.local) == (hom_dim(dual_rep(M), dual_rep(M)), True)
         routes.add(sum(d * d for d in M.dims.values()) > modrep._DELTA_MAX_UNKNOWNS)
     assert routes == {False, True}
 
 
+def _local_case(case, p):
+    field = Field.prime(p)
+    if case == "B3.E2":
+        return free_simple(b3(), field, 2)
+    if case == "B3.E2 in another basis":
+        # eps_2 = [[1, 1], [-1, -1]]: the canonical basis of End = k[x]/(x^2)
+        # is 1 and -1 - eps_2, whose lam = -1 is read with p | r = 2
+        return make_rep(b3(), field, {2: 2}, {2: [[1, 1], [-1, -1]]})
+    return build_named(case, field=field)[1]
+
+
+@pytest.mark.parametrize("case, p, dim", [("B3.E2", 2, 2), ("B3.E2 in another basis", 2, 2),
+                                          ("G21.T21", 3, 3), ("G21.Y", 2, 4)])
+def test_end_is_local_when_p_divides_the_nilpotency_degree(case, p, dim):
+    # each has a basis map lam + n whose minimal polynomial (x - lam)^r has
+    # p | r
+    end = end_analysis(_local_case(case, p))
+    assert (end.dim, end.local) == (dim, True)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_end_of_a_square_is_not_local_at_small_primes(p):
+    # test_direct_sum_dims_and_end_blocks has the QQ case
+    _, Z = build_named("G21.Z", field=Field.prime(p))
+    end = end_analysis(direct_sum([Z, Z]))
+    assert (end.dim, end.local) == (4, False)
+
+
+def test_end_of_a_square_whose_basis_maps_each_have_one_eigenvalue_is_not_local():
+    # Z + Z of G21 over GF(3) with the basis at vertex 3 changed by
+    # g = 1 + e_02 + e_03 - e_50: every canonical basis map of End = M_2(k)
+    # is lam + n with n nilpotent, so only the multiplicativity of
+    # b -> lam_b tells that End is not local
+    field = Field.prime(3)
+    cd, Z = build_named("G21.Z", field=field)
+    S = direct_sum([Z, Z])
+    n = S.dims[3]
+    g = Mat.from_dict(field, (n, n), {**{(i, i): 1 for i in range(n)}, (0, 2): 1, (0, 3): 1, (5, 0): -1})
+    M = make_rep(cd, field, S.dims, {**S.eps, 3: g @ S.eps[3] @ g.solve(Mat.identity(field, n))},
+                 {key: g @ A if key[0] == 3 else A for key, A in S.arr.items()})
+    assert check_relations(M) == []
+    for b in hom_basis(M, M):
+        assert any(all((b.blocks[v] - Mat.identity(field, M.dims[v]).scale(lam)).power(M.dims[v]).is_zero()
+                       for v in cd.vertices) for lam in range(3))
+    end = end_analysis(M)
+    assert (end.dim, end.local) == (4, False)
+
+
+def test_end_of_the_44_dimensional_extension_is_not_local():
+    E, _ = _a11_extension()
+    end = end_analysis(E)
+    assert (end.dim, end.local) == (16, False)
+
+
 def test_iso_yes_and_brick_no_keep_their_verdicts_without_random_draws(monkeypatch):
     # every "yes" on the B3 battery (tau M against T C+ M, Prop 2.6) comes
-    # from a basis map or their sum; tau Z against Z of G21 has symmetric
-    # Hom dimensions, End Z = k and a basis map that is not invertible, so
-    # it is a certified "no", also reached without random draws
+    # from a basis map; tau Z against Z of G21 has symmetric Hom dimensions,
+    # End Z = k and a basis map that is not invertible, so the local End
+    # gives a certified "no", also reached without random draws
     cd = b3()
     pairs = [(tau(M).module, twist(coxeter_functor(cd, "+", M)))
              for _, M in module_battery(cd, Q, size=14)]
@@ -474,7 +543,7 @@ def test_iso_yes_and_brick_no_keep_their_verdicts_without_random_draws(monkeypat
     assert yes >= 9
     _, Z = build_named("G21.Z")
     res = is_isomorphic(tau(Z).module, Z)
-    assert (res.verdict, res.reason) == ("no", "End M = k and no basis map of Hom(M, N) is invertible")
+    assert (res.verdict, res.reason) == ("no", "End M is local and no basis map of Hom(M, N) is invertible")
 
 
 # ---------------------------------------------------------------------------

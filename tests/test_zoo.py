@@ -1,7 +1,9 @@
 """Catalogue construction, named checks, and the spot-check driver."""
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -258,7 +260,7 @@ def test_report_over_prime_field_is_pinned(unchanged_report, check_id):
 @pytest.mark.parametrize("field", [Field.rational(), Field.prime(32003)], ids=["QQ", "GF32003"])
 def test_main2_checks_reach_no_unknown_verdict(monkeypatch, unchanged_report, field):
     # the tau-period walks of Z compare bricks whose one Hom basis map is not
-    # invertible: the brick rule answers them "no", not "unknown"
+    # invertible: the local End rule answers them "no", not "unknown"
     verdicts = []
 
     def recorded(M, N):
@@ -272,6 +274,58 @@ def test_main2_checks_reach_no_unknown_verdict(monkeypatch, unchanged_report, fi
         assert unchanged_report(verify_proposition(check_id, field=field))
     assert "yes" in verdicts and "no" in verdicts
     assert "unknown" not in verdicts
+
+
+_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+
+
+def test_every_suite_certificate_passes_the_independent_checker(monkeypatch):
+    # every "yes" certificate, counit and unit the suite builds over QQ and
+    # GF(32003) is checked again as an isomorphism by perfbench/reference.py,
+    # whose elimination shares no code with tauforge.linalg
+    spec = importlib.util.spec_from_file_location("reference", _REFERENCE)
+    ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ref)
+    recorded = []
+
+    def is_isomorphic(M, N):
+        res = modrep.is_isomorphic(M, N)
+        if res.verdict == "yes":
+            recorded.append(("iso", res.certificate))
+        return res
+
+    def recording(kind, fn):
+        def wrapped(*args):
+            f = fn(*args)
+            if f is not None:
+                recorded.append((kind, f))
+            return f
+        return wrapped
+
+    for module in (artrans, zoo):
+        monkeypatch.setattr(module, "is_isomorphic", is_isomorphic)
+    monkeypatch.setattr(zoo, "counit", recording("counit", zoo.counit))
+    monkeypatch.setattr(zoo, "unit", recording("unit", zoo.unit))
+    for field in (Field.rational(), Field.prime(32003)):
+        assert all(r.passed for r in run_suite(field=field))
+
+    def plain(F, mat):
+        return ref.from_dense(F, mat.rows(), mat.shape)
+
+    def plain_module(F, M):
+        return ref.Module(dict(M.dims), {v: plain(F, m) for v, m in M.eps.items()},
+                          {key: plain(F, m) for key, m in M.arr.items()})
+
+    problems = []
+    for kind, f in recorded:
+        F, datum = ref.Scalars(f.src.field.p), f.src.datum
+        D = ref.Datum(datum.cartan, datum.symmetriser, datum.orientation)
+        problems += ["%s over %r: %s" % (kind, f.src.field, p)
+                     for p in ref.check_certificate(F, D, plain_module(F, f.src), plain_module(F, f.dst),
+                                                    {v: plain(F, b) for v, b in f.blocks.items()})]
+    assert problems == []
+    kinds = [kind for kind, _ in recorded]
+    assert kinds.count("iso") >= 2 * 109 and {"counit", "unit"} <= set(kinds)
 
 
 def test_run_suite_filter_and_order():
