@@ -9,11 +9,11 @@ a matrix arr[(i,j,g)] : K^{dims[j]} -> K^{dims[i]}, subject to
 
 Everything here is exact; the field is rational by default or Z/p.
 
-Hom bases, Ext^1 cocycles and coboundaries are linear systems in families
-of matrix blocks, all built by ``_block_map``.  A family is a vector in the
-row-major vec layout: the blocks one after another, entry (r, c) of an
-n x m block at its offset + r*m + c.  For psi = (psi_v : M_v -> N_v) the
-coboundary is the cochain
+Ext^1 cocycles and coboundaries are linear systems in families of matrix
+blocks, built by ``_block_map``.  A family is a vector in the row-major vec
+layout: the blocks one after another, entry (r, c) of an n x m block at its
+offset + r*m + c.  For psi = (psi_v : M_v -> N_v) the coboundary is the
+cochain
 
   delta(psi)[("eps", v)]   = psi_v . M.eps_v - N.eps_v . psi_v
   delta(psi)[("arr", key)] = psi_i . M(a) - N(a) . psi_j      (a = key : j -> i)
@@ -21,30 +21,15 @@ coboundary is the cochain
 Hom(M, N) is its kernel, and an extension cocycle with the same keys is a
 coboundary exactly when it lies in its image.
 
-The dimensions of Hom(M, N) and Ext^1(M, N) come from one smaller matrix,
+Hom(M, N) and the dimension of Ext^1(M, N) come from one smaller matrix,
 the relation matrix Hom(P0, N) -> Hom(P1, N) of the minimal presentation
-P1 -> P0 -> M -> 0: Hom is its kernel, and Ext^1 its cokernel when M has
-projective dimension <= 1.
-
-``hom_basis`` takes the kernel of delta when the pair has at most
-``_DELTA_MAX_UNKNOWNS`` = 200 unknowns (sum over v of dim M_v * dim N_v),
-and the kernel of the relation matrix otherwise, reading each map off the
-images of the generators of P0.  Median time per pair over the A11, B3 and
-G21 batteries and their (tau M, T C+ M) pairs, delta against presenting M
-plus the read-off (2 vCPUs, Python 3.11, GF(32003); QQ is alike):
-
-    unknowns     delta    presentation + read-off
-    <= 50        0.08 ms  0.42 + 0.17 ms
-    100 - 200    1.1 ms   0.71 + 0.88 ms
-    200 - 600    2.5 ms   0.94 + 1.8 ms
-    600 - 1500   7.6 ms   1.5 + 4.4 ms
-    1500 - 5000  25 ms    1.7 + 9.4 ms
-
-Above 200 the read-off alone is cheaper than delta, and the presentation is
-often kept from an earlier call on M.  Both routes return the canonical
-basis of Hom(M, N): map k is 1 at its last nonzero psi-coordinate j_k and 0
-at every other j, the basis that ``nullspace_cols`` reads off delta over QQ.
-So ``basis_coords`` reads coordinates in it without an elimination.
+P1 -> P0 -> M -> 0: Hom is its kernel, exact for every M because Hom(-, N)
+is left exact, and Ext^1 its cokernel when M has projective dimension <= 1.
+``hom_basis`` reads each map off the images of the generators of P0 and
+returns the canonical basis of Hom(M, N) in the vec layout of psi: map k is
+1 at its last nonzero psi-coordinate j_k and 0 at every other j, the basis
+that ``nullspace_cols`` reads off delta over QQ.  So ``basis_coords`` reads
+coordinates in it without an elimination.
 """
 
 import random
@@ -324,53 +309,23 @@ def _coboundary(M, N):
     return _block_map(M.field, chain_at, psi_at, terms), psi_at, chain_at
 
 
-# Hom systems with more unknowns than this are solved on the relation matrix
-# of the presentation, smaller ones on delta; the crossover is measured in
-# the module docstring
-_DELTA_MAX_UNKNOWNS = 200
-
-
 def hom_basis(M, N):
     """The canonical basis of Hom(M, N) as a list of Morphisms (see the
-    module docstring), from delta for small pairs and from the relation
-    matrix for large ones."""
-    if M.datum != N.datum or M.field != N.field:
-        raise ValueError("Hom between representations of different data/fields")
-    psi_at, _ = _cochain_layouts(M, N)
-    route = _hom_presented if _size(psi_at) > _DELTA_MAX_UNKNOWNS else _hom_delta
-    return [Morphism(M, N, blocks) for blocks in _unvec(M.field, psi_at, route(M, N))]
-
-
-def _hom_delta(M, N):
-    """The canonical basis of Hom(M, N), as columns in the psi layout: the
-    kernel of delta with den divided out."""
-    ns = _coboundary(M, N)[0].nullspace_cols()
-    p = M.field.p
-    if p is None or not ns.ncols:
-        return ns
-    den = max((i, x) for i, k, x in ns.items() if k == 0)[1]    # at the last nonzero row
-    return ns.scale(pow(den, -1, p))
-
-
-def _hom_presented(M, N):
-    """The canonical basis of Hom(M, N), as columns in the psi layout, from
-    the kernel of the relation matrix.  A kernel vector lists the images n_t
-    in N of the generators of P0; the map it gives is f_w = Phi_w . sigma_w
-    at each vertex w, where column (t, p) of Phi_w is the path p applied to
-    n_t and sigma_w is a right inverse of the cover block at w.  The ranks
-    of the relation matrix are kept for hom_dim and ext1_dim of the pair."""
+    module docstring), from the kernel of the relation matrix.  A kernel
+    vector lists the images n_t in N of the generators of P0; the map it
+    gives is f_w = Phi_w . sigma_w at each vertex w, where column (t, p) of
+    Phi_w is the path p applied to n_t and sigma_w is a right inverse of the
+    cover block at w.  The ranks of the relation matrix are kept for
+    hom_dim and ext1_dim of the pair."""
     global _ranked
-    from .artrans import minimal_presentation
-    field = M.field
-    pres = minimal_presentation(M)
-    walks = _walks(N, set(pres.gens0))
-    rel = _relation_matrix(pres, N, walks)
+    pres, walks, rel = _relation_system(M, N)
     X = rel.nullspace_cols()
     e = X.ncols
     _ranked = (M, N, (rel.nrows, rel.ncols, rel.ncols - e))
-    psi_at, _ = _cochain_layouts(M, N)
     if not e:
-        return Mat.zeros(field, _size(psi_at), 0)
+        return []
+    field = M.field
+    psi_at, _ = _cochain_layouts(M, N)
     # the images n_t of the generators, one column per kernel vector
     n, start = [], 0
     for b in pres.gens0:
@@ -401,7 +356,8 @@ def _hom_presented(M, N):
     # the canonical basis is the RREF of the span with its coordinates reversed
     U = V.nrows
     R, _ = Mat.from_dict(field, (e, U), {(k, U - 1 - j): x for j, k, x in V.items()}).rref()
-    return Mat.from_dict(field, (U, e), {(U - 1 - q, e - 1 - r): x for r, q, x in R.items()})
+    basis = Mat.from_dict(field, (U, e), {(U - 1 - q, e - 1 - r): x for r, q, x in R.items()})
+    return [Morphism(M, N, blocks) for blocks in _unvec(field, psi_at, basis)]
 
 
 def hom_dim(M, N):
@@ -584,31 +540,28 @@ def build_extension(M, N, cocycle):
     return E
 
 
-def _walks(N, vertices):
-    """{b: {w: the images in N of the basis paths from b to w}} for each
-    vertex b, one path walk per vertex."""
-    from .artrans import _path_images
+def _relation_system(M, N):
+    """The minimal presentation P1 -> P0 -> M -> 0, the images in N of the
+    basis paths from each generator b of P0 as {b: {w: images}}, and the
+    relation matrix Hom(P0, N) -> Hom(P1, N) with Hom(P_b, N) = N_b: one
+    block row per generator of P1, one block column per generator of P0,
+    entry (s, t) of the presentation acting on N through the path images."""
+    if M.datum != N.datum or M.field != N.field:
+        raise ValueError("Hom between representations of different data/fields")
+    from .artrans import _path_images, minimal_presentation
     from .pathalg import algebra_basis
-    basis = algebra_basis(N.datum)
-    return {b: _path_images(N, basis, b, Mat.identity(N.field, N.dims[b])) for b in vertices}
-
-
-def _relation_matrix(pres, N, walks):
-    """The map Hom(P0, N) -> Hom(P1, N) of the minimal presentation
-    P1 -> P0 -> M -> 0 of M, with Hom(P_b, N) = N_b: one block row per
-    generator of P1, one block column per generator of P0.  Entry (s, t) of
-    the presentation acts on N through the path images in ``walks``."""
-    from .pathalg import algebra_basis
-    basis = algebra_basis(N.datum)
+    field, basis = N.field, algebra_basis(N.datum)
+    pres = minimal_presentation(M)
+    walks = {b: _path_images(N, basis, b, Mat.identity(field, N.dims[b])) for b in set(pres.gens0)}
     blocks = {}
     for (s, t), elt in pres.entries.items():
         a, b = pres.gens1[s], pres.gens0[t]
-        acc = Mat.zeros(N.field, N.dims[a], N.dims[b])
+        acc = Mat.zeros(field, N.dims[a], N.dims[b])
         for mono, coeff in elt.terms.items():
             acc = acc + walks[b][a][basis.index[mono]].scale(coeff)
         blocks[(s, t)] = acc
-    return Mat.block(N.field, blocks, [N.dims[a] for a in pres.gens1],
-                     [N.dims[b] for b in pres.gens0])
+    rel = Mat.block(field, blocks, [N.dims[a] for a in pres.gens1], [N.dims[b] for b in pres.gens0])
+    return pres, walks, rel
 
 
 _ranked = (None, None, None)     # the pair ranked last, and (nrows, ncols, rank)
@@ -621,9 +574,7 @@ def _relation_rank(M, N):
     global _ranked
     if _ranked[0] is M and _ranked[1] is N:
         return _ranked[2]
-    from .artrans import minimal_presentation
-    pres = minimal_presentation(M)
-    rel = _relation_matrix(pres, N, _walks(N, {pres.gens0[t] for _, t in pres.entries}))
+    rel = _relation_system(M, N)[2]
     _ranked = (M, N, (rel.nrows, rel.ncols, rel.rank()))
     return _ranked[2]
 

@@ -101,12 +101,12 @@ def normalize_random(datum, src, arrows, exps, rng):
         exps[t + 1] += _emit(datum, arrows[t])
 
 
-def hom_basis_delta(M, N):
-    """Hom(M, N) as the kernel of the coboundary map, built here entry by
-    entry: the ``nullspace_cols`` matrix whose columns are the maps psi in
-    the vec layout of ``modrep`` (the blocks psi_v : M_v -> N_v vertex by
-    vertex, each row-major).  The equations are psi_v eps_v = eps_v psi_v
-    and psi_i M(a) = N(a) psi_j for each arrow a : j -> i."""
+def coboundary_matrix(M, N):
+    """The coboundary map of the pair, built here entry by entry: its
+    columns are the coordinates of the maps psi in the vec layout of
+    ``modrep`` (the blocks psi_v : M_v -> N_v vertex by vertex, each
+    row-major), and its rows the equations psi_v eps_v = eps_v psi_v and
+    psi_i M(a) = N(a) psi_j for each arrow a : j -> i."""
     field, vertices = M.field, M.datum.vertices
     at, size = {}, 0
     for v in vertices:
@@ -126,9 +126,14 @@ def hom_basis_delta(M, N):
                     u = at[j] + a * M.dims[j] + c
                     row[u] = row.get(u, 0) - B[r][a]
                 equations.append(row)
-    delta = Mat.from_dict(field, (len(equations), size),
-                          {(k, u): x for k, row in enumerate(equations) for u, x in row.items()})
-    return delta.nullspace_cols()
+    return Mat.from_dict(field, (len(equations), size),
+                         {(k, u): x for k, row in enumerate(equations) for u, x in row.items()})
+
+
+def hom_basis_delta(M, N):
+    """Hom(M, N) as the kernel of the coboundary map: the ``nullspace_cols``
+    matrix of ``coboundary_matrix``."""
+    return coboundary_matrix(M, N).nullspace_cols()
 
 
 def ext1_dim_cocycle(M, N):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import apply_monomial, ext1_dim_cocycle, hom_basis_delta, parse_path
+from support import apply_monomial, coboundary_matrix, ext1_dim_cocycle, hom_basis_delta, parse_path
 from tauforge import modrep
 from tauforge.artrans import tau, tau_inverse
 from tauforge.cartan import opposite_datum
@@ -208,8 +208,8 @@ def test_coboundary_mask_matches_solving_against_delta(field):
     assert seen == {True, False}
 
 
-_BATTERIES = pytest.mark.parametrize("family, n, vertex",
-                                     [("A11", None, 2), ("Bn", 3, 2), ("G21", None, 3)])
+_BATTERY_DATA = [("A11", None, 2), ("Bn", 3, 2), ("G21", None, 3)]
+_BATTERIES = pytest.mark.parametrize("family, n, vertex", _BATTERY_DATA)
 
 
 @pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
@@ -235,23 +235,53 @@ def _last_entries(cols):
     return [last[k][1] for k in sorted(last)]
 
 
+def _canonical_reference(M, N):
+    """``hom_basis_delta`` with den divided out over GF(p): the canonical
+    basis of Hom(M, N) as columns in the psi layout."""
+    ns = hom_basis_delta(M, N)
+    p = M.field.p
+    if p is None or not ns.ncols:
+        return ns
+    den = max((i, x) for i, k, x in ns.items() if k == 0)[1]    # at the last nonzero row
+    return ns.scale(pow(den, -1, p))
+
+
+def _columns(M, N, basis):
+    """The maps of ``basis`` as columns in the psi layout."""
+    at, _ = modrep._cochain_layouts(M, N)
+    empty = Mat.zeros(M.field, sum(n * m for _, n, m in at.values()), 0)
+    return empty.hstack(*(modrep._vec(M.field, at, f.blocks) for f in basis))
+
+
 @pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
 @_BATTERIES
 def test_hom_routes_give_the_canonical_basis(field, family, n, vertex):
-    # the coboundary route and the presentation route of hom_basis on the
-    # battery, a 1-dimensional simple that is not locally free, the zero
-    # module and a projective (a presentation without relations)
+    # hom_basis, read off the relation matrix, against the kernel of the
+    # coboundary map built entry by entry, on the battery, a 1-dimensional
+    # simple that is not locally free, the zero module, a projective (a
+    # presentation without relations) and the pairs of the 44-dimensional
+    # A11 extension
     cd = named_datum(family, n=n)
     mods = ([M for _, M in module_battery(cd, field, size=14)]
             + [make_rep(cd, field, {vertex: 1}), zero_rep(cd, field),
                build_projective(cd, field, vertex)])
-    for M in mods:
-        for N in mods:
-            cols = modrep._hom_delta(M, N)
-            assert modrep._hom_presented(M, N) == cols
-            assert _last_entries(cols) == [1] * cols.ncols
-            if field == Q:
-                assert cols == hom_basis_delta(M, N)
+    pairs = [(M, N) for M in mods for N in mods]
+    if (family, field) == ("A11", GF):
+        E, S = _a11_extension()
+        pairs += [(E, S), (S, E)]
+        # the reference kernel of (E, E), 1,168 unknowns, takes about 20 s
+        # to eliminate on 2 vCPUs, so there the basis is checked to lie in it, to have the
+        # canonical form and to be as large as End of the dual
+        cols = _columns(E, E, hom_basis(E, E))
+        assert (coboundary_matrix(E, E) @ cols).is_zero()
+        last = [max(i for i, k, _ in cols.items() if k == c) for c in range(cols.ncols)]
+        assert last == sorted(set(last))
+        assert {(i, k, x) for i, k, x in cols.items() if i in last} == {(j, k, 1) for k, j in enumerate(last)}
+        assert cols.ncols == hom_dim(dual_rep(E), dual_rep(E))
+    for M, N in pairs:
+        cols = _canonical_reference(M, N)
+        assert _columns(M, N, hom_basis(M, N)) == cols
+        assert _last_entries(cols) == [1] * cols.ncols
 
 
 def test_hom_basis_valid_over_prime_field_battery():
@@ -441,6 +471,8 @@ def test_iso_no_from_asymmetric_hom_on_a_44_dimensional_extension(monkeypatch):
 
 
 def test_hom_basis_of_the_44_dimensional_pair_needs_no_coboundary_map(monkeypatch):
+    # nor does any battery pair, however small, or the End of a battery
+    # member
     E, S = _a11_extension()
 
     def refuse(*args):
@@ -452,18 +484,54 @@ def test_hom_basis_of_the_44_dimensional_pair_needs_no_coboundary_map(monkeypatc
         # the dual pair is presented from the other side
         assert len(basis) == hom_dim(dual_rep(N), dual_rep(M))
         assert all(f.is_morphism() for f in basis)
+    for field in (Q, GF):
+        for family, n, _ in _BATTERY_DATA:
+            mods = [M for _, M in module_battery(named_datum(family, n=n), field, size=14)]
+            for M in mods:
+                for N in mods:
+                    hom_basis(M, N)
+                end_analysis(M)
 
 
 @pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
-def test_end_analysis_on_both_hom_routes(field):
+def test_end_of_a_battery_member_is_local(field):
     # the A11 battery members are indecomposable, so End is local with
-    # residue field k; the larger ones take the presentation route
-    routes = set()
+    # residue field k; their End systems range from few unknowns to many
     for _, M in module_battery(named_datum("A11"), field, size=14):
         end = end_analysis(M)
         assert (end.dim, end.local) == (hom_dim(dual_rep(M), dual_rep(M)), True)
-        routes.add(sum(d * d for d in M.dims.values()) > modrep._DELTA_MAX_UNKNOWNS)
-    assert routes == {False, True}
+
+
+def test_hom_dim_and_ext1_dim_reuse_the_ranks_of_hom_basis(monkeypatch):
+    # after hom_basis of a pair with at most 200 unknowns, its hom_dim and
+    # ext1_dim neither present M nor rank the relation matrix again
+    from tauforge import artrans
+    mods = [M for _, M in module_battery(named_datum("A11"), Q, size=14)]
+    pairs = [(M, N) for M in mods for N in mods
+             if sum(N.dims[v] * M.dims[v] for v in M.datum.vertices) <= 200]
+    want = [(hom_dim(M, N), ext1_dim(M, N)) for M, N in pairs]
+
+    def refuse(*args):
+        raise AssertionError("presented or ranked again")
+
+    for (M, N), dims in zip(pairs, want):
+        assert len(hom_basis(M, N)) == dims[0]
+        with monkeypatch.context() as m:
+            m.setattr(artrans, "minimal_presentation", refuse)
+            m.setattr(Mat, "rank", refuse)
+            m.setattr(Mat, "nullspace_cols", refuse)
+            assert (hom_dim(M, N), ext1_dim(M, N)) == dims
+
+
+@pytest.mark.parametrize("module_id, params", [("Bn.Z", {"n": 3, "field": Field.prime(5)}),
+                                               ("Bn.Z", {"n": 4}), ("G21.Z", {})],
+                         ids=["another field", "another rank", "another datum"])
+def test_hom_and_ext1_refuse_a_pair_over_different_data_or_fields(module_id, params):
+    _, Z = build_named("Bn.Z", n=3)
+    _, W = build_named(module_id, **params)
+    for f in (hom_basis, hom_dim, ext1_dim):
+        with pytest.raises(ValueError, match="different data/fields"):
+            f(Z, W)
 
 
 def _local_case(case, p):
