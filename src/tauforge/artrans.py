@@ -13,7 +13,7 @@ from itertools import islice
 from .cartan import build_quiver
 from .linalg import Mat
 from .modrep import (Morphism, Representation, direct_sum, dual_rep, is_isomorphic, kernel_rep,
-                     local_free_rank, make_rep, rank_vector, zero_rep)
+                     make_rep, rank_vector, zero_rep)
 from .pathalg import (AlgebraElement, algebra_basis, build_injective, build_projective,
                       mono_target, transport_dual)
 from .rootsys import classify_positive_root, coxeter_data
@@ -171,15 +171,23 @@ class TauResult:
 
 
 def tau(M):
-    """Kernel of the transported presentation map between injectives."""
+    """Kernel of the transported presentation map between injectives.  The
+    translate is kept on M: a module walked twice, say by a battery and
+    then by a check, is translated once."""
+    if M._tau is None:
+        M._tau = _translate(M)
+    return TauResult(M._tau)
+
+
+def _translate(M):
     datum, field = M.datum, M.field
     pres = minimal_presentation(M)
     if not pres.gens1:
-        return TauResult(zero_rep(datum, field))
+        return zero_rep(datum, field)
     I1 = direct_sum([build_injective(datum, field, a) for a in pres.gens1])
     blocks = transport_dual(datum, field, pres.gens1, pres.gens0, pres.entries)
     K, _ = kernel_rep(I1, blocks)
-    return TauResult(K)
+    return K
 
 
 def tau_inverse(M):
@@ -243,23 +251,18 @@ def _walk_local_freeness(M, window):
     'fails', and period is the tau-period found, None with 'verified' when
     both walks ended at zero.  M is indecomposable, its End ring already
     known to be local with residue field k."""
-    datum = M.datum
-
-    def fails(rep):
-        return any(local_free_rank(rep, v) is None for v in datum.vertices)
-
-    if fails(M):
+    if rank_vector(M) is None:
         return "fails", None
     k = 0
     for k, cur, returned in orbit_walk(M, window):
-        if fails(cur):
+        if rank_vector(cur) is None:
             return "fails", None
         if returned:
             return "verified", k
     closed = k < window
     k = 0
     for k, cur in enumerate(islice(tau_walk(M, tau_inverse), window), start=1):
-        if fails(cur):
+        if rank_vector(cur) is None:
             return "fails", None
     return ("verified" if closed and k < window else "verified_on_window"), None
 

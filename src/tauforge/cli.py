@@ -8,6 +8,7 @@ diagnostics go to stderr; stdout carries only the requested payload.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -218,6 +219,8 @@ def _cmd_coxeter(args):
 
 
 def _cmd_mod(args):
+    if args.orbit is not None and args.orbit < 1:
+        raise UsageError("--orbit window must be positive")
     M = _load_module(args.file)
     _header("mod %s" % args.op, M.datum.name, M.field)
     rk = rank_vector(M)
@@ -232,8 +235,6 @@ def _cmd_mod(args):
         if cls.kind == "not_root":
             exit_code = 1
     if args.orbit is not None:
-        if args.orbit < 1:
-            raise UsageError("--orbit window must be positive")
         ranks, period, witness = tau_orbit(M, args.orbit)
         for k in sorted(ranks):
             print("tau^%d rank=%s" % (k, _rank_text(ranks[k])))
@@ -308,7 +309,9 @@ def _cmd_verify(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once per process: a parse keeps no state in it."""
     parser = argparse.ArgumentParser(prog="tauforge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 

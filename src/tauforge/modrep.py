@@ -32,6 +32,7 @@ that ``nullspace_cols`` reads off delta over QQ.  So ``basis_coords`` reads
 coordinates in it without an elimination.
 """
 
+import dataclasses
 import random
 import re
 from dataclasses import dataclass
@@ -43,11 +44,17 @@ from .linalg import Field, Mat
 
 @dataclass
 class Representation:
+    """No module is changed once built, so ``tau`` and ``rank_vector`` keep
+    their result on it; the kept values take no part in equality or repr."""
     datum: object
     field: Field
     dims: dict           # vertex -> dimension
     eps: dict            # vertex -> Mat
     arr: dict            # (i, j, g) -> Mat
+    # the translate, None until taken; the rank vector, ... until taken (None
+    # is the rank vector of a module that is not locally free)
+    _tau: object = dataclasses.field(default=None, compare=False, repr=False)
+    _ranks: object = dataclasses.field(default=..., compare=False, repr=False)
 
     def total_dim(self):
         return sum(self.dims.values())
@@ -152,14 +159,18 @@ def local_free_rank(rep, vertex):
 
 
 def rank_vector(rep):
-    """Rank vector for a locally free representation, else None."""
-    ranks = []
-    for v in rep.datum.vertices:
-        r = local_free_rank(rep, v)
-        if r is None:
-            return None
-        ranks.append(r)
-    return tuple(ranks)
+    """Rank vector for a locally free representation, else None; kept on
+    rep, so each module's ranks are taken once."""
+    if rep._ranks is ...:
+        ranks = []
+        for v in rep.datum.vertices:
+            r = local_free_rank(rep, v)
+            if r is None:
+                ranks = None
+                break
+            ranks.append(r)
+        rep._ranks = ranks if ranks is None else tuple(ranks)
+    return rep._ranks
 
 
 def direct_sum(reps):

@@ -802,35 +802,37 @@ def _check_main2(check_id, field, family, n=None):
 # functor contract suites
 
 
-_battery_cache = {}
+_batteries = {}    # (datum, name, field) -> (modules so far, generator of the rest)
 
 
 def module_battery(datum, field, size):
-    """Indecomposable locally free modules for exercising functor contracts:
-    generalised simples, projectives, injectives, and translate iterates.
-    Data that differ only in name are equal, so the name is part of the
-    cache key: the modules carry the caller's datum."""
-    key = (datum, datum.name, field, size)
-    if key in _battery_cache:
-        return _battery_cache[key]
-    mods = [("E%d" % v, free_simple(datum, field, v)) for v in datum.vertices]
+    """The first ``size`` of the indecomposable locally free modules for
+    exercising functor contracts: generalised simples, projectives,
+    injectives, then translate iterates.  Each datum and field has one
+    battery, grown on demand, so a battery is a prefix of every larger one
+    and shares its module objects, with the translates they keep.  Data
+    that differ only in name are equal, so the name is part of the key: the
+    modules carry the caller's datum."""
+    mods, rest = _batteries.setdefault((datum, datum.name, field), ([], _battery_modules(datum, field)))
+    while len(mods) < size:
+        mods.append(next(rest))
+    return mods[:size]
+
+
+def _battery_modules(datum, field):
+    """Every battery member in order: the walks run round-robin, one step
+    each per round; affine walks from projectives and injectives never
+    reach zero."""
     proj = {v: build_projective(datum, field, v) for v in datum.vertices}
     inj = {v: build_injective(datum, field, v) for v in datum.vertices}
-    mods += [("P%d" % v, proj[v]) for v in datum.vertices]
-    mods += [("I%d" % v, inj[v]) for v in datum.vertices]
-    # affine type: the walks from projectives and injectives never reach zero
+    yield from (("E%d" % v, free_simple(datum, field, v)) for v in datum.vertices)
+    yield from (("P%d" % v, proj[v]) for v in datum.vertices)
+    yield from (("I%d" % v, inj[v]) for v in datum.vertices)
     walks = [("tau^-%d.P%d", v, tau_walk(proj[v], tau_inverse)) for v in datum.vertices]
     walks += [("tau^%d.I%d", v, tau_walk(inj[v], tau)) for v in datum.vertices]
-    k = 0
-    while len(mods) < size:
-        k += 1
+    for k in itertools.count(1):
         for label, v, walk in walks:
-            if len(mods) >= size:
-                break
-            mods.append((label % (k, v), next(walk)))
-    mods = mods[:size]
-    _battery_cache[key] = mods
-    return mods
+            yield label % (k, v), next(walk)
 
 
 def _contract_data(family, n):

@@ -7,9 +7,11 @@ import pytest
 
 from support import (NotIndecomposable, apply_monomial, is_tau_locally_free,
                      presentation_map)
+from tauforge import artrans, modrep
 from tauforge.artrans import (
     _generators,
     _radical_complement,
+    _walk_local_freeness,
     classify_module,
     default_window,
     is_zero_rep,
@@ -25,12 +27,13 @@ from tauforge.linalg import Field, Mat
 from tauforge.modrep import (
     direct_sum,
     free_simple,
+    local_free_rank,
     make_rep,
     rank_vector,
     rep_to_json,
     is_isomorphic,
 )
-from tauforge.pathalg import algebra_basis, build_injective, build_projective
+from tauforge.pathalg import algebra_basis, build_injective, build_projective, transport_dual
 from tauforge.cartan import build_quiver, datum_to_json, delta
 from tauforge.rootsys import coxeter_data
 from tauforge.zoo import _FAMILIES, _build_id, _stated_tubes, build_named, module_battery, named_datum
@@ -243,6 +246,48 @@ def test_is_tau_locally_free_fails_at_the_start():
     S3 = make_rep(cd, Q, {3: 1})            # d_3 = 3, so not free at vertex 3
     status, _ = is_tau_locally_free(S3)
     assert status == "fails"
+
+
+def test_tau_is_kept_on_its_module(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transport_dual(*args)
+
+    monkeypatch.setattr(artrans, "transport_dual", counted)
+    _, Z = build_named("G21.Z")
+    assert tau(Z).module is tau(Z).module
+    assert len(calls) == 1
+    walks = [list(islice(tau_walk(Z, tau), 3)) for _ in range(2)]
+    assert all(M is N for M, N in zip(*walks))
+    assert len(calls) == 3                  # one transport for each module translated
+
+
+def test_a_module_that_is_not_free_ranks_once(monkeypatch):
+    calls = []
+
+    def counted(rep, vertex):
+        calls.append(vertex)
+        return local_free_rank(rep, vertex)
+
+    monkeypatch.setattr(modrep, "local_free_rank", counted)
+    S3 = make_rep(named_datum("G21"), Q, {3: 1})
+    assert rank_vector(S3) is None
+    assert calls == [1, 2, 3]               # the walk stops at the first vertex that is not free
+    assert rank_vector(S3) is None
+    assert _walk_local_freeness(S3, 3) == ("fails", None)
+    assert calls == [1, 2, 3]
+
+
+def test_kept_values_leave_equality_repr_and_json_alone():
+    _, Z = build_named("G21.Z")
+    _, fresh = build_named("G21.Z")
+    before = (repr(Z), rep_to_json(Z, embed_datum=True))
+    assert tau(Z).module is tau(Z).module and rank_vector(Z) == (1, 2, 1)
+    assert Z == fresh and fresh == Z
+    assert (repr(Z), rep_to_json(Z, embed_datum=True)) == before == (repr(fresh),
+                                                                     rep_to_json(fresh, embed_datum=True))
 
 
 def test_is_tau_locally_free_on_an_open_window():

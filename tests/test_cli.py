@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import CHECK_SHA256
 import tauforge
+from tauforge import cli
 from tauforge.cli import main
 from tauforge.linalg import Field
 from tauforge.modrep import direct_sum, free_simple, rank_vector, rep_from_json, rep_to_json
@@ -376,6 +377,32 @@ def test_module_file_with_a_truncated_arrow_is_usage_error(tmp_path):
     code, lines = _usage_error_lines("mod", "tau", str(cut))
     assert code == 2
     assert len(lines) == 1 and "malformed module file" in lines[0]
+
+
+@pytest.mark.parametrize("window", ["0", "-2"])
+def test_mod_tau_orbit_window_is_refused_before_any_output(tmp_path, window):
+    _, Z = build_named("Bn.Z", n=3)
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(rep_to_json(Z, embed_datum=True)))
+    proc = subprocess.run([sys.executable, "-m", "tauforge.cli", "mod", "tau", str(path), "--orbit", window],
+                          capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --orbit window must be positive\n"
+
+
+def test_main_builds_its_parser_once(capsys):
+    # one process, several verbs, usage errors from argparse and from a verb
+    # in between: each call answers as a process of its own would
+    runs = [("delta", "--datum", "B3"), ("mod", "nope", "x.json"), ("coxeter", "--datum", "G21"),
+            ("roots", "--datum", "B3", "--height", "-1"), ("roots", "--datum", "B3", "--height", "1")]
+    cli._build_parser.cache_clear()
+    in_process = [run(capsys, *argv) for argv in runs]
+    assert cli._build_parser.cache_info().misses == 1
+    for argv, (code, out, err) in zip(runs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "tauforge.cli", *argv],
+                              capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
 
 
 def test_module_file_holding_a_string_is_usage_error(tmp_path):

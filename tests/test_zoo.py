@@ -1,5 +1,6 @@
 """Catalogue construction, named checks, and the spot-check driver."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from tauforge import artrans, modrep, zoo
+from tauforge.artrans import tau
 from tauforge.cartan import delta
 from tauforge.linalg import Field
 from tauforge.modrep import check_relations, rank_vector
@@ -21,6 +23,7 @@ from tauforge.zoo import (
     all_check_ids,
     build_named,
     datum_from_name,
+    module_battery,
     named_datum,
     named_module_ids,
     run_suite,
@@ -334,6 +337,50 @@ def test_run_suite_filter_and_order():
     assert all(r.passed for r in reports)
     again = run_suite(filter_id="typeG")
     assert [r.to_json() for r in again] == [r.to_json() for r in reports]
+
+
+# ---------------------------------------------------------------------------
+# Module batteries
+
+
+def _a11_battery_labels(size):
+    """The A11 battery's labels: simples, projectives, injectives, then one
+    tau^-1 step from each projective and one tau step from each injective
+    per round."""
+    labels = ["%s%d" % (kind, v) for kind in "EPI" for v in (1, 2)]
+    k = 0
+    while len(labels) < size:
+        k += 1
+        labels += ["tau^-%d.P%d" % (k, v) for v in (1, 2)] + ["tau^%d.I%d" % (k, v) for v in (1, 2)]
+    return labels[:size]
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(32003)], ids=["QQ", "GF32003"])
+def test_a_battery_is_a_prefix_of_every_larger_one(field):
+    # the sizes of prop2.1, prop2.6 and prop2.4/2.7: one battery per datum
+    # hands each the same module objects, so a translate kept on a module
+    # by one check is read by the next
+    datum = named_datum("A11")
+    batteries = {size: module_battery(datum, field, size) for size in (10, 30, 38)}
+    assert [label for label, _ in batteries[38]] == _a11_battery_labels(38)
+    for size, battery in batteries.items():
+        assert [label for label, _ in battery] == _a11_battery_labels(size)
+        assert all(M is big for (_, M), (_, big) in zip(battery, batteries[38]))
+
+
+def test_equal_data_with_different_names_get_separate_batteries():
+    named = named_datum("Bn", n=3)
+    renamed = dataclasses.replace(named, name="")
+    assert renamed == named
+    Q = Field.rational()
+    first, second = module_battery(named, Q, 20), module_battery(renamed, Q, 20)
+    assert [label for label, _ in first] == [label for label, _ in second]
+    assert not any(M is N for (_, M), (_, N) in zip(first, second))
+    for datum, battery in ((named, first), (renamed, second)):
+        translates = [M for label, M in battery if label.startswith("tau")]
+        assert len(translates) == 8
+        for M in translates + [tau(M).module for M in translates]:
+            assert M.datum.name == datum.name
 
 
 # ---------------------------------------------------------------------------
