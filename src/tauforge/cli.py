@@ -141,9 +141,12 @@ def _dump_json(obj, path):
     text = json.dumps(obj, sort_keys=True, indent=2)
     if path == "-":
         print(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc))
 
 
 def _emit_module(M, path):
@@ -211,16 +214,16 @@ def _cmd_coxeter(args):
     print("sequence=%s" % _csv(cd.sequence))
     print("N=%d" % cd.N)
     print("nu=%s" % _csv(cd.nu))
-    for k, beta in enumerate(cd.beta, start=1):
-        print("beta[%d]=%s" % (k, _csv(beta)))
-    for k, gamma in enumerate(cd.gamma, start=1):
-        print("gamma[%d]=%s" % (k, _csv(gamma)))
+    for name, vectors in (("beta", cd.beta), ("gamma", cd.gamma)):
+        for k, vec in enumerate(vectors, start=1):
+            print("%s[%d]=%s" % (name, k, _csv(vec)))
     return 0
 
 
 def _cmd_mod(args):
-    if args.orbit is not None and args.orbit < 1:
-        raise UsageError("--orbit window must be positive")
+    if args.orbit is not None and not 1 <= args.orbit <= sys.maxsize:
+        raise UsageError("--orbit window must be positive" if args.orbit < 1
+                         else "--orbit window must be at most %d" % sys.maxsize)
     M = _load_module(args.file)
     _header("mod %s" % args.op, M.datum.name, M.field)
     rk = rank_vector(M)
@@ -282,13 +285,7 @@ def _cmd_zoo(args):
         return 0 if report.passed else 1
     if args.build is None:
         raise UsageError("zoo needs one of --list, --build ID, --spotcheck TYPE")
-    params = {}
-    for name in ("n", "m", "i", "j"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    if args.lam is not None:
-        params["lam"] = args.lam
+    params = {name: value for name in ("n", "m", "i", "j", "lam") if (value := getattr(args, name)) is not None}
     datum, M = build_named(args.build, field=field, **params)
     _header("zoo build", datum.name, field)
     print("rank=%s" % _rank_text(rank_vector(M)))
@@ -304,8 +301,7 @@ def _cmd_verify(args):
     reports = run_suite(filter_id=args.filter, field=field, n=args.n)
     for report in reports:
         print("%-10s %s" % (report.check_id, report.status))
-    if args.json is not None:
-        _dump_json([r.to_json() for r in reports], args.json)
+    _dump_json([r.to_json() for r in reports], args.json)
     return 0 if all(r.passed for r in reports) else 1
 
 

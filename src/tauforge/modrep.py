@@ -9,27 +9,22 @@ a matrix arr[(i,j,g)] : K^{dims[j]} -> K^{dims[i]}, subject to
 
 Everything here is exact; the field is rational by default or Z/p.
 
-Ext^1 cocycles and coboundaries are linear systems in families of matrix
-blocks, built by ``_block_map``.  A family is a vector in the row-major vec
-layout: the blocks one after another, entry (r, c) of an n x m block at its
-offset + r*m + c.  For psi = (psi_v : M_v -> N_v) the coboundary is the
-cochain
+Ext^1 cocycles are a linear system in families of matrix blocks, built by
+``_block_map``, in the row-major vec layout: the blocks one after another,
+entry (r, c) of an n x m block at its offset + r*m + c.  A cochain has one
+block per loop and arrow, a vertexwise map psi : M -> N one per vertex.
 
-  delta(psi)[("eps", v)]   = psi_v . M.eps_v - N.eps_v . psi_v
-  delta(psi)[("arr", key)] = psi_i . M(a) - N(a) . psi_j      (a = key : j -> i)
-
-Hom(M, N) is its kernel, and an extension cocycle with the same keys is a
-coboundary exactly when it lies in its image.
-
-Hom(M, N) and the dimension of Ext^1(M, N) come from one smaller matrix,
-the relation matrix Hom(P0, N) -> Hom(P1, N) of the minimal presentation
-P1 -> P0 -> M -> 0: Hom is its kernel, exact for every M because Hom(-, N)
-is left exact, and Ext^1 its cokernel when M has projective dimension <= 1.
-``hom_basis`` reads each map off the images of the generators of P0 and
-returns the canonical basis of Hom(M, N) in the vec layout of psi: map k is
-1 at its last nonzero psi-coordinate j_k and 0 at every other j, the basis
-that ``nullspace_cols`` reads off delta over QQ.  So ``basis_coords`` reads
-coordinates in it without an elimination.
+Hom, Ext^1 and the split test come from one matrix, the relation matrix
+Hom(P0, N) -> Hom(P1, N) of the minimal presentation P1 -> P0 -> M -> 0:
+Hom(M, N) is its kernel, exact for every M because Hom(-, N) is left exact,
+Ext^1(M, N) its cokernel when M has projective dimension <= 1, and a
+cocycle is a coboundary exactly when the relations send the lifts of the
+generators of P0 into its image (``coboundary_mask``).  ``hom_basis``
+returns the canonical basis of Hom(M, N) in the vec layout of psi: map k
+is 1 at its last nonzero psi-coordinate j_k and 0 at every other j, the
+basis ``nullspace_cols`` reads off the coboundary map psi -> psi.M - N.psi
+over QQ, which the tests build as the reference.  So ``basis_coords``
+reads coordinates in it without an elimination.
 """
 
 import dataclasses
@@ -308,18 +303,6 @@ def _cochain_layouts(M, N):
     return psi_at, chain_at
 
 
-def _coboundary(M, N):
-    """The coboundary map delta from psi to cochains, with both layouts."""
-    psi_at, chain_at = _cochain_layouts(M, N)
-    terms = []
-    for v in M.datum.vertices:
-        terms += [(("eps", v), v, None, M.eps[v], 1), (("eps", v), v, N.eps[v], None, -1)]
-    for key in build_quiver(M.datum).arrows:
-        i, j, _ = key
-        terms += [(("arr", key), i, None, M.arr[key], 1), (("arr", key), j, N.arr[key], None, -1)]
-    return _block_map(M.field, chain_at, psi_at, terms), psi_at, chain_at
-
-
 def hom_basis(M, N):
     """The canonical basis of Hom(M, N) as a list of Morphisms (see the
     module docstring), from the kernel of the relation matrix.  A kernel
@@ -515,13 +498,39 @@ def extension_cocycle_space(M, N):
 
 
 def coboundary_mask(M, N, cocycles):
-    """For each cocycle, does it come from a vertexwise map psi (c = psi.M -
-    N.psi)?  The coboundaries are the image of delta, the common kernel of
-    the rows of K, a basis of the left kernel of delta taken once for the
-    pair: c is one exactly when K c = 0."""
-    delta, _, chain_at = _coboundary(M, N)
-    K = delta.transpose().nullspace_cols().transpose()
-    return [(K @ _vec(M.field, chain_at, c)).is_zero() for c in cocycles]
+    """For each cocycle c, does the extension E_c split?  The relations of
+    P1 send the lifts (0, g_t) in E_c of the generators of P0 into N, giving
+    v_c in Hom(P1, N).  E_c splits exactly when v_c lies in the image of the
+    relation matrix (the pushout of the presentation, Auslander-Reiten-Smalo
+    I.5), for every M: K v_c = 0 for a basis K of its left kernel.  v_c is
+    linear in c, so all k cocycles are read off one extension of M by N^k,
+    in one path walk per generator vertex."""
+    if not cocycles:
+        return []
+    from .artrans import _path_images
+    from .pathalg import algebra_basis
+    pres, _, rel = _relation_system(M, N)
+    field, k, basis = M.field, len(cocycles), algebra_basis(M.datum)
+    E = _extension(M, N, cocycles)
+    lifts = {b: {} for b in pres.gens0}     # b -> the rows of E_b of the lifts
+    for t, b in enumerate(pres.gens0):
+        col = sum(len(basis.paths(u, b)) for u in pres.gens0[:t])     # (t, trivial path)
+        for i, j, x in pres.cover[b].items():
+            if j == col:
+                lifts[b].setdefault(k * N.dims[b] + i, {})[t] = x
+    walks = {b: _path_images(E, basis, b, Mat(field, (E.dims[b], len(pres.gens0)), rows))
+             for b, rows in lifts.items()}
+    cells = {}
+    for (s, t), elt in pres.entries.items():
+        n, start = N.dims[pres.gens1[s]], sum(N.dims[a] for a in pres.gens1[:s])
+        for mono, coeff in elt.terms.items():
+            for r, j, x in walks[pres.gens0[t]][pres.gens1[s]][basis.index[mono]].items():
+                if j == t and r < k * n:        # row r of N^k is entry r % n of v_c, c = r // n
+                    key = (start + r % n, r // n)
+                    cells[key] = cells.get(key, 0) + coeff * x
+    K = rel.transpose().nullspace_cols().transpose()
+    nonsplit = {q for _, q, _ in (K @ Mat.from_dict(field, (rel.nrows, k), cells)).items()}
+    return [q not in nonsplit for q in range(k)]
 
 
 def cocycle_is_coboundary(M, N, cocycle):
@@ -529,22 +538,24 @@ def cocycle_is_coboundary(M, N, cocycle):
     return coboundary_mask(M, N, [cocycle])[0]
 
 
+def _extension(M, N, cocycles):
+    """Middle term of 0 -> N^k -> E -> M -> 0 in block form: N^k then M at
+    each vertex, cocycle q in block row q of the block column of M."""
+    datum, field, k = M.datum, M.field, len(cocycles)
+    dims = {v: [N.dims[v]] * k + [M.dims[v]] for v in datum.vertices}
+
+    def stacked(key, of_N, of_M, i, j):
+        grid = {(q, q): of_N for q in range(k)} | {(q, k): c[key] for q, c in enumerate(cocycles)}
+        return Mat.block(field, {**grid, (k, k): of_M}, dims[i], dims[j])
+
+    return make_rep(datum, field, {v: sum(d) for v, d in dims.items()},
+                    {v: stacked(("eps", v), N.eps[v], M.eps[v], v, v) for v in datum.vertices},
+                    {key: stacked(("arr", key), N.arr[key], M.arr[key], *key[:2]) for key in M.arr})
+
+
 def build_extension(M, N, cocycle):
     """Middle term of 0 -> N -> E -> M -> 0 with the given cocycle."""
-    datum, field = M.datum, M.field
-    quiver = build_quiver(datum)
-    dims = {v: N.dims[v] + M.dims[v] for v in datum.vertices}
-    row_dims = {v: [N.dims[v], M.dims[v]] for v in datum.vertices}
-    eps = {}
-    for v in datum.vertices:
-        eps[v] = Mat.block(field, {(0, 0): N.eps[v], (0, 1): cocycle[("eps", v)],
-                                   (1, 1): M.eps[v]}, row_dims[v], row_dims[v])
-    arr = {}
-    for key in quiver.arrows:
-        i, j, _ = key
-        arr[key] = Mat.block(field, {(0, 0): N.arr[key], (0, 1): cocycle[("arr", key)],
-                                     (1, 1): M.arr[key]}, row_dims[i], row_dims[j])
-    E = make_rep(datum, field, dims, eps, arr)
+    E = _extension(M, N, [cocycle])
     bad = check_relations(E)
     if bad:
         raise ValueError(f"cocycle does not satisfy the relations: {bad}")
@@ -674,23 +685,16 @@ _ARR_KEY = re.compile(r"^a\[(\d+)<-(\d+)\](?:#(\d+))?$")
 
 
 def _scalar_to_json(x):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
+    if isinstance(x, Fraction) and x.denominator != 1:
         return f"{x.numerator}/{x.denominator}"
     return int(x)
 
 
 def rep_to_json(rep, embed_datum=False):
-    maps = {}
-    for v in rep.datum.vertices:
-        if not rep.eps[v].is_zero():
-            maps[f"eps[{v}]"] = [[_scalar_to_json(x) for x in row]
-                                 for row in rep.eps[v].rows()]
-    for (i, j, g), A in rep.arr.items():
-        if not A.is_zero():
-            maps[f"a[{i}<-{j}]#{g}"] = [[_scalar_to_json(x) for x in row]
-                                        for row in A.rows()]
+    named = ([(f"eps[{v}]", rep.eps[v]) for v in rep.datum.vertices]
+             + [(f"a[{i}<-{j}]#{g}", A) for (i, j, g), A in rep.arr.items()])
+    maps = {name: [[_scalar_to_json(x) for x in row] for row in A.rows()]
+            for name, A in named if not A.is_zero()}
     if embed_datum or not rep.datum.name:
         datum = datum_to_json(rep.datum)
     else:

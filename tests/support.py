@@ -138,11 +138,9 @@ def hom_basis_delta(M, N):
 
 def ext1_dim_cocycle(M, N):
     """dim Ext^1(M, N) as cocycles modulo coboundaries, against the
-    presentation route of ``modrep.ext1_dim``, with Hom from the coboundary
-    map rather than the presentation."""
-    z = len(extension_cocycle_space(M, N))
-    shifts = sum(N.dims[v] * M.dims[v] for v in M.datum.vertices)
-    return z - shifts + hom_basis_delta(M, N).ncols
+    presentation route of ``modrep.ext1_dim``: the coboundaries are the
+    image of the coboundary map, so their dimension is its rank."""
+    return len(extension_cocycle_space(M, N)) - coboundary_matrix(M, N).rank()
 
 
 class NotIndecomposable(ValueError):

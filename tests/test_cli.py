@@ -379,8 +379,9 @@ def test_module_file_with_a_truncated_arrow_is_usage_error(tmp_path):
     assert len(lines) == 1 and "malformed module file" in lines[0]
 
 
-@pytest.mark.parametrize("window", ["0", "-2"])
+@pytest.mark.parametrize("window", ["0", "-2", "100000000000000000000"])
 def test_mod_tau_orbit_window_is_refused_before_any_output(tmp_path, window):
+    # a window above sys.maxsize is one that no orbit walk can take
     _, Z = build_named("Bn.Z", n=3)
     path = tmp_path / "z.json"
     path.write_text(json.dumps(rep_to_json(Z, embed_datum=True)))
@@ -388,7 +389,26 @@ def test_mod_tau_orbit_window_is_refused_before_any_output(tmp_path, window):
                           capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: --orbit window must be positive\n"
+    assert proc.stderr == ("error: --orbit window must be positive\n" if int(window) < 1
+                           else "error: --orbit window must be at most %d\n" % sys.maxsize)
+
+
+@pytest.mark.parametrize("verb", ["zoo", "mod", "reflect", "verify"])
+def test_json_to_a_path_that_cannot_be_written_is_a_usage_error(tmp_path, verb):
+    _, Z = build_named("Bn.Z", n=3)
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(rep_to_json(Z, embed_datum=True)))
+    target = str(tmp_path / "missing" / "out.json")
+    argv = {"zoo": ["zoo", "--build", "G21.Z"],
+            "mod": ["mod", "tau", str(path)],
+            "reflect": ["reflect", str(path), "--vertex", "4", "--dir", "+"],
+            "verify": ["verify", "--suite", "paper", "--filter", "lem0"]}[verb]
+    proc = subprocess.run([sys.executable, "-m", "tauforge.cli", *argv, "--json", target],
+                          capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if not line.startswith("#")]
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write %s: " % target)
 
 
 def test_main_builds_its_parser_once(capsys):

@@ -1,7 +1,9 @@
 """Representation layer: homs, extensions, duality, certificates, JSON."""
 
 import functools
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,29 +189,40 @@ def test_random_coboundaries_are_coboundaries(field):
         assert check_relations(build_extension(M, N, cocycle)) == []
 
 
+_BATTERY_DATA = [("A11", None, 2), ("Bn", 3, 2), ("G21", None, 3)]
+_BATTERIES = pytest.mark.parametrize("family, n, vertex", _BATTERY_DATA)
+
+
 @pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
 def test_coboundary_mask_matches_solving_against_delta(field):
     # the basis cocycles, their sums with random coboundaries and the random
     # coboundaries themselves, all of one pair in one call, against a solve
-    # of delta psi = c for each cocycle on its own
-    rng = random.Random(6)
-    mods = [M for _, M in module_battery(b3(), field, size=8)]
-    seen = set()
-    for _ in range(10):
-        M, N = rng.choice(mods), rng.choice(mods)
-        basis = extension_cocycle_space(M, N)
-        exact = [_random_coboundary(rng, M, N) for _ in range(3)]
-        cocycles = basis + [{key: c[key] + b[key] for key in c} for c, b in zip(basis, exact)] + exact
-        delta, _, chain_at = modrep._coboundary(M, N)
-        want = [delta.solve(modrep._vec(field, chain_at, c)) is not None for c in cocycles]
-        assert modrep.coboundary_mask(M, N, cocycles) == want
-        assert want[-len(exact):] == [True] * len(exact)
-        seen.update(want)
-    assert seen == {True, False}
-
-
-_BATTERY_DATA = [("A11", None, 2), ("Bn", 3, 2), ("G21", None, 3)]
-_BATTERIES = pytest.mark.parametrize("family, n, vertex", _BATTERY_DATA)
+    # of delta psi = c for each cocycle on its own, with delta built entry
+    # by entry; 10 battery pairs of each datum, and pairs of battery members
+    # with a 1-dimensional simple at a vertex with d > 1 (not locally free,
+    # of projective dimension > 1), a projective (no relations) and the zero
+    # module, each also with no cocycles at all
+    for family, n, vertex in _BATTERY_DATA:
+        cd = named_datum(family, n=n)
+        rng = random.Random(6)
+        mods = [M for _, M in module_battery(cd, field, size=8)]
+        odd = [make_rep(cd, field, {vertex: 1}), build_projective(cd, field, vertex), zero_rep(cd, field)]
+        # the battery pairs are drawn one at a time, between the coboundaries
+        pairs = itertools.chain(((rng.choice(mods), rng.choice(mods)) for _ in range(10)),
+                                ((X, Y) for X in odd for Y in mods[:3] + odd),
+                                ((Y, X) for X in odd for Y in mods[:3]))
+        seen = set()
+        for M, N in pairs:
+            basis = extension_cocycle_space(M, N)
+            exact = [_random_coboundary(rng, M, N) for _ in range(3)]
+            cocycles = basis + [{key: c[key] + b[key] for key in c} for c, b in zip(basis, exact)] + exact
+            delta, chain_at = coboundary_matrix(M, N), modrep._cochain_layouts(M, N)[1]
+            want = [delta.solve(modrep._vec(field, chain_at, c)) is not None for c in cocycles]
+            assert modrep.coboundary_mask(M, N, cocycles) == want
+            assert want[-len(exact):] == [True] * len(exact)
+            assert modrep.coboundary_mask(M, N, []) == []
+            seen.update(want)
+        assert seen == {True, False}
 
 
 @pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
@@ -470,27 +483,67 @@ def test_iso_no_from_asymmetric_hom_on_a_44_dimensional_extension(monkeypatch):
     assert (res.verdict, res.reason, res.certificate) == ("no", "Hom dimensions are asymmetric", None)
 
 
+def _delta_shapes(M, N):
+    """The shape of the coboundary map of the pair and of its transpose;
+    none when the map is square (no arrow blocks) or has a side 0, as small
+    matrices of the presentation route have such shapes too."""
+    psi = sum(N.dims[v] * M.dims[v] for v in M.datum.vertices)
+    shape = (psi + sum(N.dims[i] * M.dims[j] for i, j, _ in M.arr), psi)
+    return {shape, shape[::-1]} if shape[0] > psi > 0 else set()
+
+
 def test_hom_basis_of_the_44_dimensional_pair_needs_no_coboundary_map(monkeypatch):
-    # nor does any battery pair, however small, or the End of a battery
-    # member
+    # nor does the coboundary test of those pairs, Hom of any battery pair,
+    # however small, or the End of a battery member: no matrix of the shape
+    # of the pair's coboundary map, or of its transpose, is eliminated
+    refused = set()
+    eliminate = Mat._eliminate
+
+    def guarded(self, rows):
+        assert self.shape not in refused, "coboundary map eliminated"
+        return eliminate(self, rows)
+
     E, S = _a11_extension()
-
-    def refuse(*args):
-        raise AssertionError("coboundary map built")
-
-    monkeypatch.setattr(modrep, "_coboundary", refuse)
+    rng = random.Random(2)
+    monkeypatch.setattr(Mat, "_eliminate", guarded)
     for M, N in ((E, S), (S, E), (E, E)):
+        refused = _delta_shapes(M, N)
+        assert refused == {(1552, 1168), (1168, 1552)}
         basis = hom_basis(M, N)
         # the dual pair is presented from the other side
         assert len(basis) == hom_dim(dual_rep(N), dual_rep(M))
         assert all(f.is_morphism() for f in basis)
+        exact = [_random_coboundary(rng, M, N) for _ in range(3)]
+        assert modrep.coboundary_mask(M, N, exact) == [True] * 3
     for field in (Q, GF):
         for family, n, _ in _BATTERY_DATA:
             mods = [M for _, M in module_battery(named_datum(family, n=n), field, size=14)]
             for M in mods:
                 for N in mods:
+                    refused = _delta_shapes(M, N)
                     hom_basis(M, N)
+                refused = _delta_shapes(M, M)
                 end_analysis(M)
+
+
+def test_coboundary_mask_of_the_44_dimensional_extension_against_itself():
+    # the full cocycle basis of (E, E), 1,152 cocycles, in one call; the
+    # left kernel of its coboundary map took 19-25 s on 2 vCPUs.  Ext^1(E,
+    # E) = 0, so every verdict is "split"; (S, S) of the split sum has
+    # cocycles that do not split
+    rng = random.Random(3)
+    for M in _a11_extension():
+        basis = extension_cocycle_space(M, M)
+        start = time.perf_counter()
+        verdicts = modrep.coboundary_mask(M, M, basis)
+        assert time.perf_counter() - start < 15
+        assert (False in verdicts) == (ext1_dim(M, M) > 0)
+        # three basis cocycles, those that do not split first, each plus a
+        # random coboundary, and three random coboundaries
+        picked = sorted(range(len(basis)), key=verdicts.__getitem__)[:3]
+        exact = [_random_coboundary(rng, M, M) for _ in range(3)]
+        shifted = [{key: basis[q][key] + c[key] for key in c} for q, c in zip(picked, exact)]
+        assert modrep.coboundary_mask(M, M, shifted + exact) == [verdicts[q] for q in picked] + [True] * 3
 
 
 @pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
