@@ -10,6 +10,7 @@ diagnostics go to stderr; stdout carries only the requested payload.
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -147,6 +148,21 @@ def _dump_json(obj, path):
             fh.write(text + "\n")
     except OSError as exc:
         raise UsageError("cannot write %s: %s" % (path, exc))
+
+
+def _check_writable(path):
+    """Refuse a --json PATH that cannot be written, before any work.  PATH is
+    opened for appending, so an existing file keeps its bytes, and a file
+    the check had to create is removed again."""
+    if path in (None, "-"):
+        return
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc))
+    if not existed:
+        os.remove(path)
 
 
 def _emit_module(M, path):
@@ -378,6 +394,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_writable(getattr(args, "json", None))
         return args.run(args)
     except (UsageError, UnknownId, UnknownCheck, UnknownType, BadParams) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -9,22 +9,25 @@ a matrix arr[(i,j,g)] : K^{dims[j]} -> K^{dims[i]}, subject to
 
 Everything here is exact; the field is rational by default or Z/p.
 
-Ext^1 cocycles are a linear system in families of matrix blocks, built by
-``_block_map``, in the row-major vec layout: the blocks one after another,
-entry (r, c) of an n x m block at its offset + r*m + c.  A cochain has one
-block per loop and arrow, a vertexwise map psi : M -> N one per vertex.
+The relations are stated once, as the residuals of ``_relation_residuals``.
+A cochain c has one block per loop and arrow, a vertexwise map psi : M -> N
+one per vertex, each family laid out in the row-major vec layout: the
+blocks one after another, entry (r, c) of an n x m block at its offset +
+r*m + c.  The Ext^1 cocycles are the kernel of the relation residuals of
+one extension of M by N^k, one unit cochain in each block row.
 
 Hom, Ext^1 and the split test come from one matrix, the relation matrix
 Hom(P0, N) -> Hom(P1, N) of the minimal presentation P1 -> P0 -> M -> 0:
 Hom(M, N) is its kernel, exact for every M because Hom(-, N) is left exact,
-Ext^1(M, N) its cokernel when M has projective dimension <= 1, and a
-cocycle is a coboundary exactly when the relations send the lifts of the
-generators of P0 into its image (``coboundary_mask``).  ``hom_basis``
-returns the canonical basis of Hom(M, N) in the vec layout of psi: map k
-is 1 at its last nonzero psi-coordinate j_k and 0 at every other j, the
-basis ``nullspace_cols`` reads off the coboundary map psi -> psi.M - N.psi
-over QQ, which the tests build as the reference.  So ``basis_coords``
-reads coordinates in it without an elimination.
+Ext^1(M, N) its cokernel only for locally free M, which has projective
+dimension <= 1 (for other M, ``ext1_dim`` counts cocycles modulo
+coboundaries), and a cocycle is a coboundary exactly when the relations
+send the lifts of the generators of P0 into its image (``coboundary_mask``).
+``hom_basis`` returns the canonical basis of Hom(M, N) in the vec layout
+of psi: map k is 1 at its last nonzero psi-coordinate j_k and 0 at every
+other j, the basis ``nullspace_cols`` reads off the coboundary map
+psi -> psi.M - N.psi over QQ, which the tests build as the reference.  So
+``basis_coords`` reads coordinates in it without an elimination.
 """
 
 import dataclasses
@@ -115,22 +118,33 @@ def _running_powers(A, k):
     return run
 
 
-def check_relations(rep):
-    """Return a list of violated relation descriptions (empty when valid)."""
+def _relation_residuals(rep):
+    """The relations of rep as matrices that vanish exactly where they hold,
+    keyed like the cochain layout: {("eps", v): eps_v^d_v, ("arr", key):
+    eps_i^f_ji . A - A . eps_j^f_ij for the arrow key : j -> i with map A}."""
     datum = rep.datum
     top = {v: datum.d(v) for v in datum.vertices}
     for i, j, _ in rep.arr:
         top[i] = max(top[i], datum.f(j, i))
         top[j] = max(top[j], datum.f(i, j))
     run = {v: _running_powers(rep.eps[v], top[v]) for v in datum.vertices}
-    bad = []
-    for v in datum.vertices:
-        if not run[v][datum.d(v) - 1].is_zero():
-            bad.append(f"eps[{v}]^{datum.d(v)} != 0")
+    out = {("eps", v): run[v][datum.d(v) - 1] for v in datum.vertices}
     for (i, j, g), A in rep.arr.items():
-        lhs = run[i][datum.f(j, i) - 1] @ A
-        rhs = A @ run[j][datum.f(i, j) - 1]
-        if not (lhs - rhs).is_zero():
+        out[("arr", (i, j, g))] = run[i][datum.f(j, i) - 1] @ A - A @ run[j][datum.f(i, j) - 1]
+    return out
+
+
+def check_relations(rep):
+    """Return a list of violated relation descriptions (empty when valid)."""
+    datum = rep.datum
+    bad = []
+    for (kind, key), R in _relation_residuals(rep).items():
+        if R.is_zero():
+            continue
+        if kind == "eps":
+            bad.append(f"eps[{key}]^{datum.d(key)} != 0")
+        else:
+            i, j, g = key
             bad.append(f"eps[{i}]^{datum.f(j, i)} a[{i}<-{j}]#{g} != a[{i}<-{j}]#{g} eps[{j}]^{datum.f(i, j)}")
     return bad
 
@@ -241,47 +255,19 @@ def _size(at):
     return sum(n * m for _, n, m in at.values())
 
 
-def _block_map(field, rows_at, cols_at, terms):
-    """Matrix of X -> Y, Y[out] = sum of sign * L @ X[slot] @ R over the
-    terms (out, slot, L, R, sign), with X in the layout cols_at and Y in
-    rows_at.  L or R is None for the identity; sign is +1 or -1."""
-    entries = {}
-    for out, slot, L, R, sign in terms:
-        r0, _, w = rows_at[out]
-        c0, n, m = cols_at[slot]
-        if L is None:       # (X R)[r][c] += X[r][b] R[b][c]
-            right = ((b, b, 1) for b in range(m)) if R is None else R.items()
-            cells = ((r0 + r * w + c, c0 + r * m + b, v)
-                     for b, c, v in right for r in range(n))
-        elif R is None:     # (L X)[r][c] += L[r][a] X[a][c]
-            cells = ((r0 + r * w + c, c0 + a * m + c, v)
-                     for r, a, v in L.items() for c in range(m))
-        else:
-            right = list(R.items())
-            cells = ((r0 + r * w + c, c0 + a * m + b, lv * rv)
-                     for r, a, lv in L.items() for b, c, rv in right)
-        for i, j, v in cells:
-            if sign < 0:
-                v = -v
-            entries[i, j] = entries[i, j] + v if (i, j) in entries else v
-    return Mat.from_dict(field, (_size(rows_at), _size(cols_at)), entries)
-
-
 def _unvec(field, at, cols):
     """One family of blocks {key: Mat} per column of ``cols``, read in the
-    layout ``at``."""
-    vecs = [{} for _ in range(cols.ncols)]
-    for u, t, v in cols.items():
-        vecs[t][u] = v
-    out = []
-    for vec in vecs:
-        blocks = {}
-        for key, (offset, n, m) in at.items():
-            entries = {divmod(u - offset, m): vec[u]
-                       for u in range(offset, offset + n * m) if u in vec}
-            blocks[key] = Mat.from_dict(field, (n, m), entries)
-        out.append(blocks)
-    return out
+    layout ``at``: one pass over the entries in order of coordinate, which
+    walks the blocks in order of offset."""
+    vecs = [{key: {} for key in at} for _ in range(cols.ncols)]
+    blocks = iter(at.items())
+    key, (offset, n, m) = None, (0, 0, 0)
+    for u, t, v in sorted(cols.items(), key=lambda cell: cell[0]):
+        while u >= offset + n * m:
+            key, (offset, n, m) = next(blocks)
+        vecs[t][key][divmod(u - offset, m)] = v
+    return [{key: Mat.from_dict(field, at[key][1:], entries) for key, entries in vec.items()}
+            for vec in vecs]
 
 
 def _vec(field, at, blocks):
@@ -463,38 +449,28 @@ def end_analysis(M):
 # ---------------------------------------------------------------------------
 # extensions and Ext^1
 
-def _power(A, k):
-    """A^k, with None for the identity A^0."""
-    return A.power(k) if k else None
-
-
 def extension_cocycle_space(M, N):
     """Basis of the linear space of valid extension cocycles for
     0 -> N -> E -> M -> 0 in block form [[N, c], [0, M]]: the cochains c for
-    which E satisfies (H1) and (H2)."""
-    datum = M.datum
+    which E satisfies (H1) and (H2).  The residuals of E_c are linear in c,
+    E_c being block upper-triangular with no product of two c blocks, so the
+    system is read off one extension of M by N^k, k the number of cochain
+    coordinates, whose cocycle q is the unit cochain at coordinate q: column
+    q is block row q of the N^k-by-M corner of each residual."""
+    field = M.field
     _, at = _cochain_layouts(M, N)
-    terms = []
-    for v in datum.vertices:
-        # E.eps_v^d = 0:  sum_t N.eps_v^t . c_eps_v . M.eps_v^(d-1-t) = 0
-        d = datum.d(v)
-        terms += [(("eps", v), ("eps", v), _power(N.eps[v], t), _power(M.eps[v], d - 1 - t), 1)
-                  for t in range(d)]
-    for key in build_quiver(datum).arrows:
-        i, j, _ = key
-        f_out, f_in = datum.f(j, i), datum.f(i, j)
-        out = ("arr", key)
-        # N.eps_i^f_out . c_arr - c_arr . M.eps_j^f_in
-        terms += [(out, out, _power(N.eps[i], f_out), None, 1),
-                  (out, out, None, _power(M.eps[j], f_in), -1)]
-        # + S_i(c_eps_i) . M(arrow)
-        terms += [(out, ("eps", i), _power(N.eps[i], t), M.eps[i].power(f_out - 1 - t) @ M.arr[key], 1)
-                  for t in range(f_out)]
-        # - N(arrow) . S_j(c_eps_j)
-        terms += [(out, ("eps", j), N.arr[key] @ N.eps[j].power(t), _power(M.eps[j], f_in - 1 - t), -1)
-                  for t in range(f_in)]
-    system = _block_map(M.field, at, at, terms)
-    return _unvec(M.field, at, system.nullspace_cols())
+    k = _size(at)
+    E = _extension(M, N, _unvec(field, at, Mat.identity(field, k)))
+    cells = {}
+    for (kind, key), R in _relation_residuals(E).items():
+        offset, n, m = at[kind, key]
+        j = key if kind == "eps" else key[1]
+        top, left = k * n, k * N.dims[j]
+        for r, c, x in R.items():
+            if r < top and c >= left:
+                q, r = divmod(r, n)
+                cells[offset + r * m + c - left, q] = x
+    return _unvec(field, at, Mat.from_dict(field, (k, k), cells).nullspace_cols())
 
 
 def coboundary_mask(M, N, cocycles):
@@ -602,8 +578,13 @@ def _relation_rank(M, N):
 
 
 def ext1_dim(M, N):
-    """dim Ext^1(M, N): the cokernel of the relation matrix, exact whenever
-    M has projective dimension <= 1, in particular for locally free M."""
+    """dim Ext^1(M, N).  For locally free M, of projective dimension <= 1
+    (Geiss-Leclerc-Schroer I), the cokernel of the relation matrix; for any
+    other M, the cocycles modulo the coboundaries psi.M - N.psi, whose
+    space has dimension dim psi - dim Hom(M, N)."""
+    if rank_vector(M) is None:
+        coboundaries = sum(N.dims[v] * M.dims[v] for v in M.datum.vertices) - hom_dim(M, N)
+        return len(extension_cocycle_space(M, N)) - coboundaries
     nrows, _, rank = _relation_rank(M, N)
     return nrows - rank
 

@@ -1,8 +1,13 @@
 """Test-side helpers: a reader and writer for path literals, independent
 routes to results the package computes another way, which the tests
-compare, and the End-checked orbit walk that only the tests call."""
+compare, the independent checker of ``perfbench/reference.py`` with the
+conversions into its plain matrices and modules, and the End-checked orbit
+walk that only the tests call."""
 
+import functools
+import importlib.util
 import re
+from pathlib import Path
 
 from tauforge.linalg import Mat
 from tauforge.artrans import _walk_local_freeness, default_window, is_zero_rep
@@ -141,6 +146,38 @@ def ext1_dim_cocycle(M, N):
     presentation route of ``modrep.ext1_dim``: the coboundaries are the
     image of the coboundary map, so their dimension is its rank."""
     return len(extension_cocycle_space(M, N)) - coboundary_matrix(M, N).rank()
+
+
+@functools.cache
+def reference():
+    """``perfbench/reference.py``, which imports nothing of tauforge and shares
+    no elimination code with ``tauforge.linalg``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("reference", path)
+    ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ref)
+    return ref
+
+
+def plain(mat):
+    """A Mat as a matrix of the reference checker."""
+    ref = reference()
+    return ref.from_dense(ref.Scalars(mat.field.p), mat.rows(), mat.shape)
+
+
+def plain_datum(datum):
+    return reference().Datum(datum.cartan, datum.symmetriser, datum.orientation)
+
+
+def plain_module(M):
+    return reference().Module(dict(M.dims), {v: plain(m) for v, m in M.eps.items()},
+                              {key: plain(m) for key, m in M.arr.items()})
+
+
+def reference_relation_problems(M):
+    """The relations M breaks, by the reference checker."""
+    ref = reference()
+    return ref.check_relations(ref.Scalars(M.field.p), plain_datum(M.datum), plain_module(M))
 
 
 class NotIndecomposable(ValueError):

@@ -406,9 +406,24 @@ def test_json_to_a_path_that_cannot_be_written_is_a_usage_error(tmp_path, verb):
     proc = subprocess.run([sys.executable, "-m", "tauforge.cli", *argv, "--json", target],
                           capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = [line for line in proc.stderr.splitlines() if not line.startswith("#")]
     assert len(lines) == 1 and lines[0].startswith("error: cannot write %s: " % target)
+
+
+@pytest.mark.parametrize("argv", [("zoo", "--build", "nope"), ("mod", "tau", "missing.json"),
+                                  ("verify", "--suite", "paper", "--filter", "nope")])
+def test_a_run_that_fails_leaves_the_json_path_as_it_was(capsys, tmp_path, argv):
+    # the path is checked before any work, without writing to it
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    new = tmp_path / "new.json"
+    for path in (kept, new):
+        code, out, _ = run(capsys, *argv, "--json", str(path))
+        assert (code, out) == (2, "")
+    assert kept.read_text() == "kept\n"
+    assert not new.exists()
 
 
 def test_main_builds_its_parser_once(capsys):

@@ -2,14 +2,15 @@
 and tau^-1 translates, pinned by sha256 over QQ and GF(32003), one sha256
 per field over the whole parameter grid of the catalogue, one per field
 over the projectives P_i and injectives I_i of every catalogued datum, one
-per field over C+M and C-M of every catalogue module, and one per field
+per field over C+M and C-M of every catalogue module, one per field
 over the tau^-1 walks from every P_v and tau walks from every I_v of five
-data, four steps deep.
+data, four steps deep, and one per field (QQ, GF(32003), GF(3)) over the
+Ext^1 cocycle bases of a fixed grid of pairs.
 
 A refactor must leave these bytes alone.  When a change of output is meant,
 print the new tables with ``PYTHONPATH=src python tests/test_golden.py`` and
-paste them over ``GOLDEN``, ``GRID``, ``PROJ_INJ``, ``COXETER`` and
-``DEEP_WALKS``.
+paste them over ``GOLDEN``, ``GRID``, ``PROJ_INJ``, ``COXETER``,
+``DEEP_WALKS`` and ``COCYCLES``.
 """
 
 import hashlib
@@ -20,10 +21,11 @@ import pytest
 
 from tauforge.artrans import tau, tau_inverse, tau_walk
 from tauforge.linalg import Field
-from tauforge.modrep import rep_to_json
+from tauforge.modrep import _cochain_layouts, _vec, extension_cocycle_space, make_rep, rep_to_json, zero_rep
 from tauforge.pathalg import build_injective, build_projective
 from tauforge.reflect import coxeter_functor
-from tauforge.zoo import _FAMILIES, _MODULE_TABLE, BadParams, build_named, named_datum, named_module_ids
+from tauforge.zoo import (_FAMILIES, _MODULE_TABLE, BadParams, _build_id, build_named, module_battery,
+                          named_datum, named_module_ids)
 
 # parameters by datum family, the prefix of the module id
 _PARAMS = {
@@ -36,6 +38,7 @@ _PARAMS = {
 }
 
 FIELDS = {"QQ": Field.rational(), "GF32003": Field.prime(32003)}
+COCYCLE_FIELDS = {**FIELDS, "GF3": Field.prime(3)}
 
 
 def _digest(rep):
@@ -130,6 +133,42 @@ def deep_walk_digest(field, depth=4):
     return sum(map(len, docs)), hashlib.sha256(text.encode()).hexdigest()
 
 
+# the data of the cocycle grid, as (family, n, a vertex with d > 1)
+_COCYCLE_DATA = (("A11", None, 2), ("Bn", 3, 2), ("G21", None, 3))
+
+
+def cocycle_pairs(field):
+    """The pairs (M, N) of the cocycle grid: every ordered pair of the
+    battery of 6 of each datum of ``_COCYCLE_DATA``; the 1-dimensional
+    simple at its vertex, the projective there and the zero module, against
+    each other and the first 3 battery members both ways; and the (Z, X)
+    pair of each main2 check."""
+    for family, n, vertex in _COCYCLE_DATA:
+        cd = named_datum(family, n=n)
+        mods = [M for _, M in module_battery(cd, field, size=6)]
+        odd = [make_rep(cd, field, {vertex: 1}), build_projective(cd, field, vertex), zero_rep(cd, field)]
+        yield from ((M, N) for M in mods for N in mods)
+        yield from ((X, Y) for X in odd for Y in mods[:3] + odd)
+        yield from ((Y, X) for X in odd for Y in mods[:3])
+    for family in ("Bn", "CDn", "F41", "G21"):
+        size = _FAMILIES[family].size
+        datum = named_datum(family, n=size[1] if size else None)
+        z_id, _, x_id, _ = _FAMILIES[family].pair
+        yield _build_id(datum, field, z_id), _build_id(datum, field, x_id)
+
+
+def cocycle_digest(field):
+    """sha256 over the ``_vec`` columns of ``extension_cocycle_space`` of
+    every pair of the cocycle grid, with the number of cocycles."""
+    docs = []
+    for M, N in cocycle_pairs(field):
+        at = _cochain_layouts(M, N)[1]
+        docs.append([sorted((r, str(x)) for r, _, x in _vec(field, at, c).items())
+                     for c in extension_cocycle_space(M, N)])
+    text = json.dumps(docs)
+    return sum(map(len, docs)), hashlib.sha256(text.encode()).hexdigest()
+
+
 GRID = {
     "GF32003": (417, "e9d5605301f7ff642210ce3cbbf2db7ce73f32997de00b6e9eeee64875416b2a"),
     "QQ": (417, "e25ba77e990c14816c775995f202d1931d0b9a00530b355329ab3ae057d2e110"),
@@ -151,6 +190,13 @@ COXETER = {
 DEEP_WALKS = {
     "GF32003": (152, "e61eed2d4ef2e403c3644a51bde1f83ca6ee8f459acb73052238c2fbe106a23d"),
     "QQ": (152, "fe85f6b0b05be3e3e1a7375d8242e1d9f5f20ccffb79104f01d6ff7ced09185a"),
+}
+
+
+COCYCLES = {
+    "GF3": (745, "6d5d026a52d9dce46cc43815590ce33b865a628f1d04fcfa8ebeb297cea9e5dd"),
+    "GF32003": (745, "6e0263fdf4bb885d14bc33d5ceef62767e550ed19e390d5e1f9ea3559ffbf666"),
+    "QQ": (745, "a7d71212d77c0747aa277d8cb628ef9dfcabfe11e55102c9d529bebe748212cb"),
 }
 
 
@@ -522,6 +568,11 @@ GOLDEN = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(COCYCLE_FIELDS))
+def test_cocycle_bases_are_byte_stable(name):
+    assert cocycle_digest(COCYCLE_FIELDS[name]) == COCYCLES[name]
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_deep_translate_walks_are_byte_stable(name):
     assert deep_walk_digest(FIELDS[name]) == DEEP_WALKS[name]
@@ -563,6 +614,10 @@ if __name__ == "__main__":
     print("DEEP_WALKS = {")
     for name in sorted(FIELDS):
         print("    %r: %r," % (name, deep_walk_digest(FIELDS[name])))
+    print("}")
+    print("COCYCLES = {")
+    for name in sorted(COCYCLE_FIELDS):
+        print("    %r: %r," % (name, cocycle_digest(COCYCLE_FIELDS[name])))
     print("}")
     print("GOLDEN = {")
     for name in sorted(FIELDS):

@@ -2,12 +2,11 @@
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
+from support import plain, plain_datum, plain_module, reference
 from tauforge import artrans, modrep, zoo
 from tauforge.artrans import tau
 from tauforge.cartan import delta
@@ -279,16 +278,11 @@ def test_main2_checks_reach_no_unknown_verdict(monkeypatch, unchanged_report, fi
     assert "unknown" not in verdicts
 
 
-_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
-
-
 def test_every_suite_certificate_passes_the_independent_checker(monkeypatch):
     # every "yes" certificate, counit and unit the suite builds over QQ and
     # GF(32003) is checked again as an isomorphism by perfbench/reference.py,
     # whose elimination shares no code with tauforge.linalg
-    spec = importlib.util.spec_from_file_location("reference", _REFERENCE)
-    ref = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ref)
+    ref = reference()
     recorded = []
 
     def is_isomorphic(M, N):
@@ -312,20 +306,12 @@ def test_every_suite_certificate_passes_the_independent_checker(monkeypatch):
     for field in (Field.rational(), Field.prime(32003)):
         assert all(r.passed for r in run_suite(field=field))
 
-    def plain(F, mat):
-        return ref.from_dense(F, mat.rows(), mat.shape)
-
-    def plain_module(F, M):
-        return ref.Module(dict(M.dims), {v: plain(F, m) for v, m in M.eps.items()},
-                          {key: plain(F, m) for key, m in M.arr.items()})
-
     problems = []
     for kind, f in recorded:
-        F, datum = ref.Scalars(f.src.field.p), f.src.datum
-        D = ref.Datum(datum.cartan, datum.symmetriser, datum.orientation)
         problems += ["%s over %r: %s" % (kind, f.src.field, p)
-                     for p in ref.check_certificate(F, D, plain_module(F, f.src), plain_module(F, f.dst),
-                                                    {v: plain(F, b) for v, b in f.blocks.items()})]
+                     for p in ref.check_certificate(ref.Scalars(f.src.field.p), plain_datum(f.src.datum),
+                                                    plain_module(f.src), plain_module(f.dst),
+                                                    {v: plain(b) for v, b in f.blocks.items()})]
     assert problems == []
     kinds = [kind for kind, _ in recorded]
     assert kinds.count("iso") >= 2 * 109 and {"counit", "unit"} <= set(kinds)
