@@ -23,8 +23,16 @@ right-hand side divided by den, and only the pivot rows of the product are
 multiplied out to check them.  So tau, whose two kernels (of the cover and
 of the transported presentation) carry all its maps, calls no ``solve``.
 
-A product takes a left row that is a single 1 as the right row itself:
-no stored row is ever changed after it is built, so rows may be shared.
+No stored row is ever changed after it is built, so rows may be shared:
+a product takes a left row that is a single 1 as the right row itself, and
+every unit row {k: 1} that ``Mat.identity``, ``nullspace_cols`` (over QQ,
+and over GF(p) when den is 1), ``rref`` and ``transpose`` build is the one
+dict ``_unit(k)`` of a shared table.  Most rows of the modules of a tau
+walk are such rows, since each is a kernel read off a canonical nullspace
+basis or the transpose of one.  Every routine that writes into a row
+writes into a copy (the eliminations copy their input rows, ``hstack``,
+``_combine`` and ``solve`` copy before they write, ``block`` fills fresh
+rows), and a change to a shared row would change every matrix holding it.
 
 No floating point is used anywhere: ``Field.convert`` refuses floats.
 """
@@ -164,7 +172,7 @@ class Mat:
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, (n, n), {i: {i: 1} for i in range(n)})
+        return cls(field, (n, n), {i: _unit(i) for i in range(n)})
 
     @classmethod
     def block(cls, field, grid, row_dims, col_dims):
@@ -311,6 +319,11 @@ class Mat:
         for i, row in self._data.items():
             for j, v in row.items():
                 data.setdefault(j, {})[i] = v
+        for j, row in data.items():
+            if len(row) == 1:
+                (i, v), = row.items()
+                if v == 1:
+                    data[j] = _unit(i)
         return Mat(self.field, (self.ncols, self.nrows), data)
 
     def power(self, k):
@@ -364,11 +377,7 @@ class Mat:
     def rref(self):
         R, _ = self._eliminate(self._data)
         piv = sorted(R)
-        data = {}
-        for r, j in enumerate(piv):
-            row = {j: 1}
-            row.update(R[j])
-            data[r] = row
+        data = {r: {j: 1, **R[j]} if R[j] else _unit(j) for r, j in enumerate(piv)}
         return Mat(self.field, self.shape, data), tuple(piv)
 
     def nullspace_cols(self):
@@ -384,7 +393,7 @@ class Mat:
         n = self.ncols
         free = [j for j in range(n) if j not in R]
         index = {j: k for k, j in enumerate(free)}
-        data = {j: {k: den} for k, j in enumerate(free)}
+        data = {j: _unit(k) if den == 1 else {k: den} for k, j in enumerate(free)}
         for pc, row in R.items():
             if not row:
                 continue
@@ -468,6 +477,18 @@ class Mat:
     def is_invertible(self):
         m, n = self.shape
         return m == n and self.rank() == n
+
+
+_UNITS = {}
+
+
+def _unit(k):
+    """The shared row {k: 1}: the same dict at every call with k.  The table
+    holds only the indices asked for."""
+    row = _UNITS.get(k)
+    if row is None:
+        row = _UNITS[k] = {k: 1}
+    return row
 
 
 def _clean(row, p):

@@ -83,9 +83,16 @@ class CoxeterData:
     nu: tuple         # None unless affine
 
     def c_apply(self, v, power=1):
+        """c^power (v), by square-and-multiply: one matrix-vector product
+        per set bit of |power| and one squaring per further bit."""
         m = self.c_matrix if power >= 0 else self.c_inv_matrix
-        for _ in range(abs(power)):
-            v = _matvec(m, v)
+        k = abs(power)
+        while k:
+            if k & 1:
+                v = _matvec(m, v)
+            k >>= 1
+            if k:
+                m = _matmul(m, m)
         return tuple(v)
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,17 @@ def test_coxeter_apply_vector(capsys):
                        "--apply", "1", "--vector", "1,2,1")
     assert code == 0
     assert out.strip().splitlines()[-1] == "1,2,1"   # delta is fixed
+
+
+def test_coxeter_apply_of_a_large_power_is_fast(capsys):
+    # c^N(1, 0) = (1 + 2N, N) on A11, where c = id + delta.nu^T
+    for power in (10**9, -10**9):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "coxeter", "--datum", "A11",
+                           "--apply", str(power), "--vector", "1,0")
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "%d,%d" % (1 + 2 * power, power)
 
 
 def test_unknown_datum_name(capsys):

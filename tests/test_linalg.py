@@ -3,13 +3,20 @@ sympy's ``DomainMatrix``, which the tests keep as the reference."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from sympy import GF, QQ
 from sympy import isprime as sympy_isprime
 from sympy.polys.matrices import DomainMatrix
 
-from tauforge.linalg import Field, Mat, isprime
+from tauforge.artrans import tau, tau_inverse, tau_walk
+from tauforge.cartan import admissible_sequence
+from tauforge.linalg import _UNITS, Field, Mat, _unit, isprime
+from tauforge.modrep import coboundary_mask, end_analysis, extension_cocycle_space, hom_basis
+from tauforge.pathalg import build_injective, build_projective
+from tauforge.reflect import counit, reflect_minus, reflect_plus
+from tauforge.zoo import module_battery, named_datum
 
 PRIMES = (2, 3, 7, 101, 32003, 2**31 - 1)
 FIELDS = [Field.rational()] + [Field.prime(p) for p in PRIMES]
@@ -257,3 +264,49 @@ def test_from_rows_checks_the_row_count():
         with pytest.raises(ValueError, match="matrix rows"):
             Mat.from_rows(Q, rows, (2, 1))
     assert Mat.from_rows(Q, [[0], [1]], (2, 1)).shape == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# The shared unit rows
+
+
+def _unit_rows(maps):
+    """``(row, k)`` for each row {k: 1} of the given matrices."""
+    return [(row, k) for m in maps for row in m._data.values() if len(row) == 1
+            for k, v in row.items() if v == 1]
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(7)], ids=_field_id)
+def test_constructors_take_unit_rows_from_the_table(field):
+    A = Mat.from_rows(field, [[1, 0, 2, 0], [0, 0, 0, 1], [2, 0, 4, 0]])
+    for M in (Mat.identity(field, 4), A.rref()[0], A.transpose(), A.nullspace_cols()):
+        units = _unit_rows([M])
+        assert units and all(row is _unit(k) for row, k in units)
+
+
+def test_a_tau_inverse_walk_keeps_only_shared_unit_rows():
+    # every module of the walk is the transpose of a kernel read off a
+    # canonical basis, so each of its unit rows is the table's
+    P1 = build_projective(named_datum("A11"), Field.rational(), 1)
+    mods = list(islice(tau_walk(P1, tau_inverse), 10))
+    assert len(mods) == 10
+    units = _unit_rows([m for M in mods for m in (*M.eps.values(), *M.arr.values())])
+    assert units and all(row is _unit(k) for row, k in units)
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(32003), Field.prime(3)], ids=_field_id)
+def test_no_routine_writes_into_a_shared_unit_row(field):
+    # a write into a shared row would change every matrix that holds it
+    cd = named_datum("Bn", n=3)
+    sink = admissible_sequence(cd)[0]
+    mods = [M for _, M in module_battery(cd, field, 10)]
+    walk = list(islice(tau_walk(build_injective(cd, field, 1), tau), 2))
+    for M in mods[:6] + walk:
+        plus = reflect_plus(cd, sink, M)
+        counit(sink, reflect_minus(plus.datum, sink, plus), M)
+        end_analysis(M)
+    for M, N in [(mods[0], mods[5]), (mods[3], walk[1]), (walk[0], walk[1]), (mods[8], mods[9])]:
+        hom_basis(M, N)
+        coboundary_mask(M, N, extension_cocycle_space(M, N))
+    assert _UNITS
+    assert all(row == {k: 1} for k, row in _UNITS.items())

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from support import (apply_monomial, coboundary_matrix, ext1_dim_cocycle, hom_basis_delta, parse_path,
                      reference_relation_problems)
 from tauforge import modrep
-from tauforge.artrans import tau, tau_inverse
+from tauforge.artrans import is_zero_rep, tau, tau_inverse
 from tauforge.cartan import opposite_datum
 from tauforge.linalg import Field, Mat
 from tauforge.modrep import (
@@ -38,6 +39,7 @@ from tauforge.modrep import (
 )
 from tauforge.pathalg import build_projective, loop
 from tauforge.reflect import coxeter_functor, twist
+from tauforge.rootsys import bilinear
 from tauforge.zoo import build_named, module_battery, named_datum
 
 Q = Field.rational()
@@ -198,6 +200,42 @@ def test_random_coboundaries_are_coboundaries(field):
 
 _BATTERY_DATA = [("A11", None, 2), ("Bn", 3, 2), ("G21", None, 3)]
 _BATTERIES = pytest.mark.parametrize("family, n, vertex", _BATTERY_DATA)
+
+
+def _nonsplit_extension(rng, M, N):
+    """A seeded random cocycle of (M, N) whose extension does not split."""
+    field, basis = M.field, extension_cocycle_space(M, N)
+    for _ in range(20):
+        coeffs = [rng.randint(-3, 3) if field.p is None else rng.randrange(field.p) for _ in basis]
+        cocycle = {key: Mat.zeros(field, *basis[0][key].shape) for key in basis[0]}
+        for a, c in zip(coeffs, basis):
+            cocycle = {key: m + c[key].scale(a) for key, m in cocycle.items()}
+        if not modrep.coboundary_mask(M, N, [cocycle])[0]:
+            return build_extension(M, N, cocycle)
+    raise AssertionError("no non-split extension found")
+
+
+@pytest.mark.parametrize("field", [Q, GF, Field.prime(3), Field.prime(2)], ids=repr)
+def test_the_form_of_generated_extensions_is_hom_minus_ext(field):
+    # 0 -> tau M -> E -> M -> 0 for the first and the last two non-projective
+    # M of the battery; Ext^1(M, tau M) is nonzero (Auslander-Reiten), and E
+    # is locally free, so <E, X> = dim Hom - dim Ext^1 both ways (GLS I)
+    rng = random.Random(8)
+    for family, n, _ in _BATTERY_DATA:
+        cd = named_datum(family, n=n)
+        mods = [M for _, M in module_battery(cd, field, size=12)]
+        picked = [M for M in mods if not is_zero_rep(tau(M).module)]
+        for M in picked[:1] + picked[-2:]:
+            N = tau(M).module
+            E = _nonsplit_extension(rng, M, N)
+            ranks = rank_vector(E)
+            assert ranks == tuple(a + b for a, b in zip(rank_vector(M), rank_vector(N)))
+            for X in mods[:5]:
+                assert hom_dim(E, X) - ext1_dim(E, X) == bilinear(cd, ranks, rank_vector(X))
+                assert hom_dim(X, E) - ext1_dim(X, E) == bilinear(cd, rank_vector(X), ranks)
+            text = json.dumps(rep_to_json(E, embed_datum=True), sort_keys=True)
+            assert json.dumps(rep_to_json(rep_from_json(json.loads(text)), embed_datum=True),
+                              sort_keys=True) == text
 
 
 @pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])

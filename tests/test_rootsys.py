@@ -10,7 +10,7 @@ from tauforge.rootsys import (
     is_positive_root,
     simple_reflection,
 )
-from tauforge.zoo import named_datum
+from tauforge.zoo import _FAMILIES, named_datum
 
 
 def alpha(datum, k):
@@ -64,6 +64,20 @@ def test_c_fixes_delta():
         cd = coxeter_data(datum)
         dlt = delta(datum)
         assert tuple(cd.c_apply(dlt)) == dlt
+
+
+def test_c_apply_by_squaring_equals_iterated_application():
+    for family, row in sorted(_FAMILIES.items()):
+        datum = named_datum(family, n=row.size[1] if row.size else None)
+        cd = coxeter_data(datum)
+        for v in [alpha(datum, k) for k in datum.vertices] + [delta(datum), cd.beta[-1]]:
+            for sign in (1, -1):
+                w = v
+                for k in range(1, 41):
+                    w = cd.c_apply(w, sign)
+                    assert cd.c_apply(v, sign * k) == w
+                assert cd.c_apply(w, -sign * 40) == v
+            assert cd.c_apply(v, 0) == v
 
 
 def test_delta_spans_radical_of_symmetrised_form():
