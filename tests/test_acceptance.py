@@ -8,6 +8,7 @@ import random
 
 from support import basis_dim, normalize_random
 from tauforge.cartan import delta
+from tauforge.catalogue import named_datum
 from tauforge.pathalg import normalize
 from tauforge.rootsys import (
     classify_positive_root,
@@ -16,7 +17,7 @@ from tauforge.rootsys import (
     enumerate_positive_roots,
     is_positive_root,
 )
-from tauforge.zoo import named_datum, theorem_a_spotcheck, verify_proposition
+from tauforge.zoo import theorem_a_spotcheck, verify_proposition
 
 ALL_DATA = [
     ("A11", {}),

@@ -35,8 +35,9 @@ from tauforge.modrep import (
 )
 from tauforge.pathalg import algebra_basis, build_injective, build_projective, transport_dual
 from tauforge.cartan import build_quiver, datum_to_json, delta
+from tauforge.catalogue import _FAMILIES, build_named, named_datum
 from tauforge.rootsys import coxeter_data
-from tauforge.zoo import _FAMILIES, _build_id, _stated_tubes, build_named, module_battery, named_datum
+from tauforge.zoo import _build_id, _stated_tubes, module_battery
 
 Q = Field.rational()
 

@@ -10,7 +10,7 @@ from tauforge.cartan import (
     reflect_orientation,
     validate_datum,
 )
-from tauforge.zoo import named_datum
+from tauforge.catalogue import named_datum
 
 
 DELTA_TABLE = [

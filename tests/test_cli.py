@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, stdout payloads, JSON artifacts."""
 
 import contextlib
+import copy
 import functools
 import hashlib
 import io
@@ -18,11 +19,13 @@ from hypothesis import strategies as st
 from conftest import CHECK_SHA256
 import tauforge
 from tauforge import cli
+from tauforge.cartan import datum_to_json
+from tauforge.catalogue import build_named, named_datum
 from tauforge.cli import main
 from tauforge.linalg import Field
 from tauforge.modrep import direct_sum, free_simple, rank_vector, rep_from_json, rep_to_json
 from tauforge.pathalg import build_projective
-from tauforge.zoo import all_check_ids, build_named, named_datum, select_check_ids
+from tauforge.zoo import all_check_ids, select_check_ids
 
 
 _SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(tauforge.__file__).resolve().parents[1]))
@@ -366,17 +369,17 @@ def test_reflect_killing_a_summand_is_math_failure(tmp_path, vertex, direction):
 
 
 def test_oversized_datum_name_is_usage_error(capsys, monkeypatch):
-    from tauforge import zoo
+    from tauforge import catalogue
 
     def built(*args, **kwargs):
         raise AssertionError("a refused datum was built")
 
-    monkeypatch.setattr(zoo, "validate_datum", built)
+    monkeypatch.setattr(catalogue, "validate_datum", built)
     code, out, err = run(capsys, "delta", "--datum", "B20000")
     assert code == 2
     assert out == ""
     assert [line for line in err.splitlines() if not line.startswith("#")] == \
-        ["error: family Bn takes n <= %d, got 20000" % zoo._MAX_N]
+        ["error: family Bn takes n <= %d, got 20000" % catalogue._MAX_N]
 
 
 def test_module_file_with_a_truncated_arrow_is_usage_error(tmp_path):
@@ -597,6 +600,193 @@ def test_mutated_module_files_never_raise(tmp_path_factory, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["mod", "tau", str(path)])
     assert code in (0, 1, 2)
+
+
+def _datum_docs():
+    """Datum files of the catalogue, and one that names its datum."""
+    return [datum_to_json(named_datum(family, n=n)) for family, n in (("A11", None), ("Bn", 3), ("G21", None),
+                                                                      ("Atilde", 4), ("CDn", 4))] + ["B3"]
+
+
+_BAD_DATUM_KEYS = st.one_of(st.sampled_from(["Cartan", "symmetrizer", "orient", "name", ""]), _TEXT)
+_ANY_NODE = st.sampled_from([[], {}, [[]], "B3", "Q9", "B20000", 0, None, 2 ** 70]).map(copy.deepcopy)
+
+
+def _mutate_datum(data, doc):
+    """One mutation of a datum document, which it returns: drop, truncate or
+    add a row of the Cartan matrix or the orientation; rename a key; put a
+    string, float, small or huge int in an entry; or replace a whole node."""
+    nodes = list(_json_nodes(doc))
+    rows = [path for path, node in nodes
+            if node and isinstance(node, list) and all(isinstance(row, list) for row in node)]
+    leaves = [path for path, node in nodes if path and not isinstance(node, (dict, list))]
+    dicts = [path for path, node in nodes if isinstance(node, dict) and node]
+    kind = data.draw(st.sampled_from(["node"] + ["row"] * bool(rows) + ["entry"] * bool(leaves)
+                                     + ["key"] * bool(dicts)))
+    if kind == "row":
+        matrix = _at(doc, data.draw(st.sampled_from(rows)))
+        k = data.draw(st.integers(0, len(matrix) - 1))
+        how = data.draw(st.sampled_from(["drop", "truncate", "add"]))
+        if how == "drop":
+            del matrix[k]
+        elif how == "truncate":
+            matrix[k] = matrix[k][:-1]
+        else:
+            matrix.append(list(matrix[k]))
+    elif kind == "entry":
+        path = data.draw(st.sampled_from(leaves))
+        value = data.draw(st.one_of(_NOT_A_NUMBER, st.integers(-3, 3), st.integers(-2 ** 200, 2 ** 200)))
+        _at(doc, path[:-1])[path[-1]] = value
+    elif kind == "key":
+        obj = _at(doc, data.draw(st.sampled_from(dicts)))
+        obj[data.draw(_BAD_DATUM_KEYS)] = obj.pop(data.draw(st.sampled_from(sorted(obj))))
+    else:
+        path = data.draw(st.sampled_from([path for path, _ in nodes]))
+        if not path:
+            return data.draw(_ANY_NODE)
+        _at(doc, path[:-1])[path[-1]] = data.draw(_ANY_NODE)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_datum_files_never_raise(tmp_path_factory, data):
+    docs = _datum_docs()
+    doc = docs[data.draw(st.integers(0, len(docs) - 1))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate_datum(data, doc)
+    path = tmp_path_factory.getbasetemp() / "fuzzed-datum.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("check-cartan", "delta"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([verb, "--datum", str(path)])
+        assert code in (0, 1, 2)
+        lines = [line for line in err.getvalue().splitlines() if not line.startswith("#")]
+        assert len(lines) == (code != 0)
+        assert code == 0 or lines[0].startswith(("fail: ", "error: ")[code - 1])
+
+
+@functools.lru_cache(maxsize=None)
+def _argv_files(base):
+    """A module file, a datum file and a missing file under ``base``."""
+    base = Path(base)
+    _, M = build_named("Bn.Z", n=2)
+    (base / "module.json").write_text(json.dumps(rep_to_json(M, embed_datum=True)))
+    (base / "datum.json").write_text(json.dumps(datum_to_json(named_datum("G21"))))
+    return str(base / "module.json"), str(base / "datum.json"), str(base / "missing.json")
+
+
+_HUGE = st.sampled_from([2 ** 64, -2 ** 64, 10 ** 30])
+_BAD_FIELDS = st.sampled_from(["p:", "p:0", "p:1", "p:4", "p:-3", "q:5", "p:" + "9" * 30, "", "RATIONAL"])
+_FIELDS = st.sampled_from(["rational", "p:2", "p:3", "p:32003", "p:18446744073709551557"])   # 2**64 - 59
+
+
+def _argv_items(data, files):
+    """One call of one verb: the verb and a list of (flag, or None for a
+    positional; a strategy for a good value, or None for a switch; one for a
+    bad value, or None).  Every value drawn keeps the work small: --n <= 6,
+    --height <= 6, --orbit <= 4, --m <= 3, and verify always has a --filter
+    that selects a few cheap checks or none; a huge --n or --orbit is
+    refused before any work."""
+    module, datum, missing = files
+    datums = (st.sampled_from(["A11", "B3", "G21", "At4", "CD4m2", "F41", datum]),
+              st.sampled_from(["Q9", "B0", "B20000", "B3m0", "At2", "", missing, module]))
+    json_out = ("--json", st.sampled_from(["-", "out.json"]),
+                st.sampled_from(["", str(Path(missing).parent / "nowhere" / "out.json")]))
+    field = ("--field", _FIELDS, _BAD_FIELDS)
+    verb = data.draw(st.sampled_from(["check-cartan", "delta", "roots", "coxeter", "mod", "reflect", "zoo",
+                                      "verify"]))
+
+    def maybe(*items):
+        return list(items) if data.draw(st.booleans()) else []
+
+    if verb in ("check-cartan", "delta"):
+        return verb, [("--datum", *datums)]
+    if verb == "roots":
+        return verb, [("--datum", *datums), ("--height", st.integers(0, 6), st.integers(-2 ** 64, -1))] + maybe(
+            ("--classify", None, None))
+    if verb == "coxeter":
+        vectors = st.lists(st.integers(-3, 3), min_size=2, max_size=5).map(lambda v: ",".join(map(str, v)))
+        return verb, [("--datum", *datums)] + maybe(
+            ("--apply", st.one_of(st.integers(-3, 3), _HUGE), None),
+            ("--vector", vectors, st.sampled_from(["", "1,,0", "a,b", "9" * 30 + ",1", "1;0"])))
+    if verb == "mod":
+        items = [(None, st.just("tau"), st.sampled_from(["", "taux"])),
+                 (None, st.just(module), st.sampled_from([datum, missing]))]
+        return verb, items + maybe(("--inverse", None, None)) + maybe(("--classify", None, None)) + maybe(
+            ("--orbit", st.integers(1, 4), st.one_of(st.integers(-2, 0), _HUGE))) + maybe(json_out)
+    if verb == "reflect":   # the module is Bn.Z of B2, whose vertices are 1, 2 and 3
+        return verb, [(None, st.just(module), st.sampled_from([datum, missing])),
+                      ("--vertex", st.integers(1, 3), st.one_of(st.integers(-1, 0), st.just(4), _HUGE)),
+                      ("--dir", st.sampled_from("+-"), st.sampled_from(["", "x", "+-"]))] + maybe(json_out)
+    if verb == "verify":
+        filters = st.sampled_from(["typeG", "typeB", "typeA", "lem0", "main2.G21", "prop:homog", "typeF"])
+        return verb, [("--suite", st.just("paper"), st.sampled_from(["", "x"])),
+                      ("--filter", filters, st.just("nope")),
+                      ("--n", st.integers(3, 6), st.one_of(st.integers(-2, 2), _HUGE))] + maybe(field, json_out)
+    how = data.draw(st.sampled_from(["list", "build", "spotcheck"]))
+    if how == "list":
+        return verb, [("--list", None, None)]
+    n = ("--n", st.integers(3, 6), st.one_of(st.integers(-2, 2), _HUGE))
+    if how == "spotcheck":
+        types = ("--spotcheck", st.sampled_from(["G21", "Bn", "A11", "F41"]),
+                 st.sampled_from(["Atilde", "nope", ""]))
+        return verb, [types, ("--height", st.integers(1, 6), st.integers(-2, 0))] + maybe(n) + maybe(field)
+    module_id = data.draw(st.sampled_from(["Bn.Z", "G21.T21", "Bn.MlamB", "Atilde.interval", "A11.homog",
+                                           "CDn.Y"]))
+    items = [("--build", st.just(module_id), st.sampled_from(["nope", ""]))]
+    if module_id.split(".")[0] in ("Bn", "Atilde", "CDn"):
+        items.append(n)
+    if module_id == "Bn.MlamB":
+        items.append(("--lam", st.sampled_from(["1", "2", "1/2", "-3/7", "9" * 30]),
+                      st.sampled_from(["0", "1/0", "x", ""])))
+    if module_id == "Atilde.interval":
+        items += [("--i", st.integers(1, 3), st.one_of(st.integers(-1, 0), _HUGE)),
+                  ("--j", st.integers(1, 3), st.one_of(st.integers(-1, 0), _HUGE))]
+    return verb, items + maybe(("--m", st.integers(1, 3), st.integers(-2, 0))) + maybe(field) + maybe(json_out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_argv_never_raises(tmp_path_factory, monkeypatch, data):
+    # relative --json paths land in the temporary directory
+    base = tmp_path_factory.getbasetemp()
+    monkeypatch.chdir(base)
+    verb, items = _argv_items(data, _argv_files(str(base)))
+    # a valid call, one with one bad value, or one with bad values and then
+    # mutations that never lift a bound: an unknown flag put anywhere after
+    # the verb, a token dropped (a flag without its value, or a stray value,
+    # is refused), or a token replaced by a value that no check id contains
+    mode = data.draw(st.sampled_from(["valid", "one bad value", "mutated"]))
+    bad = set()
+    if mode == "one bad value":
+        bad = {data.draw(st.integers(0, len(items) - 1))}
+    elif mode == "mutated":
+        bad = {k for k in range(len(items)) if data.draw(st.booleans())}
+    argv = [verb]
+    for k, (flag, good, hostile) in enumerate(items):
+        value = data.draw(hostile if k in bad and hostile is not None else good) if good is not None else None
+        argv += [token for token in (flag, value) if token is not None]
+    argv = [str(token) for token in argv]
+    for _ in range(data.draw(st.integers(1, 2)) if mode == "mutated" else 0):
+        kind = data.draw(st.sampled_from(["unknown", "drop", "replace"]))
+        if kind == "unknown":
+            argv.insert(data.draw(st.integers(1, len(argv))),
+                        data.draw(st.sampled_from(["--nope", "-x", "--", "---", "--nope=1", "-"])))
+        elif len(argv) > 1 and kind == "drop":
+            del argv[data.draw(st.integers(1, len(argv) - 1))]
+        elif len(argv) > 1:
+            argv[data.draw(st.integers(1, len(argv) - 1))] = data.draw(
+                st.sampled_from(["x", "-1", "0", "1.5", "1e3", "0x10", "p:4", "é", " ", "-"]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error: " in err.getvalue().splitlines()[-1]
 
 
 def test_cli_import_loads_no_sympy():

@@ -12,11 +12,12 @@ from sympy.polys.matrices import DomainMatrix
 
 from tauforge.artrans import tau, tau_inverse, tau_walk
 from tauforge.cartan import admissible_sequence
+from tauforge.catalogue import named_datum
 from tauforge.linalg import _UNITS, Field, Mat, _unit, isprime
 from tauforge.modrep import coboundary_mask, end_analysis, extension_cocycle_space, hom_basis
 from tauforge.pathalg import build_injective, build_projective
 from tauforge.reflect import counit, reflect_minus, reflect_plus
-from tauforge.zoo import module_battery, named_datum
+from tauforge.zoo import module_battery
 
 PRIMES = (2, 3, 7, 101, 32003, 2**31 - 1)
 FIELDS = [Field.rational()] + [Field.prime(p) for p in PRIMES]

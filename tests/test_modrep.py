@@ -14,6 +14,7 @@ from support import (apply_monomial, coboundary_matrix, ext1_dim_cocycle, hom_ba
 from tauforge import modrep
 from tauforge.artrans import is_zero_rep, tau, tau_inverse
 from tauforge.cartan import opposite_datum
+from tauforge.catalogue import build_named, named_datum
 from tauforge.linalg import Field, Mat
 from tauforge.modrep import (
     Morphism,
@@ -40,7 +41,7 @@ from tauforge.modrep import (
 from tauforge.pathalg import build_projective, loop
 from tauforge.reflect import coxeter_functor, twist
 from tauforge.rootsys import bilinear
-from tauforge.zoo import build_named, module_battery, named_datum
+from tauforge.zoo import module_battery
 
 Q = Field.rational()
 GF = Field.prime(32003)

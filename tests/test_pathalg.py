@@ -3,6 +3,7 @@ import random
 import pytest
 
 from support import basis_dim, element, format_mono, normalize_random, parse_path, unit
+from tauforge.catalogue import named_datum
 from tauforge.linalg import Field, Mat
 from tauforge.modrep import rank_vector
 from tauforge.pathalg import (
@@ -18,7 +19,6 @@ from tauforge.pathalg import (
     normalize,
 )
 from tauforge.rootsys import coxeter_data
-from tauforge.zoo import named_datum
 
 Q = Field.rational()
 

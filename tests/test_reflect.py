@@ -5,6 +5,7 @@ import pytest
 from tauforge import zoo
 from tauforge.artrans import is_zero_rep, tau
 from tauforge.cartan import admissible_sequence, reflect_orientation
+from tauforge.catalogue import build_named, named_datum
 from tauforge.linalg import Field, Mat
 from tauforge.modrep import (
     check_relations,
@@ -25,7 +26,7 @@ from tauforge.reflect import (
     unit,
 )
 from tauforge.rootsys import simple_reflection
-from tauforge.zoo import build_named, module_battery, named_datum
+from tauforge.zoo import module_battery
 
 Q = Field.rational()
 

@@ -1,6 +1,7 @@
 import pytest
 
 from tauforge.cartan import delta
+from tauforge.catalogue import _FAMILIES, named_datum
 from tauforge.rootsys import (
     bilinear,
     c_period,
@@ -10,7 +11,6 @@ from tauforge.rootsys import (
     is_positive_root,
     simple_reflection,
 )
-from tauforge.zoo import _FAMILIES, named_datum
 
 
 def alpha(datum, k):
