@@ -68,15 +68,15 @@ def _load_json(path, kind, parse, datum_names=False):
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except OSError as exc:
+    except json.JSONDecodeError as exc:
+        raise UsageError("%s: invalid JSON (%s)" % (path, exc))
+    except (OSError, ValueError) as exc:    # ValueError: a NUL byte, or bytes that are not UTF-8
         try:
             if datum_names:
                 return datum_from_name(path)
         except UnknownId:
             pass
         raise UsageError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise UsageError("%s: invalid JSON (%s)" % (path, exc))
     if datum_names and isinstance(obj, str):
         return _resolve_datum_name(obj)
     try:
@@ -148,7 +148,7 @@ def _check_writable(path):
     existed = os.path.exists(path)
     try:
         open(path, "a").close()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # ValueError: a NUL byte in the path
         raise UsageError("cannot write %s: %s" % (path, exc))
     if not existed:
         os.remove(path)

@@ -27,12 +27,22 @@ No stored row is ever changed after it is built, so rows may be shared:
 a product takes a left row that is a single 1 as the right row itself, and
 every unit row {k: 1} that ``Mat.identity``, ``nullspace_cols`` (over QQ,
 and over GF(p) when den is 1), ``rref`` and ``transpose`` build is the one
-dict ``_unit(k)`` of a shared table.  Most rows of the modules of a tau
-walk are such rows, since each is a kernel read off a canonical nullspace
-basis or the transpose of one.  Every routine that writes into a row
-writes into a copy (the eliminations copy their input rows, ``hstack``,
-``_combine`` and ``solve`` copy before they write, ``block`` fills fresh
-rows), and a change to a shared row would change every matrix holding it.
+dict ``_unit(k)`` of a shared table.  A row {k: -1}, which only QQ stores,
+is likewise the one dict ``_neg_unit(k)`` wherever a routine can end with
+a single +-1: the pivot rows of ``nullspace_cols`` over QQ, ``transpose``,
+and every row that ``_clean`` returns (products, sums, scalings).  Other
+single entries, such as the rows {k: den} over GF(p), are not shared, so
+the tables hold only the indices asked for.  Most rows of the modules of a
+tau walk are such rows, since each is a kernel read off a canonical
+nullspace basis or the transpose of one.  A matrix with no entries is the
+one zero matrix of its field and shape, ``Mat.zeros``, kept in a table that
+holds only the shapes asked for; every routine returns that one for an
+empty result.  A ``Mat`` keeps ``nrows`` and ``ncols``, and ``shape`` is
+derived from them.  Every routine that writes into a row, or into the
+``_data`` of a matrix, writes into a copy (the eliminations copy their input
+rows, ``hstack``, ``_combine`` and ``solve`` copy before they write,
+``block`` fills fresh rows), and a change to a shared row, or to the empty
+``_data`` of a shared zero matrix, would change every matrix holding it.
 
 No floating point is used anywhere: ``Field.convert`` refuses floats.
 """
@@ -123,14 +133,15 @@ class Mat:
     via :meth:`rows` as Fraction or int, or via :meth:`items` in stored form.
 
     ``Mat(field, shape, data)`` takes ``data`` in stored form (see the module
-    docstring) and keeps it without a copy; every other caller goes through
-    the classmethod constructors."""
+    docstring) and keeps it without a copy, even when it is empty (the
+    routines of this module return ``Mat.zeros`` then); every other caller
+    goes through the classmethod constructors."""
 
-    __slots__ = ("field", "shape", "_data")
+    __slots__ = ("field", "nrows", "ncols", "_data")
 
     def __init__(self, field, shape, data):
         self.field = field
-        self.shape = shape
+        self.nrows, self.ncols = shape
         self._data = data
 
     # -- construction -------------------------------------------------
@@ -153,7 +164,7 @@ class Mat:
                     r[j] = e
             if r:
                 data[i] = r
-        return cls(field, tuple(shape), data)
+        return _mat(field, shape[0], shape[1], data)
 
     @classmethod
     def from_dict(cls, field, shape, entries):
@@ -164,15 +175,16 @@ class Mat:
             e = convert(v)
             if e:
                 data.setdefault(i, {})[j] = e
-        return cls(field, tuple(shape), data)
+        return _mat(field, shape[0], shape[1], data)
 
     @classmethod
     def zeros(cls, field, m, n):
-        return cls(field, (m, n), {})
+        """The one zero matrix of this field and shape."""
+        return _zero(field, m, n)
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, (n, n), {i: _unit(i) for i in range(n)})
+        return _mat(field, n, n, {i: _unit(i) for i in range(n)})
 
     @classmethod
     def block(cls, field, grid, row_dims, col_dims):
@@ -188,23 +200,19 @@ class Mat:
         for (bi, bj), blk in grid.items():
             if blk is None:
                 continue
-            if blk.shape != (row_dims[bi], col_dims[bj]):
+            if blk.nrows != row_dims[bi] or blk.ncols != col_dims[bj]:
                 raise ValueError("block shape mismatch")
             for i, row in blk._data.items():
                 tgt = data.setdefault(roff[bi] + i, {})
                 for j, v in row.items():
                     tgt[coff[bj] + j] = v
-        return cls(field, (m, n), data)
+        return _mat(field, m, n, data)
 
     # -- basic queries -------------------------------------------------
 
     @property
-    def nrows(self):
-        return self.shape[0]
-
-    @property
-    def ncols(self):
-        return self.shape[1]
+    def shape(self):
+        return self.nrows, self.ncols
 
     def is_zero(self):
         return not self._data
@@ -217,9 +225,9 @@ class Mat:
                 yield i, j, v
 
     def rows(self):
-        m, n = self.shape
+        n = self.ncols
         rational = self.field.p is None
-        out = [[Fraction(0) if rational else 0] * n for _ in range(m)]
+        out = [[Fraction(0) if rational else 0] * n for _ in range(self.nrows)]
         for i, row in self._data.items():
             tgt = out[i]
             for j, v in row.items():
@@ -231,7 +239,7 @@ class Mat:
         if not 0 <= start <= stop <= self.nrows:
             raise ValueError("row slice %d:%d of %d rows" % (start, stop, self.nrows))
         data = {i - start: row for i, row in self._data.items() if start <= i < stop}
-        return Mat(self.field, (stop - start, self.ncols), data)
+        return _mat(self.field, stop - start, self.ncols, data)
 
     def col_vector(self, j):
         return tuple(r[j] for r in self.rows())
@@ -240,7 +248,8 @@ class Mat:
         return (
             isinstance(other, Mat)
             and self.field == other.field
-            and self.shape == other.shape
+            and self.nrows == other.nrows
+            and self.ncols == other.ncols
             and self._data == other._data
         )
 
@@ -248,7 +257,7 @@ class Mat:
         return hash((self.field, self.shape, tuple(map(tuple, self.rows()))))
 
     def __repr__(self):
-        return f"Mat({self.shape[0]}x{self.shape[1]} over {self.field})"
+        return f"Mat({self.nrows}x{self.ncols} over {self.field})"
 
     # -- arithmetic ----------------------------------------------------
 
@@ -259,7 +268,7 @@ class Mat:
             raise ValueError("%s of shapes %s and %s" % (what, self.shape, other.shape))
 
     def _combine(self, other, sign):
-        self._check(other, self.shape == other.shape, "sum")
+        self._check(other, self.nrows == other.nrows and self.ncols == other.ncols, "sum")
         p = self.field.p
         data = dict(self._data)
         for i, row in other._data.items():
@@ -271,7 +280,7 @@ class Mat:
                 data[i] = tgt
             else:
                 data.pop(i, None)
-        return Mat(self.field, self.shape, data)
+        return _mat(self.field, self.nrows, self.ncols, data)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -303,16 +312,16 @@ class Mat:
             acc = _clean(acc, p)
             if acc:
                 data[i] = acc
-        return Mat(self.field, (self.nrows, other.ncols), data)
+        return _mat(self.field, self.nrows, other.ncols, data)
 
     def scale(self, scalar):
         s = self.field.convert(scalar)
         if not s:
-            return Mat(self.field, self.shape, {})
+            return _zero(self.field, self.nrows, self.ncols)
         p = self.field.p
         data = {i: _clean({j: v * s for j, v in row.items()}, p)
                 for i, row in self._data.items()}
-        return Mat(self.field, self.shape, data)
+        return _mat(self.field, self.nrows, self.ncols, data)
 
     def transpose(self):
         data = {}
@@ -321,10 +330,8 @@ class Mat:
                 data.setdefault(j, {})[i] = v
         for j, row in data.items():
             if len(row) == 1:
-                (i, v), = row.items()
-                if v == 1:
-                    data[j] = _unit(i)
-        return Mat(self.field, (self.ncols, self.nrows), data)
+                data[j] = _shared(row)
+        return _mat(self.field, self.ncols, self.nrows, data)
 
     def power(self, k):
         if self.nrows != self.ncols:
@@ -348,7 +355,7 @@ class Mat:
                 for j, v in row.items():
                     tgt[offset + j] = v
             offset += other.ncols
-        return Mat(self.field, (self.nrows, offset), data)
+        return _mat(self.field, self.nrows, offset, data)
 
     # -- elimination ---------------------------------------------------
 
@@ -378,7 +385,7 @@ class Mat:
         R, _ = self._eliminate(self._data)
         piv = sorted(R)
         data = {r: {j: 1, **R[j]} if R[j] else _unit(j) for r, j in enumerate(piv)}
-        return Mat(self.field, self.shape, data), tuple(piv)
+        return _mat(self.field, self.nrows, self.ncols, data), tuple(piv)
 
     def nullspace_cols(self):
         """Matrix whose columns are a basis of {x : self @ x = 0}.
@@ -398,10 +405,10 @@ class Mat:
             if not row:
                 continue
             if p is None:
-                data[pc] = {index[j]: -v for j, v in row.items()}
+                data[pc] = _shared({index[j]: -v for j, v in row.items()})
             else:
                 data[pc] = {index[j]: -den * v % p for j, v in row.items()}
-        return Mat(self.field, (n, len(free)), data)
+        return _mat(self.field, n, len(free), data)
 
     def basis_coords(self, rhs):
         """The X with self @ X = rhs, or None, for a basis ``self`` returned
@@ -452,7 +459,7 @@ class Mat:
                         acc[j] = acc[j] + a * b if j in acc else a * b
             if _clean(acc, p) != rows.get(i, {}):
                 return None
-        return Mat(self.field, (self.ncols, rhs.ncols), data)
+        return _mat(self.field, self.ncols, rhs.ncols, data)
 
     def solve(self, rhs):
         """A particular solution X of self @ X = rhs, or None if inconsistent."""
@@ -472,14 +479,16 @@ class Mat:
             tgt = {j - n: v for j, v in row.items() if j >= n}
             if tgt:
                 data[pc] = tgt
-        return Mat(self.field, (n, rhs.ncols), data)
+        return _mat(self.field, n, rhs.ncols, data)
 
     def is_invertible(self):
-        m, n = self.shape
-        return m == n and self.rank() == n
+        n = self.ncols
+        return self.nrows == n and self.rank() == n
 
 
 _UNITS = {}
+_NEG_UNITS = {}
+_ZEROS = {}
 
 
 def _unit(k):
@@ -491,13 +500,51 @@ def _unit(k):
     return row
 
 
+def _neg_unit(k):
+    """The shared row {k: -1}, kept like ``_unit(k)``; only QQ stores -1."""
+    row = _NEG_UNITS.get(k)
+    if row is None:
+        row = _NEG_UNITS[k] = {k: -1}
+    return row
+
+
+def _shared(row):
+    """``row``, or the table's row when it is a single entry 1 or -1."""
+    if len(row) == 1:
+        (k, v), = row.items()
+        if v == 1:
+            return _unit(k)
+        if v == -1:
+            return _neg_unit(k)
+    return row
+
+
+def _zero(field, m, n):
+    """The one zero matrix of this field and shape.  The table holds only
+    the shapes asked for."""
+    key = (field.p, m, n)
+    mat = _ZEROS.get(key)
+    if mat is None:
+        mat = _ZEROS[key] = Mat(field, (m, n), {})
+    return mat
+
+
+def _mat(field, m, n, data):
+    """``Mat(field, (m, n), data)``, or the shared zero matrix when data is
+    empty."""
+    return Mat(field, (m, n), data) if data else _zero(field, m, n)
+
+
 def _clean(row, p):
     """The stored form of a row of raw sums: zeros dropped, values reduced
-    mod p, or over QQ (p None) integral Fractions turned into ints."""
+    mod p, or over QQ (p None) integral Fractions turned into ints; a single
+    entry 1 or -1 is the table's row."""
     if p is not None:
-        return {j: r for j, v in row.items() if (r := v % p)}
-    return {j: (v if type(v) is int or v.denominator != 1 else v.numerator)
-            for j, v in row.items() if v}
+        row = {j: r for j, v in row.items() if (r := v % p)}
+    else:
+        row = {j: (v if type(v) is int or v.denominator != 1 else v.numerator)
+               for j, v in row.items() if v}
+    return _shared(row)
 
 
 def _pivot_order(rows):

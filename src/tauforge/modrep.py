@@ -81,7 +81,7 @@ def make_rep(datum, field, dims, eps=None, arr=None):
             m = Mat.zeros(field, dims[v], dims[v])
         elif not isinstance(m, Mat):
             m = Mat.from_rows(field, m, (dims[v], dims[v]))
-        if m.shape != (dims[v], dims[v]):
+        if m.nrows != dims[v] or m.ncols != dims[v]:
             raise ValueError(f"eps[{v}] has shape {m.shape}, expected square of size {dims[v]}")
         eps[v] = m
     for key in quiver.arrows:
@@ -91,7 +91,7 @@ def make_rep(datum, field, dims, eps=None, arr=None):
             m = Mat.zeros(field, dims[i], dims[j])
         elif not isinstance(m, Mat):
             m = Mat.from_rows(field, m, (dims[i], dims[j]))
-        if m.shape != (dims[i], dims[j]):
+        if m.nrows != dims[i] or m.ncols != dims[j]:
             raise ValueError(f"arrow {key} has shape {m.shape}, expected {(dims[i], dims[j])}")
         arr[key] = m
     return Representation(datum, field, dims, eps, arr)

@@ -374,12 +374,37 @@ def test_oversized_datum_name_is_usage_error(capsys, monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("a refused datum was built")
 
+    # without the n <= _MAX_N guard the Cartan matrix alone is 20001**2 entries
+    monkeypatch.setattr(catalogue, "_chain_cartan", built)
     monkeypatch.setattr(catalogue, "validate_datum", built)
     code, out, err = run(capsys, "delta", "--datum", "B20000")
     assert code == 2
     assert out == ""
     assert [line for line in err.splitlines() if not line.startswith("#")] == \
         ["error: family Bn takes n <= %d, got 20000" % catalogue._MAX_N]
+
+
+@pytest.mark.parametrize("argv", [["delta", "--datum", "a\x00b"], ["zoo", "--list", "--json", "a\x00b"],
+                                  ["mod", "tau", "a\x00b"]], ids=["datum", "json", "module"])
+def test_a_path_with_a_nul_byte_is_usage_error(capsys, argv):
+    # open() refuses such a path with ValueError, not OSError; no shell can
+    # pass one, but an in-process caller can
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("#")]
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("verb", [["delta", "--datum"], ["mod", "tau"]], ids=["datum", "module"])
+def test_a_file_that_is_not_utf8_is_usage_error(capsys, tmp_path, verb):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, *verb, str(path))
+    assert code == 2
+    assert out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("#")]
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read ")
 
 
 def test_module_file_with_a_truncated_arrow_is_usage_error(tmp_path):
@@ -597,9 +622,13 @@ def test_mutated_module_files_never_raise(tmp_path_factory, data):
         _mutate(data, doc)
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_text(json.dumps(doc))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["mod", "tau", str(path)])
     assert code in (0, 1, 2)
+    if code:
+        lines = [line for line in err.getvalue().splitlines() if not line.startswith("#")]
+        assert len(lines) == 1 and lines[0].startswith(("error: ", "fail: ")), lines
 
 
 def _datum_docs():
@@ -780,7 +809,7 @@ def test_mutated_argv_never_raises(tmp_path_factory, monkeypatch, data):
             del argv[data.draw(st.integers(1, len(argv) - 1))]
         elif len(argv) > 1:
             argv[data.draw(st.integers(1, len(argv) - 1))] = data.draw(
-                st.sampled_from(["x", "-1", "0", "1.5", "1e3", "0x10", "p:4", "é", " ", "-"]))
+                st.sampled_from(["x", "-1", "0", "1.5", "1e3", "0x10", "p:4", "é", " ", "-", "a\x00b"]))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -13,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 from tauforge.artrans import tau, tau_inverse, tau_walk
 from tauforge.cartan import admissible_sequence
 from tauforge.catalogue import named_datum
-from tauforge.linalg import _UNITS, Field, Mat, _unit, isprime
+from tauforge.linalg import _NEG_UNITS, _UNITS, _ZEROS, Field, Mat, _neg_unit, _unit, isprime
 from tauforge.modrep import coboundary_mask, end_analysis, extension_cocycle_space, hom_basis
 from tauforge.pathalg import build_injective, build_projective
 from tauforge.reflect import counit, reflect_minus, reflect_plus
@@ -268,13 +268,14 @@ def test_from_rows_checks_the_row_count():
 
 
 # ---------------------------------------------------------------------------
-# The shared unit rows
+# The shared unit rows and zero matrices
 
 
 def _unit_rows(maps):
-    """``(row, k)`` for each row {k: 1} of the given matrices."""
-    return [(row, k) for m in maps for row in m._data.values() if len(row) == 1
-            for k, v in row.items() if v == 1]
+    """``(row, table row)`` for each row {k: 1} or {k: -1} of the given
+    matrices, the table row being ``_unit(k)`` or ``_neg_unit(k)``."""
+    return [(row, _unit(k) if v == 1 else _neg_unit(k)) for m in maps for row in m._data.values()
+            if len(row) == 1 for k, v in row.items() if v in (1, -1)]
 
 
 @pytest.mark.parametrize("field", [Field.rational(), Field.prime(7)], ids=_field_id)
@@ -282,17 +283,40 @@ def test_constructors_take_unit_rows_from_the_table(field):
     A = Mat.from_rows(field, [[1, 0, 2, 0], [0, 0, 0, 1], [2, 0, 4, 0]])
     for M in (Mat.identity(field, 4), A.rref()[0], A.transpose(), A.nullspace_cols()):
         units = _unit_rows([M])
-        assert units and all(row is _unit(k) for row, k in units)
+        assert units and all(row is table for row, table in units)
+    # x1 + x2 = 0: over QQ the kernel's pivot row is {1: -1}
+    B = Mat.from_rows(field, [[0, 1, 1]]).nullspace_cols()
+    if field.p is None:
+        assert B._data[1] is _neg_unit(1)
+    else:
+        assert B._data[1] == {1: 6}
+
+
+def test_zeros_is_one_matrix_per_field_and_shape():
+    Q, F = Field.rational(), Field.prime(7)
+    Z = Mat.zeros(Q, 2, 3)
+    assert Z is Mat.zeros(Field.rational(), 2, 3)
+    assert Z.shape == (2, 3) and Z.is_zero()
+    assert Mat.zeros(F, 2, 3) is not Z and Mat.zeros(Q, 3, 2) is not Z
+    A = Mat.from_rows(Q, [[1, 2, 0], [0, 1, 1]])
+    assert (A - A) is Z and A.scale(0) is Z and Mat.zeros(Q, 2, 2) @ A is Z
+    assert Z.transpose() is Mat.zeros(Q, 3, 2)
 
 
 def test_a_tau_inverse_walk_keeps_only_shared_unit_rows():
     # every module of the walk is the transpose of a kernel read off a
-    # canonical basis, so each of its unit rows is the table's
-    P1 = build_projective(named_datum("A11"), Field.rational(), 1)
+    # canonical basis, so each of its unit rows is the table's, and each of
+    # its zero maps is the one zero matrix of its shape
+    Q = Field.rational()
+    P1 = build_projective(named_datum("A11"), Q, 1)
     mods = list(islice(tau_walk(P1, tau_inverse), 10))
     assert len(mods) == 10
-    units = _unit_rows([m for M in mods for m in (*M.eps.values(), *M.arr.values())])
-    assert units and all(row is _unit(k) for row, k in units)
+    maps = [m for M in mods for m in (*M.eps.values(), *M.arr.values())]
+    units = _unit_rows(maps)
+    assert units and all(row is table for row, table in units)
+    assert any(v == -1 for row, _ in units for v in row.values())
+    zeros = [m for m in maps if m.is_zero()]
+    assert zeros and all(m is Mat.zeros(Q, m.nrows, m.ncols) for m in zeros)
 
 
 @pytest.mark.parametrize("field", [Field.rational(), Field.prime(32003), Field.prime(3)], ids=_field_id)
@@ -311,3 +335,6 @@ def test_no_routine_writes_into_a_shared_unit_row(field):
         coboundary_mask(M, N, extension_cocycle_space(M, N))
     assert _UNITS
     assert all(row == {k: 1} for k, row in _UNITS.items())
+    assert all(row == {k: -1} for k, row in _NEG_UNITS.items())
+    assert _ZEROS
+    assert all(Z._data == {} and Z.shape == (m, n) and Z.field.p == p for (p, m, n), Z in _ZEROS.items())
