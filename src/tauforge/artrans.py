@@ -4,7 +4,9 @@ For a module M with minimal presentation  P1 --(r_st)--> P0 --> M --> 0
 (entries r_st of the middle map are algebra elements acting by right
 composition), the translate is the kernel of the transported map between
 the corresponding injectives; the inverse translate is computed by the
-same transport over the opposite algebra, conjugated by duality.
+same transport over the opposite algebra, conjugated by duality.  The sums
+P0 and I1 are never assembled: both kernels read the maps of their
+summands, the projectives and injectives that pathalg keeps, one by one.
 """
 
 from dataclasses import dataclass
@@ -12,10 +14,9 @@ from itertools import islice
 
 from .cartan import build_quiver
 from .linalg import Mat
-from .modrep import (Morphism, Representation, direct_sum, dual_rep, is_isomorphic, kernel_rep,
-                     make_rep, rank_vector, zero_rep)
-from .pathalg import (AlgebraElement, algebra_basis, build_injective, build_projective,
-                      mono_target, transport_dual)
+from .modrep import Representation, dual_rep, is_isomorphic, kernel_rep, rank_vector, zero_rep
+from .pathalg import (AlgebraElement, _indecomposable_maps, algebra_basis, mono_target,
+                      transport_dual)
 from .rootsys import classify_positive_root, coxeter_data
 
 
@@ -24,29 +25,25 @@ def is_zero_rep(rep):
 
 
 def _radical_complement(rep, v):
-    """Columns of M_v completing the radical part to a basis (a lift of the
-    top at v): the unit vectors e_k, in order, whose k is the last nonzero
-    coordinate of no radical vector.  Those k are the pivots of the RREF of
-    the radical's transpose with its coordinates reversed, whose rows are
-    built directly from the entries of [eps_v | the arrows into v]."""
+    """The k, in order, whose unit vectors e_k of M_v complete the radical
+    part to a basis (a lift of the top at v): those that are the last
+    nonzero coordinate of no radical vector.  They are read off the pivots
+    of one elimination of the radical's transpose with its coordinates
+    reversed, whose rows are built directly from the entries of [eps_v |
+    the arrows into v]."""
     dim = rep.dims[v]
     data, offset = {}, 0
     for A in (rep.eps[v], *(rep.arr[key] for key in build_quiver(rep.datum).arrows_into(v))):
         for i, j, x in A.items():
             data.setdefault(offset + j, {})[dim - 1 - i] = x
         offset += A.ncols
-    _, piv = Mat(rep.field, (offset, dim), data).rref()
-    last = {dim - 1 - j for j in piv}
-    return [Mat(rep.field, (dim, 1), {k: {0: 1}}) for k in range(dim) if k not in last]
+    R, _ = Mat(rep.field, (offset, dim), data)._eliminate(data)
+    return [k for k in range(dim) if dim - 1 - k not in R]
 
 
 def _generators(rep):
-    """(vertex, column) pairs spanning the top of rep."""
-    gens = []
-    for v in rep.datum.vertices:
-        for col in _radical_complement(rep, v):
-            gens.append((v, col))
-    return gens
+    """(vertex, k) pairs, e_k of M_vertex spanning the top of rep."""
+    return [(v, k) for v in rep.datum.vertices for k in _radical_complement(rep, v)]
 
 
 def _path_images(M, basis, b, U):
@@ -75,24 +72,20 @@ def _path_image(M, U, images, p):
 
 
 def projective_cover(M):
-    """(P0, cover morphism, generator vertices).  The cover block at w holds,
-    for each generator in turn, its images under the basis paths to w.  On a
-    module (loops nilpotent) the cover is surjective; ``minimal_presentation``
-    checks that on the kernel bases it takes of the blocks."""
+    """(generator vertices, cover blocks) of the cover P0 -> M, P0 the sum of
+    the projectives P_b over the generator vertices b, which is never built.
+    The cover block at w holds, for each generator in turn, its images under
+    the basis paths to w.  On a module (loops nilpotent) the cover is
+    surjective; ``minimal_presentation`` checks that on the kernel bases it
+    takes of the blocks."""
     datum, field = M.datum, M.field
     gens = _generators(M)
     verts = tuple(v for v, _ in gens)
-    if not gens:
-        return zero_rep(datum, field), Morphism(zero_rep(datum, field), M,
-                                                {v: Mat.zeros(field, M.dims[v], 0)
-                                                 for v in datum.vertices}), verts
     basis = algebra_basis(datum)
-    P0 = direct_sum([build_projective(datum, field, v) for v in verts])
     # one path walk per generator vertex b, on the generators at b side by
     # side; _generators lists them vertex by vertex, so generator t at b
     # owns the columns start + t * (number of paths from b to w)
-    gens_at = {b: [k for v, u in gens if v == b for k, _, _ in u.items()]
-               for b in dict.fromkeys(verts)}
+    gens_at = {b: [k for v, k in gens if v == b] for b in dict.fromkeys(verts)}
     images = {b: _path_images(M, basis, b, Mat(field, (M.dims[b], len(ks)),
                                                {k: {t: 1} for t, k in enumerate(ks)}))
               for b, ks in gens_at.items()}
@@ -106,7 +99,7 @@ def projective_cover(M):
                     data.setdefault(i, {})[start + t * n + r] = x
             start += len(ks) * n
         blocks[w] = Mat(field, (M.dims[w], start), data)
-    return P0, Morphism(P0, M, blocks), verts
+    return verts, blocks
 
 
 @dataclass
@@ -128,18 +121,20 @@ def minimal_presentation(M):
     global _presented
     if _presented[0] is M:
         return _presented[1]
-    datum = M.datum
+    datum, field = M.datum, M.field
     basis = algebra_basis(datum)
-    P0, cover, gens0 = projective_cover(M)
-    # one elimination per cover block: its rank is its width less the size
-    # of its kernel basis.  A bad module can also leave the kernel without
-    # its loop or arrow maps; if its cover misses part of it as well, that
-    # is the fault reported, and only then are the ranks taken apart
+    gens0, blocks = projective_cover(M)
+    # the sum of no projectives is the zero module.  One elimination per
+    # cover block: its rank is its width less the size of its kernel basis.
+    # A bad module can also leave the kernel without its loop or arrow maps;
+    # if its cover misses part of it as well, that is the fault reported,
+    # and only then are the ranks taken apart
+    projectives = [_indecomposable_maps(datum, datum.name, field, b, True) for b in gens0]
     try:
-        K, incl = kernel_rep(P0, cover.blocks)
-        ranks = {v: block.ncols - incl.blocks[v].ncols for v, block in cover.blocks.items()}
+        K, incl = kernel_rep(projectives or [zero_rep(datum, field)], blocks)
+        ranks = {v: block.ncols - incl[v].ncols for v, block in blocks.items()}
     except RuntimeError:
-        ranks = {v: block.rank() for v, block in cover.blocks.items()}
+        ranks = {v: block.rank() for v, block in blocks.items()}
         if ranks == M.dims:
             raise
     if ranks != M.dims:
@@ -151,17 +146,16 @@ def minimal_presentation(M):
     # coefficient on such a path is entry (s, t) of the presentation
     cols = {a: {} for a in gens1}
     for a, col in cols.items():
-        for r, k, x in incl.blocks[a].items():
+        for r, k, x in incl[a].items():
             col.setdefault(k, []).append((r, x))
     owner = {a: [(t, p) for t, b in enumerate(gens0) for p in basis.paths(b, a)] for a in cols}
     cells = {}
-    for s, (a, w) in enumerate(kgens):
-        (k, _, _), = w.items()            # w is the unit vector e_k
+    for s, (a, k) in enumerate(kgens):
         for r, x in cols[a][k]:
             t, path = owner[a][r]
             cells.setdefault((s, t), {})[path] = x
     entries = {(s, t): AlgebraElement(gens0[t], gens1[s], terms) for (s, t), terms in cells.items()}
-    _presented = (M, PresentationData(gens0, gens1, entries, cover.blocks))
+    _presented = (M, PresentationData(gens0, gens1, entries, blocks))
     return _presented[1]
 
 
@@ -184,20 +178,16 @@ def _translate(M):
     pres = minimal_presentation(M)
     if not pres.gens1:
         return zero_rep(datum, field)
-    I1 = direct_sum([build_injective(datum, field, a) for a in pres.gens1])
     blocks = transport_dual(datum, field, pres.gens1, pres.gens0, pres.entries)
-    K, _ = kernel_rep(I1, blocks)
+    injectives = [_indecomposable_maps(datum, datum.name, field, a, False) for a in pres.gens1]
+    K, _ = kernel_rep(injectives, blocks)
     return K
 
 
 def tau_inverse(M):
-    """Dual of tau over the opposite algebra."""
-    datum, field = M.datum, M.field
-    dM = dual_rep(M)
-    t = tau(dM)
-    back = dual_rep(t.module)
-    restored = make_rep(datum, field, dict(back.dims), dict(back.eps), dict(back.arr))
-    return TauResult(restored)
+    """Dual of tau over the opposite algebra, the dual of that translate
+    taken over M's datum."""
+    return TauResult(dual_rep(tau(dual_rep(M)).module, M.datum))
 
 
 def tau_walk(M, step):

@@ -233,10 +233,16 @@ def reflect_orientation(datum, k):
 
 def opposite_datum(datum):
     """Reverse every arrow; the path algebra of the result is the opposite
-    algebra of the original one."""
+    algebra of the original one.  One opposite is built per datum and name,
+    as the name takes no part in the datum's equality."""
+    return _opposite(datum, datum.name)
+
+
+@lru_cache(maxsize=None)
+def _opposite(datum, name):
     flipped = tuple(sorted((j, i) for (i, j) in datum.orientation))
     return CartanDatum(datum.cartan, datum.symmetriser, flipped,
-                       datum.affine_kernel, datum.name + ".op" if datum.name else "")
+                       datum.affine_kernel, name + ".op" if name else "")
 
 
 def datum_to_json(datum):

@@ -22,6 +22,9 @@ the identity on its free rows, so the coordinates are those rows of the
 right-hand side divided by den, and only the pivot rows of the product are
 multiplied out to check them.  So tau, whose two kernels (of the cover and
 of the transported presentation) carry all its maps, calls no ``solve``.
+Their sources are direct sums, whose maps are block diagonal; the product
+of such a map with a kernel basis is ``Mat._diag_times``, which takes the
+blocks one by one and never assembles the sum.
 
 No stored row is ever changed after it is built, so rows may be shared:
 a product takes a left row that is a single 1 as the right row itself, and
@@ -262,7 +265,7 @@ class Mat:
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other, fits, what):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("%s of matrices over %r and %r" % (what, self.field, other.field))
         if not fits:
             raise ValueError("%s of shapes %s and %s" % (what, self.shape, other.shape))
@@ -293,26 +296,24 @@ class Mat:
 
     def __matmul__(self, other):
         self._check(other, self.ncols == other.nrows, "product")
-        p = self.field.p
-        right = other._data
-        data = {}
-        for i, row in self._data.items():
-            if len(row) == 1:
-                (t, a), = row.items()
-                if a == 1:              # the right row itself, shared
-                    if t in right:
-                        data[i] = right[t]
-                    continue
-            acc = {}
-            for t, a in row.items():
-                rrow = right.get(t)
-                if rrow is not None:
-                    for j, b in rrow.items():
-                        acc[j] = acc[j] + a * b if j in acc else a * b
-            acc = _clean(acc, p)
-            if acc:
-                data[i] = acc
+        data = _times(self._data, other._data, self.field.p, {}, 0, 0)
         return _mat(self.field, self.nrows, other.ncols, data)
+
+    def _diag_times(self, diag, nrows):
+        """D @ self for the block diagonal D of ``nrows`` rows whose blocks
+        are ``diag`` in order, without assembling D: each block multiplies
+        the rows of self at its column offset into the rows at its row
+        offset, so the product is the one ``@`` builds from D."""
+        p = self.field.p
+        data, roff, coff = {}, 0, 0
+        for A in diag:
+            if A._data:
+                _times(A._data, self._data, p, data, roff, coff)
+            roff += A.nrows
+            coff += A.ncols
+        if roff != nrows or coff != self.nrows:
+            raise ValueError("block diagonal of shape %s times %s" % ((roff, coff), self.shape))
+        return _mat(self.field, nrows, self.ncols, data)
 
     def scale(self, scalar):
         s = self.field.convert(scalar)
@@ -533,6 +534,29 @@ def _mat(field, m, n, data):
     """``Mat(field, (m, n), data)``, or the shared zero matrix when data is
     empty."""
     return Mat(field, (m, n), data) if data else _zero(field, m, n)
+
+
+def _times(left, right, p, data, roff, coff):
+    """Rows of ``left`` @ ``right`` into ``data``, row i of left at roff + i
+    and reading row coff + t of right for column t of left; a left row that
+    is a single 1 takes the right row itself, shared."""
+    for i, row in left.items():
+        if len(row) == 1:
+            (t, a), = row.items()
+            if a == 1:
+                if coff + t in right:
+                    data[roff + i] = right[coff + t]
+                continue
+        acc = {}
+        for t, a in row.items():
+            rrow = right.get(coff + t)
+            if rrow is not None:
+                for j, b in rrow.items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+        acc = _clean(acc, p)
+        if acc:
+            data[roff + i] = acc
+    return data
 
 
 def _clean(row, p):

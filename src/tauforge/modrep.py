@@ -207,12 +207,12 @@ def direct_sum(reps):
     return make_rep(datum, field, dims, eps, arr)
 
 
-def dual_rep(rep):
-    """K-dual as a module over the opposite datum (all arrows reversed)."""
-    dop = opposite_datum(rep.datum)
+def dual_rep(rep, datum=None):
+    """K-dual as a module over the opposite datum (all arrows reversed),
+    given as ``datum`` when the caller holds it."""
     eps = {v: rep.eps[v].transpose() for v in rep.datum.vertices}
     arr = {(j, i, g): A.transpose() for (i, j, g), A in rep.arr.items()}
-    return make_rep(dop, rep.field, dict(rep.dims), eps, arr)
+    return make_rep(datum or opposite_datum(rep.datum), rep.field, dict(rep.dims), eps, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -347,37 +347,31 @@ def hom_dim(M, N):
     return ncols - rank
 
 
-def kernel_rep(M, blocks):
-    """Kernel of the morphism out of M with per-vertex ``blocks``, with its
-    inclusion.  The kernel at v has the canonical basis incl[v] from
-    ``nullspace_cols``, and its maps are read in that basis by
-    ``basis_coords``; what that needs of each basis is found once.  A zero
-    map keeps every subspace and restricts to zero, so it is not read: the
-    loops at vertices with d = 1 are all zero."""
-    datum, field = M.datum, M.field
+def kernel_rep(summands, blocks):
+    """Kernel of the map with per-vertex ``blocks`` out of the direct sum of
+    the modules ``summands``, and the blocks incl of its inclusion.  The sum
+    is never built: ``Mat._diag_times`` multiplies the summands' maps into
+    incl[j] at their offsets.  The kernel at v has the canonical basis
+    incl[v] from ``nullspace_cols``, its maps read in that basis by
+    ``basis_coords``, which needs ``_read_off`` of each basis once."""
+    datum, field = summands[0].datum, summands[0].field
     incl = {v: blocks[v].nullspace_cols() for v in datum.vertices}
     dims = {v: incl[v].ncols for v in datum.vertices}
     read = {v: incl[v]._read_off() for v in datum.vertices}
-    eps = {}
-    for v in datum.vertices:
-        if M.eps[v].is_zero():
-            eps[v] = Mat.zeros(field, dims[v], dims[v])
-            continue
-        sol = incl[v]._coords(read[v], M.eps[v] @ incl[v])
+
+    def restrict(i, j, diag, what):
+        image = incl[j]._diag_times(diag, incl[i].nrows)
+        if image.is_zero():
+            return Mat.zeros(field, dims[i], dims[j])
+        sol = incl[i]._coords(read[i], image)
         if sol is None:
-            raise RuntimeError("kernel not stable under loop (not a morphism?)")
-        eps[v] = sol
-    arr = {}
-    for (i, j, g), A in M.arr.items():
-        if A.is_zero():
-            arr[(i, j, g)] = Mat.zeros(field, dims[i], dims[j])
-            continue
-        sol = incl[i]._coords(read[i], A @ incl[j])
-        if sol is None:
-            raise RuntimeError("kernel not stable under arrow (not a morphism?)")
-        arr[(i, j, g)] = sol
-    K = make_rep(datum, field, dims, eps, arr)
-    return K, Morphism(K, M, incl)
+            raise RuntimeError("kernel not stable under %s (not a morphism?)" % what)
+        return sol
+
+    eps = {v: restrict(v, v, [S.eps[v] for S in summands], "loop") for v in datum.vertices}
+    arr = {key: restrict(key[0], key[1], [S.arr[key] for S in summands], "arrow")
+           for key in build_quiver(datum).arrows}
+    return Representation(datum, field, dims, eps, arr), incl
 
 
 # ---------------------------------------------------------------------------

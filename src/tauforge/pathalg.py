@@ -172,8 +172,10 @@ def _mult_matrix(datum, field, elt, end, left):
 
 
 @lru_cache(maxsize=None)
-def _indecomposable_maps(datum, field, i, left):
-    """(dims, eps, arr) of P_i when ``left``, else of I_i."""
+def _indecomposable_maps(datum, name, field, i, left):
+    """P_i when ``left``, else I_i, one module kept per datum, ``name``
+    (``datum.name``, which takes no part in the datum's equality) and field:
+    the translates read the maps of their summands here."""
     basis = algebra_basis(datum)
     dims = {v: len(basis.paths(i, v) if left else basis.paths(v, i)) for v in datum.vertices}
 
@@ -183,15 +185,14 @@ def _indecomposable_maps(datum, field, i, left):
 
     eps = {v: action(lv) for v in datum.vertices if (lv := loop(datum, v)) is not None}
     arr = {key: action(arrow(datum, *key)) for key in build_quiver(datum).arrows}
-    rep = make_rep(datum, field, dims, eps, arr)
-    return rep.dims, rep.eps, rep.arr
+    return make_rep(datum, field, dims, eps, arr)
 
 
 def _indecomposable(datum, field, i, left):
-    """P_i when ``left``, else I_i, over the caller's datum: equal data with
-    other names share the maps but not the module."""
-    dims, eps, arr = _indecomposable_maps(datum, field, i, left)
-    return Representation(datum, field, dict(dims), dict(eps), dict(arr))
+    """A new module P_i when ``left``, else I_i, over the caller's datum,
+    sharing the maps of the one kept."""
+    rep = _indecomposable_maps(datum, datum.name, field, i, left)
+    return Representation(datum, field, dict(rep.dims), dict(rep.eps), dict(rep.arr))
 
 
 def build_projective(datum, field, i):

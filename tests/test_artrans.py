@@ -7,7 +7,7 @@ import pytest
 
 from support import (NotIndecomposable, apply_monomial, is_tau_locally_free,
                      presentation_map)
-from tauforge import artrans, modrep
+from tauforge import artrans, modrep, pathalg
 from tauforge.artrans import (
     _generators,
     _radical_complement,
@@ -25,6 +25,7 @@ from tauforge.artrans import (
 )
 from tauforge.linalg import Field, Mat
 from tauforge.modrep import (
+    Morphism,
     direct_sum,
     free_simple,
     local_free_rank,
@@ -32,6 +33,8 @@ from tauforge.modrep import (
     rank_vector,
     rep_to_json,
     is_isomorphic,
+    kernel_rep,
+    zero_rep,
 )
 from tauforge.pathalg import algebra_basis, build_injective, build_projective, transport_dual
 from tauforge.cartan import build_quiver, datum_to_json, delta
@@ -129,7 +132,9 @@ def test_minimal_presentation_is_presentation():
         for family, n in (("Bn", 3), ("G21", None)):
             mods += [M for _, M in module_battery(named_datum(family, n=n), field, 14)]
     for M in mods:
-        P0, cover, gens0 = projective_cover(M)
+        gens0, blocks = projective_cover(M)
+        P0 = direct_sum([build_projective(M.datum, M.field, b) for b in gens0])
+        cover = Morphism(P0, M, blocks)
         pres = minimal_presentation(M)
         assert pres.gens0 == gens0
         assert cover.is_morphism()
@@ -368,7 +373,7 @@ def _greedy_complement(rep, v):
         e = Mat.from_dict(rep.field, (rep.dims[v], 1), {(k, 0): 1})
         trial = current.hstack(e)
         if trial.rank() > rank:
-            out.append(e)
+            out.append(k)
             current, rank = trial, rank + 1
     return out
 
@@ -380,12 +385,89 @@ def test_top_lift_and_cover_match_definitions(field):
             assert _radical_complement(M, v) == _greedy_complement(M, v)
         basis = algebra_basis(M.datum)
         gens = _generators(M)
-        P0, cover, verts = projective_cover(M)
+        verts, blocks = projective_cover(M)
         assert verts == tuple(b for b, _ in gens)
-        assert P0 == direct_sum([build_projective(M.datum, field, b) for b in verts])
+        P0 = direct_sum([build_projective(M.datum, field, b) for b in verts])
+        assert Morphism(P0, M, blocks).is_morphism()
         for w in M.datum.vertices:
-            cols = [apply_monomial(M, p) @ u for b, u in gens for p in basis.paths(b, w)]
-            assert cover.blocks[w] == Mat.zeros(field, M.dims[w], 0).hstack(*cols)
+            cols = [apply_monomial(M, p) @ Mat.from_dict(field, (M.dims[b], 1), {(k, 0): 1})
+                    for b, k in gens for p in basis.paths(b, w)]
+            assert blocks[w] == Mat.zeros(field, M.dims[w], 0).hstack(*cols)
+
+
+_FIELDS = [Q, Field.prime(32003), Field.prime(3), Field.prime(2)]
+_FIELD_IDS = ["QQ", "GF32003", "GF3", "GF2"]
+
+
+def _sum_free_cases(field):
+    """(summands, blocks): the cover of each module of the A11, B3 and G21
+    batteries out of its projectives, the transported presentation map out
+    of its injectives, the zero map out of two battery modules with a module
+    of zero maps between them, the cover of a zero module, and the cover of
+    a projective, which has no P1 generators, with a zero summand put in."""
+    cases = []
+    for family, n in (("A11", None), ("Bn", 3), ("G21", None)):
+        datum = named_datum(family, n=n)
+        battery = [M for _, M in module_battery(datum, field, 8)]
+        summands = [battery[0], make_rep(datum, field, {v: 2 for v in datum.vertices}), battery[-1]]
+        cases.append((summands, {v: Mat.zeros(field, 0, sum(S.dims[v] for S in summands))
+                                 for v in datum.vertices}))
+        for M in battery:
+            gens0, blocks = projective_cover(M)
+            cases.append(([build_projective(datum, field, b) for b in gens0], blocks))
+            pres = minimal_presentation(M)
+            if pres.gens1:
+                cases.append(([build_injective(datum, field, a) for a in pres.gens1],
+                              transport_dual(datum, field, pres.gens1, pres.gens0, pres.entries)))
+    cd = b3()
+    Z = zero_rep(cd, field)
+    cases.append(([Z], projective_cover(Z)[1]))
+    P = build_projective(cd, field, 1)
+    assert minimal_presentation(P).gens1 == ()
+    gens0, blocks = projective_cover(P)
+    cases.append(([build_projective(cd, field, gens0[0]), Z], blocks))
+    return cases
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=_FIELD_IDS)
+def test_kernel_of_summands_is_the_kernel_of_their_sum(field):
+    for summands, blocks in _sum_free_cases(field):
+        K, incl = kernel_rep(summands, blocks)
+        K_sum, incl_sum = kernel_rep([direct_sum(summands)], blocks)
+        assert K == K_sum
+        assert incl == incl_sum
+
+
+def test_a_map_out_of_summands_that_is_no_morphism_is_refused():
+    cd = b3()
+    v = next(v for v in cd.vertices if cd.d(v) >= 2)
+    E = free_simple(cd, Q, v)
+    P = build_projective(cd, Q, 1)
+    # on E + P: the kernel of the last coordinate of E at v, and all of P
+    last = {w: Mat.from_dict(Q, (1, E.dims[w] + P.dims[w]), {(0, E.dims[w] - 1): 1}) if w == v
+            else Mat.zeros(Q, 0, E.dims[w] + P.dims[w]) for w in cd.vertices}
+    with pytest.raises(RuntimeError, match=r"^kernel not stable under loop \(not a morphism\?\)$"):
+        kernel_rep([E, P], last)
+
+
+def test_translates_build_no_sum_and_no_summand(monkeypatch):
+    cd = named_datum("A11")
+    want = list(islice(tau_walk(build_projective(cd, Q, 1), tau_inverse), 10))
+    start = build_projective(cd, Q, 1)
+
+    def refuse(*args):
+        raise AssertionError("a translate built a sum or a summand module")
+
+    monkeypatch.setattr(modrep, "direct_sum", refuse)
+    monkeypatch.setattr(Mat, "block", classmethod(refuse))
+    monkeypatch.setattr(pathalg, "_indecomposable", refuse)
+    walked, cur = [], start
+    for _ in range(10):
+        minimal_presentation(cur)
+        prev, cur = cur, tau_inverse(cur).module
+        assert rank_vector(tau(cur).module) == rank_vector(prev)
+        walked.append(cur)
+    assert walked == want
 
 
 _NAMED_BUILDS = {

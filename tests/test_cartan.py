@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tauforge.cartan import (
@@ -120,6 +122,17 @@ def test_opposite_datum():
     opp = opposite_datum(datum)
     assert set(opp.orientation) == {(j, i) for (i, j) in datum.orientation}
     assert delta(opp) == delta(datum)
+
+
+def test_opposite_datum_is_built_once_per_datum_and_name():
+    # the name takes no part in equality, so a cache keyed on the datum
+    # alone would hand the renamed datum the opposite named "G22.op"
+    datum = named_datum("G22")
+    renamed = dataclasses.replace(datum, name="")
+    assert opposite_datum(datum) is opposite_datum(named_datum("G22"))
+    assert opposite_datum(datum).name == "G22.op"
+    assert opposite_datum(renamed).name == ""
+    assert opposite_datum(renamed) == opposite_datum(datum)
 
 
 def test_json_round_trip():

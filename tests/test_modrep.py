@@ -367,14 +367,14 @@ def test_kernel_of_identity_and_zero():
     _, Z = build_named("G21.Z")
     ident = Morphism(Z, Z, {v: Mat.identity(Q, Z.dims[v]) for v in Z.datum.vertices})
     assert ident.is_morphism() and ident.is_iso()
-    K, incl = kernel_rep(Z, ident.blocks)
+    K, incl = kernel_rep([Z], ident.blocks)
     assert K.total_dim() == 0
     zero = Morphism(Z, Z, {v: Mat.zeros(Q, Z.dims[v], Z.dims[v]) for v in Z.datum.vertices})
     assert zero.is_morphism()
-    K0, incl0 = kernel_rep(Z, zero.blocks)
+    K0, incl0 = kernel_rep([Z], zero.blocks)
     assert K0.dims == Z.dims
     assert all(zero.blocks[v].rank() == 0 for v in Z.datum.vertices)
-    assert incl0.is_morphism()
+    assert Morphism(K0, Z, incl0).is_morphism()
 
 
 def test_kernel_of_blocks_that_are_no_morphism_is_refused():
@@ -385,7 +385,7 @@ def test_kernel_of_blocks_that_are_no_morphism_is_refused():
     last = {w: Mat.from_dict(Q, (1, E.dims[w]), {(0, E.dims[w] - 1): 1}) if w == v
             else Mat.zeros(Q, 0, E.dims[w]) for w in cd.vertices}
     with pytest.raises(RuntimeError, match="kernel not stable under loop"):
-        kernel_rep(E, last)
+        kernel_rep([E], last)
     # all of P_j but nothing at the target of a nonzero arrow out of j
     j, i = next((j, i) for (i, j, _), A in build_projective(cd, Q, 1).arr.items()
                 if j == 1 and not A.is_zero())
@@ -393,7 +393,7 @@ def test_kernel_of_blocks_that_are_no_morphism_is_refused():
     blocks = {w: Mat.identity(Q, P.dims[w]) if w == i else Mat.zeros(Q, 0, P.dims[w])
               for w in cd.vertices}
     with pytest.raises(RuntimeError, match="kernel not stable under arrow"):
-        kernel_rep(P, blocks)
+        kernel_rep([P], blocks)
 
 
 def test_direct_sum_dims_and_end_blocks():
