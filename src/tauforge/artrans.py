@@ -108,6 +108,7 @@ class PresentationData:
     gens1: tuple              # projective indices of P1
     entries: dict             # (s, t) -> AlgebraElement in paths(gens0[t], gens1[s])
     cover: dict               # w -> the block of the cover P0 -> M at w
+    syzygy: Representation    # Omega M, the kernel of the cover; its top gives P1
 
 
 _presented = (None, None)     # the module presented last, and its presentation
@@ -155,7 +156,7 @@ def minimal_presentation(M):
             t, path = owner[a][r]
             cells.setdefault((s, t), {})[path] = x
     entries = {(s, t): AlgebraElement(gens0[t], gens1[s], terms) for (s, t), terms in cells.items()}
-    _presented = (M, PresentationData(gens0, gens1, entries, blocks))
+    _presented = (M, PresentationData(gens0, gens1, entries, blocks, K))
     return _presented[1]
 
 

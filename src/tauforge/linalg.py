@@ -30,8 +30,8 @@ No stored row is ever changed after it is built, so rows may be shared:
 a product takes a left row that is a single 1 as the right row itself, and
 every unit row {k: 1} that ``Mat.identity``, ``nullspace_cols`` (over QQ,
 and over GF(p) when den is 1), ``rref`` and ``transpose`` build is the one
-dict ``_unit(k)`` of a shared table.  A row {k: -1}, which only QQ stores,
-is likewise the one dict ``_neg_unit(k)`` wherever a routine can end with
+row ``_unit(k)`` of a shared table.  A row {k: -1}, which only QQ stores,
+is likewise the one row ``_neg_unit(k)`` wherever a routine can end with
 a single +-1: the pivot rows of ``nullspace_cols`` over QQ, ``transpose``,
 and every row that ``_clean`` returns (products, sums, scalings).  Other
 single entries, such as the rows {k: den} over GF(p), are not shared, so
@@ -46,12 +46,15 @@ derived from them.  Every routine that writes into a row, or into the
 rows, ``hstack``, ``_combine`` and ``solve`` copy before they write,
 ``block`` fills fresh rows), and a change to a shared row, or to the empty
 ``_data`` of a shared zero matrix, would change every matrix holding it.
+The rule is enforced: shared rows and zero ``_data`` are read-only views
+(``MappingProxyType``), so a write into one raises ``TypeError`` there.
 
 No floating point is used anywhere: ``Field.convert`` refuses floats.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from types import MappingProxyType
 
 
 class Field:
@@ -493,11 +496,11 @@ _ZEROS = {}
 
 
 def _unit(k):
-    """The shared row {k: 1}: the same dict at every call with k.  The table
-    holds only the indices asked for."""
+    """The shared row {k: 1}: the same read-only view at every call with k.
+    The table holds only the indices asked for."""
     row = _UNITS.get(k)
     if row is None:
-        row = _UNITS[k] = {k: 1}
+        row = _UNITS[k] = MappingProxyType({k: 1})
     return row
 
 
@@ -505,7 +508,7 @@ def _neg_unit(k):
     """The shared row {k: -1}, kept like ``_unit(k)``; only QQ stores -1."""
     row = _NEG_UNITS.get(k)
     if row is None:
-        row = _NEG_UNITS[k] = {k: -1}
+        row = _NEG_UNITS[k] = MappingProxyType({k: -1})
     return row
 
 
@@ -526,7 +529,7 @@ def _zero(field, m, n):
     key = (field.p, m, n)
     mat = _ZEROS.get(key)
     if mat is None:
-        mat = _ZEROS[key] = Mat(field, (m, n), {})
+        mat = _ZEROS[key] = Mat(field, (m, n), MappingProxyType({}))
     return mat
 
 

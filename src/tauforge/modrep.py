@@ -19,10 +19,10 @@ one extension of M by N^k, one unit cochain in each block row.
 Hom, Ext^1 and the split test come from one matrix, the relation matrix
 Hom(P0, N) -> Hom(P1, N) of the minimal presentation P1 -> P0 -> M -> 0:
 Hom(M, N) is its kernel, exact for every M because Hom(-, N) is left exact,
-Ext^1(M, N) its cokernel only for locally free M, which has projective
-dimension <= 1 (for other M, ``ext1_dim`` counts cocycles modulo
-coboundaries), and a cocycle is a coboundary exactly when the relations
-send the lifts of the generators of P0 into its image (``coboundary_mask``).
+Ext^1(M, N) is dim Hom(Omega M, N) less its rank, Omega M the syzygy (P1,
+giving the cokernel, for locally free M), and a cocycle is a coboundary
+exactly when the relations send the lifts of the generators of P0 into its
+image (``coboundary_mask``, which only perfbench and the tests call).
 ``hom_basis`` returns the canonical basis of Hom(M, N) in the vec layout
 of psi: map k is 1 at its last nonzero psi-coordinate j_k and 0 at every
 other j, the basis ``nullspace_cols`` reads off the coboundary map
@@ -374,6 +374,12 @@ def kernel_rep(summands, blocks):
     return Representation(datum, field, dims, eps, arr), incl
 
 
+def cokernel_rep(f):
+    """Cokernel of the morphism f : X -> Y, D ker(D f), over Y's datum."""
+    K, _ = kernel_rep([dual_rep(f.dst)], {v: b.transpose() for v, b in f.blocks.items()})
+    return dual_rep(K, f.dst.datum)
+
+
 # ---------------------------------------------------------------------------
 # End-ring analysis
 
@@ -450,7 +456,8 @@ def extension_cocycle_space(M, N):
     E_c being block upper-triangular with no product of two c blocks, so the
     system is read off one extension of M by N^k, k the number of cochain
     coordinates, whose cocycle q is the unit cochain at coordinate q: column
-    q is block row q of the N^k-by-M corner of each residual."""
+    q is block row q of the N^k-by-M corner of each residual.  Only
+    perfbench and the tests call it."""
     field = M.field
     _, at = _cochain_layouts(M, N)
     k = _size(at)
@@ -474,7 +481,8 @@ def coboundary_mask(M, N, cocycles):
     relation matrix (the pushout of the presentation, Auslander-Reiten-Smalo
     I.5), for every M: K v_c = 0 for a basis K of its left kernel.  v_c is
     linear in c, so all k cocycles are read off one extension of M by N^k,
-    in one path walk per generator vertex."""
+    in one path walk per generator vertex.  Only perfbench, through
+    ``cocycle_is_coboundary``, and the tests call it."""
     if not cocycles:
         return []
     from .artrans import _path_images
@@ -510,7 +518,8 @@ def cocycle_is_coboundary(M, N, cocycle):
 
 def _extension(M, N, cocycles):
     """Middle term of 0 -> N^k -> E -> M -> 0 in block form: N^k then M at
-    each vertex, cocycle q in block row q of the block column of M."""
+    each vertex, cocycle q in block row q of the block column of M; only
+    the cocycle functions around it call it."""
     datum, field, k = M.datum, M.field, len(cocycles)
     dims = {v: [N.dims[v]] * k + [M.dims[v]] for v in datum.vertices}
 
@@ -524,7 +533,7 @@ def _extension(M, N, cocycles):
 
 
 def build_extension(M, N, cocycle):
-    """Middle term of 0 -> N -> E -> M -> 0 with the given cocycle."""
+    """Middle term of 0 -> N -> E -> M -> 0: for perfbench and the tests."""
     E = _extension(M, N, [cocycle])
     bad = check_relations(E)
     if bad:
@@ -572,14 +581,13 @@ def _relation_rank(M, N):
 
 
 def ext1_dim(M, N):
-    """dim Ext^1(M, N).  For locally free M, of projective dimension <= 1
-    (Geiss-Leclerc-Schroer I), the cokernel of the relation matrix; for any
-    other M, the cocycles modulo the coboundaries psi.M - N.psi, whose
-    space has dimension dim psi - dim Hom(M, N)."""
-    if rank_vector(M) is None:
-        coboundaries = sum(N.dims[v] * M.dims[v] for v in M.datum.vertices) - hom_dim(M, N)
-        return len(extension_cocycle_space(M, N)) - coboundaries
+    """dim Hom(Omega M, N) - rank of the relation matrix, by 0 -> Omega M ->
+    P0 -> M -> 0.  Omega M is P1 for locally free M, of projective dimension
+    <= 1 (Geiss-Leclerc-Schroer I), and dim Hom(P1, N) the matrix's rows."""
     nrows, _, rank = _relation_rank(M, N)
+    if rank_vector(M) is None:
+        from .artrans import minimal_presentation
+        nrows = hom_dim(minimal_presentation(M).syzygy, N)
     return nrows - rank
 
 

@@ -180,6 +180,29 @@ def reference_relation_problems(M):
     return ref.check_relations(ref.Scalars(M.field.p), plain_datum(M.datum), plain_module(M))
 
 
+def reference_certificate_problems(f):
+    """The problems of the map f as an isomorphism, by the reference checker."""
+    ref = reference()
+    return ref.check_certificate(ref.Scalars(f.src.field.p), plain_datum(f.src.datum), plain_module(f.src),
+                                 plain_module(f.dst), {v: plain(b) for v, b in f.blocks.items()})
+
+
+def reference_monomorphism_problems(f):
+    """The problems of the map f as an injective morphism, by the reference
+    checker: the loops and arrows its blocks do not intertwine, and the
+    vertices where it is not injective."""
+    ref = reference()
+    F = ref.Scalars(f.src.field.p)
+    M, N = plain_module(f.src), plain_module(f.dst)
+    phi = {v: plain(b) for v, b in f.blocks.items()}
+    problems = ["not injective at %d" % v for v in M.dims if ref.rank(F, phi[v]) != M.dims[v]]
+    problems += ["eps[%d]" % v for v in M.dims
+                 if not ref.equal(ref.matmul(F, phi[v], M.eps[v]), ref.matmul(F, N.eps[v], phi[v]))]
+    problems += ["a[%d<-%d]#%d" % key for key, a in sorted(M.arr.items())
+                 if not ref.equal(ref.matmul(F, phi[key[0]], a), ref.matmul(F, N.arr[key], phi[key[1]]))]
+    return problems
+
+
 class NotIndecomposable(ValueError):
     pass
 

@@ -338,3 +338,21 @@ def test_no_routine_writes_into_a_shared_unit_row(field):
     assert all(row == {k: -1} for k, row in _NEG_UNITS.items())
     assert _ZEROS
     assert all(Z._data == {} and Z.shape == (m, n) and Z.field.p == p for (p, m, n), Z in _ZEROS.items())
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(7)], ids=_field_id)
+def test_a_write_into_shared_storage_raises_at_the_write(field):
+    # the shared rows and the empty _data of each shared zero matrix are
+    # read-only views, so a stray write fails where it is made instead of
+    # changing every matrix that holds them
+    assert Mat.identity(field, 4)._data[3] is _unit(3)
+    Z = Mat.zeros(field, 2, 3)
+    for view, before in ((_unit(3), {3: 1}), (_neg_unit(3), {3: -1}), (Z._data, {})):
+        with pytest.raises(TypeError):
+            view[3] = 5
+        with pytest.raises(TypeError):
+            view[0] = {0: 1}
+        with pytest.raises(TypeError):
+            del view[3]
+        assert view == before
+    assert Z.is_zero() and Z is Mat.zeros(field, 2, 3)

@@ -1,15 +1,19 @@
 """Representation layer: homs, extensions, duality, certificates, JSON."""
 
 import functools
+import hashlib
 import itertools
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import support
 from support import (apply_monomial, coboundary_matrix, ext1_dim_cocycle, hom_basis_delta, parse_path,
+                     reference_certificate_problems, reference_monomorphism_problems,
                      reference_relation_problems)
 from tauforge import modrep
 from tauforge.artrans import is_zero_rep, tau, tau_inverse
@@ -237,6 +241,38 @@ def test_the_form_of_generated_extensions_is_hom_minus_ext(field):
             text = json.dumps(rep_to_json(E, embed_datum=True), sort_keys=True)
             assert json.dumps(rep_to_json(rep_from_json(json.loads(text)), embed_datum=True),
                               sort_keys=True) == text
+
+
+@pytest.mark.parametrize("field", [Q, GF, Field.prime(3), Field.prime(2)], ids=repr)
+def test_the_cokernel_of_tau_m_in_a_generated_extension_is_m(field):
+    # 0 -> tau M -> E -> M -> 0 as in the test above: E holds tau M in its
+    # first coordinates at each vertex, and the cokernel of that inclusion
+    # is M, certified by the independent checker
+    rng = random.Random(8)
+    for family, n, _ in _BATTERY_DATA:
+        cd = named_datum(family, n=n)
+        picked = [M for _, M in module_battery(cd, field, size=12) if not is_zero_rep(tau(M).module)]
+        for M in picked[:1] + picked[-2:]:
+            N = tau(M).module
+            E = _nonsplit_extension(rng, M, N)
+            incl = Morphism(N, E, {v: Mat.block(field, {(0, 0): Mat.identity(field, N.dims[v])},
+                                                [N.dims[v], M.dims[v]], [N.dims[v]])
+                                   for v in cd.vertices})
+            assert incl.is_morphism() and reference_monomorphism_problems(incl) == []
+            C = modrep.cokernel_rep(incl)
+            assert C.datum == cd and C.dims == {v: E.dims[v] - N.dims[v] for v in cd.vertices}
+            res = is_isomorphic(C, M)
+            assert res.verdict == "yes" and reference_certificate_problems(res.certificate) == []
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2)], ids=["QQ", "GF2"])
+def test_the_cokernel_of_a_zero_map_is_its_target_and_of_an_iso_is_zero(field):
+    mods = [M for _, M in module_battery(b3(), field, size=8)]
+    for M, N in zip(mods, mods[1:] + mods[:1]):
+        zero = Morphism(M, N, {v: Mat.zeros(field, N.dims[v], M.dims[v]) for v in M.datum.vertices})
+        assert modrep.cokernel_rep(zero) == N
+        iso = Morphism(N, N, {v: Mat.identity(field, N.dims[v]).scale(-1) for v in N.datum.vertices})
+        assert modrep.cokernel_rep(iso) == zero_rep(N.datum, field)
 
 
 @pytest.mark.parametrize("field", [Q, GF], ids=["QQ", "GF32003"])
@@ -630,6 +666,58 @@ def test_hom_dim_and_ext1_dim_reuse_the_ranks_of_hom_basis(monkeypatch):
             m.setattr(Mat, "rank", refuse)
             m.setattr(Mat, "nullspace_cols", refuse)
             assert (hom_dim(M, N), ext1_dim(M, N)) == dims
+
+
+_COCYCLE_FUNCTIONS = ("extension_cocycle_space", "coboundary_mask", "build_extension", "_extension")
+SUITE_SHA256 = "dc590af490eda8a0cd732bb5900bef52256959e2dbf0ecb39dadddc807b9d250"
+
+
+def _refuse_cocycles(monkeypatch):
+    """Patch the cocycle functions of modrep to raise, except under the
+    test-side route ``support.ext1_dim_cocycle``, whose own call of
+    ``extension_cocycle_space`` reaches ``_extension``."""
+    allowed = support.ext1_dim_cocycle.__code__
+
+    def refusing(name, fn):
+        def guarded(*args):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not allowed:
+                frame = frame.f_back
+            if frame is None:
+                raise AssertionError("%s reached" % name)
+            return fn(*args)
+        return guarded
+
+    for name in _COCYCLE_FUNCTIONS:
+        monkeypatch.setattr(modrep, name, refusing(name, getattr(modrep, name)))
+
+
+def test_ext1_dim_and_the_paper_suite_reach_no_cocycle_function(monkeypatch, capsys, tmp_path):
+    # Ext^1 out of S + E, S not locally free, from Hom(Omega M, N), and the
+    # main2 extensions by exact sequences: the suite's artifact keeps its
+    # digest over QQ and GF(3) with every cocycle function refused
+    from tauforge.cli import main
+    E, _ = _a11_extension()
+    S = make_rep(E.datum, GF, {2: 1})
+    SE = direct_sum([S, E])
+    _refuse_cocycles(monkeypatch)
+    with pytest.raises(AssertionError, match="extension_cocycle_space reached"):
+        modrep.extension_cocycle_space(S, E)
+    # by cocycles (S + E, E) took 3.5 s on 2 vCPUs; from Hom(Omega M, N), 0.2 s
+    start = time.perf_counter()
+    assert [ext1_dim(SE, N) for N in (E, S)] == [0, 5]
+    assert time.perf_counter() - start < 2
+    for N in (E, S):
+        assert ext1_dim(SE, N) == ext1_dim(S, N) + ext1_dim(E, N)
+        assert ext1_dim(S, N) == ext1_dim_cocycle(S, N)
+    for field in ("rational", "p:3"):
+        report = tmp_path / ("%s.json" % field.replace(":", ""))
+        assert main(["verify", "--suite", "paper", "--field", field, "--json", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == SUITE_SHA256
+    capsys.readouterr()
+    for field in (Q, GF):
+        test_ext1_routes_agree(field)
+    test_hom_dim_and_ext1_dim_reuse_the_ranks_of_hom_basis(monkeypatch)
 
 
 @pytest.mark.parametrize("module_id, params", [("Bn.Z", {"n": 3, "field": Field.prime(5)}),

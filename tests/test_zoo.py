@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from support import plain, plain_datum, plain_module, reference
+from support import (plain, plain_datum, plain_module, reference, reference_certificate_problems,
+                     reference_monomorphism_problems)
 from tauforge import artrans, catalogue, modrep, zoo
 from tauforge.artrans import tau
 from tauforge.cartan import delta
@@ -235,6 +236,46 @@ def test_main2_bn_evidence():
     assert y["tauLocallyFree"] == "verified" and y["tauPeriod"] == 3
     assert y["rankRootStatus"] == "not_root"
     assert y["extensionRoute"] is True
+
+
+_MAIN2_FAMILIES = ["Bn", "CDn", "F41", "G21"]
+
+
+def _main2_triple(family, field):
+    """(X, Y, Z) of the main2 check of the family at its suite size."""
+    size = catalogue._FAMILIES[family].size
+    datum = named_datum(family, n=size[1] if size else None)
+    z_id, y_id, x_id, _ = catalogue._FAMILIES[family].pair
+    return tuple(zoo._build_id(datum, field, mid) for mid in (x_id, y_id, z_id))
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(2)], ids=["QQ", "GF2"])
+@pytest.mark.parametrize("family", _MAIN2_FAMILIES)
+def test_main2_exact_sequence_passes_the_independent_checker(family, field):
+    # f : X -> Y is an injective morphism and coker f = Z by a certificate
+    # the reference checker accepts; X and Z swapped give no such f
+    X, Y, Z = _main2_triple(family, field)
+    f = zoo._exact_sequence(X, Y, Z)
+    assert (f.src, f.dst) == (X, Y) and reference_monomorphism_problems(f) == []
+    res = modrep.is_isomorphic(modrep.cokernel_rep(f), Z)
+    assert res.verdict == "yes" and reference_certificate_problems(res.certificate) == []
+    assert zoo._exact_sequence(Z, Y, X) is None
+
+
+@pytest.mark.parametrize("family", _MAIN2_FAMILIES)
+def test_main2_with_the_split_extension_fails_on_its_end_ring(monkeypatch, family):
+    # X + Z is an extension of Z by X too: the sequence test accepts it, and
+    # the check fails because End Y is not local, which is what makes the
+    # sequence of Y non-split
+    X, _, Z = _main2_triple(family, Field.rational())
+    y_id = catalogue._FAMILIES[family].pair[1]
+    build = zoo._build_id
+    monkeypatch.setattr(zoo, "_build_id", lambda datum, field, mid:
+                        modrep.direct_sum([X, Z]) if mid == y_id else build(datum, field, mid))
+    report = verify_proposition("main2." + family)
+    assert not report.passed
+    assert report.evidence["Y"]["extensionRoute"] is True
+    assert "Y: endomorphism ring not local" in report.evidence["problems"]
 
 
 def test_report_json_schema(unchanged_report):
