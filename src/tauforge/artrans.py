@@ -109,6 +109,7 @@ class PresentationData:
     entries: dict             # (s, t) -> AlgebraElement in paths(gens0[t], gens1[s])
     cover: dict               # w -> the block of the cover P0 -> M at w
     syzygy: Representation    # Omega M, the kernel of the cover; its top gives P1
+    syzygy_pres: "PresentationData" = None    # that of Omega M, None until asked for
 
 
 _presented = (None, None)     # the module presented last, and its presentation
@@ -117,11 +118,24 @@ _presented = (None, None)     # the module presented last, and its presentation
 def minimal_presentation(M):
     """The module presented last is kept with its presentation and matched
     by identity, so that Hom and Ext^1 dimensions out of one module, or an
-    isomorphism test and the translate of one module, present it once.  No
-    module is changed once built, and callers only read the presentation."""
+    isomorphism test and the translate of one module, present it once.  The
+    presentation of its syzygy is kept inside its own and leaves the module
+    in the slot, so that Ext^1 out of a module that is not locally free,
+    which reads Hom out of the syzygy, presents both once.  No module is
+    changed once built, and callers only read the presentation."""
     global _presented
-    if _presented[0] is M:
-        return _presented[1]
+    held, pres = _presented
+    if held is M:
+        return pres
+    if pres is not None and pres.syzygy is M:
+        if pres.syzygy_pres is None:
+            pres.syzygy_pres = _present(M)
+        return pres.syzygy_pres
+    _presented = (M, _present(M))
+    return _presented[1]
+
+
+def _present(M):
     datum, field = M.datum, M.field
     basis = algebra_basis(datum)
     gens0, blocks = projective_cover(M)
@@ -156,8 +170,7 @@ def minimal_presentation(M):
             t, path = owner[a][r]
             cells.setdefault((s, t), {})[path] = x
     entries = {(s, t): AlgebraElement(gens0[t], gens1[s], terms) for (s, t), terms in cells.items()}
-    _presented = (M, PresentationData(gens0, gens1, entries, blocks, K))
-    return _presented[1]
+    return PresentationData(gens0, gens1, entries, blocks, K)
 
 
 @dataclass
@@ -236,26 +249,20 @@ def tau_orbit(M, window):
 
 
 def _walk_local_freeness(M, window):
-    """(status, period) of the walks of the orbit of M both ways, at most
-    ``window`` steps each, checking local freeness at every step (GLS I's
+    """(status, period) of the walks of ``tau_orbit`` both ways, at most
+    ``window`` steps each, every module on them locally free (GLS I's
     tau-local freeness); status is 'verified', 'verified_on_window' or
     'fails', and period is the tau-period found, None with 'verified' when
     both walks ended at zero.  M is indecomposable, its End ring already
     known to be local with residue field k."""
     if rank_vector(M) is None:
         return "fails", None
-    k = 0
-    for k, cur, returned in orbit_walk(M, window):
-        if rank_vector(cur) is None:
-            return "fails", None
-        if returned:
-            return "verified", k
-    closed = k < window
-    k = 0
-    for k, cur in enumerate(islice(tau_walk(M, tau_inverse), window), start=1):
-        if rank_vector(cur) is None:
-            return "fails", None
-    return ("verified" if closed and k < window else "verified_on_window"), None
+    ranks, period, _ = tau_orbit(M, window)
+    if None in ranks.values():
+        return "fails", None
+    if period is not None:
+        return "verified", period
+    return ("verified" if -window < min(ranks) and max(ranks) < window else "verified_on_window"), None
 
 
 def classify_module(M):

@@ -16,13 +16,11 @@ blocks one after another, entry (r, c) of an n x m block at its offset +
 r*m + c.  The Ext^1 cocycles are the kernel of the relation residuals of
 one extension of M by N^k, one unit cochain in each block row.
 
-Hom, Ext^1 and the split test come from one matrix, the relation matrix
-Hom(P0, N) -> Hom(P1, N) of the minimal presentation P1 -> P0 -> M -> 0:
-Hom(M, N) is its kernel, exact for every M because Hom(-, N) is left exact,
-Ext^1(M, N) is dim Hom(Omega M, N) less its rank, Omega M the syzygy (P1,
-giving the cokernel, for locally free M), and a cocycle is a coboundary
-exactly when the relations send the lifts of the generators of P0 into its
-image (``coboundary_mask``, which only perfbench and the tests call).
+Hom and Ext^1 come from one matrix, the relation matrix Hom(P0, N) ->
+Hom(P1, N) of the minimal presentation P1 -> P0 -> M -> 0: Hom(M, N) is its
+kernel, exact for every M because Hom(-, N) is left exact, and Ext^1(M, N)
+is dim Hom(Omega M, N) less its rank, Omega M the syzygy (P1, giving the
+cokernel, for locally free M).
 ``hom_basis`` returns the canonical basis of Hom(M, N) in the vec layout
 of psi: map k is 1 at its last nonzero psi-coordinate j_k and 0 at every
 other j, the basis ``nullspace_cols`` reads off the coboundary map
@@ -474,46 +472,12 @@ def extension_cocycle_space(M, N):
     return _unvec(field, at, Mat.from_dict(field, (k, k), cells).nullspace_cols())
 
 
-def coboundary_mask(M, N, cocycles):
-    """For each cocycle c, does the extension E_c split?  The relations of
-    P1 send the lifts (0, g_t) in E_c of the generators of P0 into N, giving
-    v_c in Hom(P1, N).  E_c splits exactly when v_c lies in the image of the
-    relation matrix (the pushout of the presentation, Auslander-Reiten-Smalo
-    I.5), for every M: K v_c = 0 for a basis K of its left kernel.  v_c is
-    linear in c, so all k cocycles are read off one extension of M by N^k,
-    in one path walk per generator vertex.  Only perfbench, through
-    ``cocycle_is_coboundary``, and the tests call it."""
-    if not cocycles:
-        return []
-    from .artrans import _path_images
-    from .pathalg import algebra_basis
-    pres, _, rel = _relation_system(M, N)
-    field, k, basis = M.field, len(cocycles), algebra_basis(M.datum)
-    E = _extension(M, N, cocycles)
-    lifts = {b: {} for b in pres.gens0}     # b -> the rows of E_b of the lifts
-    for t, b in enumerate(pres.gens0):
-        col = sum(len(basis.paths(u, b)) for u in pres.gens0[:t])     # (t, trivial path)
-        for i, j, x in pres.cover[b].items():
-            if j == col:
-                lifts[b].setdefault(k * N.dims[b] + i, {})[t] = x
-    walks = {b: _path_images(E, basis, b, Mat(field, (E.dims[b], len(pres.gens0)), rows))
-             for b, rows in lifts.items()}
-    cells = {}
-    for (s, t), elt in pres.entries.items():
-        n, start = N.dims[pres.gens1[s]], sum(N.dims[a] for a in pres.gens1[:s])
-        for mono, coeff in elt.terms.items():
-            for r, j, x in walks[pres.gens0[t]][pres.gens1[s]][basis.index[mono]].items():
-                if j == t and r < k * n:        # row r of N^k is entry r % n of v_c, c = r // n
-                    key = (start + r % n, r // n)
-                    cells[key] = cells.get(key, 0) + coeff * x
-    K = rel.transpose().nullspace_cols().transpose()
-    nonsplit = {q for _, q, _ in (K @ Mat.from_dict(field, (rel.nrows, k), cells)).items()}
-    return [q not in nonsplit for q in range(k)]
-
-
 def cocycle_is_coboundary(M, N, cocycle):
-    """``coboundary_mask`` of one cocycle."""
-    return coboundary_mask(M, N, [cocycle])[0]
+    """Does the extension E_c of M by N split?  Hom(M, -) is left exact, so
+    E_c splits exactly when dim Hom(M, E_c) = dim Hom(M, N) + dim End M
+    (Auslander-Reiten-Smalo I.5); a cochain that is not a cocycle raises
+    ValueError in ``build_extension``.  Only perfbench and the tests call it."""
+    return hom_dim(M, build_extension(M, N, cocycle)) == hom_dim(M, N) + hom_dim(M, M)
 
 
 def _extension(M, N, cocycles):

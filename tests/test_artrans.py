@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from support import (NotIndecomposable, apply_monomial, is_tau_locally_free,
+from support import (NotIndecomposable, apply_monomial, ext1_dim_cocycle, is_tau_locally_free,
                      presentation_map)
 from tauforge import artrans, modrep, pathalg
 from tauforge.artrans import (
@@ -27,7 +27,9 @@ from tauforge.linalg import Field, Mat
 from tauforge.modrep import (
     Morphism,
     direct_sum,
+    ext1_dim,
     free_simple,
+    hom_dim,
     local_free_rank,
     make_rep,
     rank_vector,
@@ -124,6 +126,29 @@ def test_minimal_presentation_keeps_only_the_module_presented_last():
     assert minimal_presentation(E3).gens0 == (3,)
     again = minimal_presentation(E2)
     assert again is not pres and again == pres
+
+
+def test_ext1_out_of_a_module_that_is_not_locally_free_presents_it_and_its_syzygy_once(monkeypatch):
+    # Ext^1(S, N) reads Hom(Omega S, N); the syzygy's presentation is kept
+    # in S's, so S stays in the slot: 2 covers for four calls, not 8
+    cd = b3()
+    S = make_rep(cd, Q, {2: 1})
+    mods = [M for _, M in module_battery(cd, Q, 4)]
+    want = [ext1_dim_cocycle(S, N) for N in mods]
+    assert rank_vector(S) is None
+    covers = []
+    cover = artrans.projective_cover
+
+    def counted(M):
+        covers.append(M)
+        return cover(M)
+
+    monkeypatch.setattr(artrans, "projective_cover", counted)
+    assert [ext1_dim(S, N) for N in mods] == want
+    assert len(covers) == 2
+    pres = minimal_presentation(S)
+    assert len(covers) == 2 and covers[0] is S and covers[1] is pres.syzygy
+    assert minimal_presentation(pres.syzygy) is pres.syzygy_pres is not None
 
 
 def test_minimal_presentation_is_presentation():
@@ -326,6 +351,22 @@ def test_tau_period_values():
 def test_default_window_positive():
     assert default_window(b3()) > 0
     assert default_window(named_datum("G21")) > 0
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(3), Field.prime(2)], ids=["QQ", "GF3", "GF2"])
+def test_the_auslander_reiten_formula_ties_ext1_to_both_translates(field):
+    # battery modules are locally free, so pd <= 1 and id <= 1 (GLS I), and
+    # Ext^1(M, N) = D Hom(N, tau M), Ext^1(N, M) = D Hom(tau^- M, N)
+    # (Auslander-Reiten-Smalo, ch. IV): the presentation route of ext1_dim
+    # against the injective transport of tau and the duality of tau_inverse
+    for family, n in (("A11", None), ("Bn", 3), ("G21", None), ("CDn", 4), ("F41", None)):
+        mods = [M for _, M in module_battery(named_datum(family, n=n), field, 12)]
+        for M in mods:
+            assert rank_vector(M) is not None
+            tM, tiM = tau(M).module, tau_inverse(M).module
+            for N in mods:
+                assert ext1_dim(M, N) == hom_dim(N, tM)
+                assert ext1_dim(N, M) == hom_dim(tiM, N)
 
 
 # ---------------------------------------------------------------------------
