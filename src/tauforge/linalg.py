@@ -28,26 +28,28 @@ blocks one by one and never assembles the sum.
 
 No stored row is ever changed after it is built, so rows may be shared:
 a product takes a left row that is a single 1 as the right row itself, and
-every unit row {k: 1} that ``Mat.identity``, ``nullspace_cols`` (over QQ,
-and over GF(p) when den is 1), ``rref`` and ``transpose`` build is the one
-row ``_unit(k)`` of a shared table.  A row {k: -1}, which only QQ stores,
-is likewise the one row ``_neg_unit(k)`` wherever a routine can end with
-a single +-1: the pivot rows of ``nullspace_cols`` over QQ, ``transpose``,
-and every row that ``_clean`` returns (products, sums, scalings).  Other
-single entries, such as the rows {k: den} over GF(p), are not shared, so
-the tables hold only the indices asked for.  Most rows of the modules of a
-tau walk are such rows, since each is a kernel read off a canonical
-nullspace basis or the transpose of one.  A matrix with no entries is the
-one zero matrix of its field and shape, ``Mat.zeros``, kept in a table that
-holds only the shapes asked for; every routine returns that one for an
-empty result.  A ``Mat`` keeps ``nrows`` and ``ncols``, and ``shape`` is
-derived from them.  Every routine that writes into a row, or into the
-``_data`` of a matrix, writes into a copy (the eliminations copy their input
-rows, ``hstack``, ``_combine`` and ``solve`` copy before they write,
-``block`` fills fresh rows), and a change to a shared row, or to the empty
-``_data`` of a shared zero matrix, would change every matrix holding it.
-The rule is enforced: shared rows and zero ``_data`` are read-only views
-(``MappingProxyType``), so a write into one raises ``TypeError`` there.
+every row of one entry 1 or -1 that ``Mat.identity``, ``from_rows``,
+``from_dict``, ``rref``, ``transpose``, ``nullspace_cols``, ``basis_coords``
+or ``_clean`` (products, sums, scalings) builds is the one row of a shared
+table: {k: 1} is ``_unit(k)`` over every field, and {k: -1} is
+``_neg_unit(k, p)``, one table per field, as GF(p) stores -1 as p - 1.
+Over GF(2) that is 1, so ``_unit(k)`` serves and no -1 row is made.  Other
+single entries, such as the rows {k: den} over GF(p), are not shared, nor
+are the rows of ``block`` and ``hstack``: most of what they assemble is a
+transient system, whose indices the tables would keep for good.  Most rows
+of the modules of a tau walk are shared rows, since each is a kernel read
+off a canonical nullspace basis or the transpose of one.  A matrix with no
+entries is the one zero matrix of its field and shape, ``Mat.zeros``, kept
+in a table that holds only the shapes asked for; every routine returns that
+one for an empty result.  A ``Mat`` keeps ``nrows`` and ``ncols``, and
+``shape`` is derived from them.  Every routine that writes into a row, or
+into the ``_data`` of a matrix, writes into a copy (the eliminations copy
+their input rows, ``hstack``, ``_combine`` and ``solve`` copy before they
+write, ``block`` fills fresh rows), and a change to a shared row, or to the
+empty ``_data`` of a shared zero matrix, would change every matrix holding
+it.  The rule is enforced: shared rows and zero ``_data`` are read-only
+views (``MappingProxyType``), so a write into one raises ``TypeError``
+there.
 
 No floating point is used anywhere: ``Field.convert`` refuses floats.
 """
@@ -170,7 +172,7 @@ class Mat:
                     r[j] = e
             if r:
                 data[i] = r
-        return _mat(field, shape[0], shape[1], data)
+        return _mat(field, shape[0], shape[1], _share_singles(data, field.p))
 
     @classmethod
     def from_dict(cls, field, shape, entries):
@@ -181,7 +183,7 @@ class Mat:
             e = convert(v)
             if e:
                 data.setdefault(i, {})[j] = e
-        return _mat(field, shape[0], shape[1], data)
+        return _mat(field, shape[0], shape[1], _share_singles(data, field.p))
 
     @classmethod
     def zeros(cls, field, m, n):
@@ -332,10 +334,7 @@ class Mat:
         for i, row in self._data.items():
             for j, v in row.items():
                 data.setdefault(j, {})[i] = v
-        for j, row in data.items():
-            if len(row) == 1:
-                data[j] = _shared(row)
-        return _mat(self.field, self.ncols, self.nrows, data)
+        return _mat(self.field, self.ncols, self.nrows, _share_singles(data, self.field.p))
 
     def power(self, k):
         if self.nrows != self.ncols:
@@ -404,14 +403,15 @@ class Mat:
         n = self.ncols
         free = [j for j in range(n) if j not in R]
         index = {j: k for k, j in enumerate(free)}
-        data = {j: _unit(k) if den == 1 else {k: den} for k, j in enumerate(free)}
+        data = {j: _unit(k) if den == 1 else _shared({k: den}, p) for k, j in enumerate(free)}
         for pc, row in R.items():
             if not row:
                 continue
             if p is None:
-                data[pc] = _shared({index[j]: -v for j, v in row.items()})
+                row = {index[j]: -v for j, v in row.items()}
             else:
-                data[pc] = {index[j]: -den * v % p for j, v in row.items()}
+                row = {index[j]: -den * v % p for j, v in row.items()}
+            data[pc] = _shared(row, p) if len(row) == 1 else row
         return _mat(self.field, n, len(free), data)
 
     def basis_coords(self, rhs):
@@ -453,7 +453,8 @@ class Mat:
         p = self.field.p
         data = {k: rows[i] for k, i in free.items() if i in rows}
         if inv != 1:
-            data = {k: {j: v * inv % p for j, v in row.items()} for k, row in data.items()}
+            data = _share_singles({k: {j: v * inv % p for j, v in row.items()}
+                                   for k, row in data.items()}, p)
         for i, row in checked:
             acc = {}
             for k, a in row.items():
@@ -491,7 +492,7 @@ class Mat:
 
 
 _UNITS = {}
-_NEG_UNITS = {}
+_NEG_UNITS = {}  # field's p (None over QQ) -> {k: the row {k: -1}}
 _ZEROS = {}
 
 
@@ -504,23 +505,39 @@ def _unit(k):
     return row
 
 
-def _neg_unit(k):
-    """The shared row {k: -1}, kept like ``_unit(k)``; only QQ stores -1."""
-    row = _NEG_UNITS.get(k)
+def _neg_unit(k, p=None):
+    """The shared row {k: -1} of GF(p), or of QQ when p is None, kept like
+    ``_unit(k)`` in one table per field: -1 is stored as p - 1 over GF(p),
+    and over GF(2) it is 1, so the row is ``_unit(k)``."""
+    if p == 2:
+        return _unit(k)
+    table = _NEG_UNITS.get(p)
+    if table is None:
+        table = _NEG_UNITS[p] = {}
+    row = table.get(k)
     if row is None:
-        row = _NEG_UNITS[k] = MappingProxyType({k: -1})
+        row = table[k] = MappingProxyType({k: -1 if p is None else p - 1})
     return row
 
 
-def _shared(row):
-    """``row``, or the table's row when it is a single entry 1 or -1."""
-    if len(row) == 1:
-        (k, v), = row.items()
-        if v == 1:
-            return _unit(k)
-        if v == -1:
-            return _neg_unit(k)
+def _shared(row, p):
+    """The table's row for a row of one entry 1 or the field's -1, else
+    ``row``; callers test that ``row`` has one entry."""
+    (k, v), = row.items()
+    if v == 1:
+        return _unit(k)
+    if v == (-1 if p is None else p - 1):
+        return _neg_unit(k, p)
     return row
+
+
+def _share_singles(data, p):
+    """``data`` with each row of one entry 1 or the field's -1 replaced, in
+    place, by the table's row."""
+    for i, row in data.items():
+        if len(row) == 1:
+            data[i] = _shared(row, p)
+    return data
 
 
 def _zero(field, m, n):
@@ -565,13 +582,13 @@ def _times(left, right, p, data, roff, coff):
 def _clean(row, p):
     """The stored form of a row of raw sums: zeros dropped, values reduced
     mod p, or over QQ (p None) integral Fractions turned into ints; a single
-    entry 1 or -1 is the table's row."""
+    entry 1 or the field's -1 is the table's row."""
     if p is not None:
         row = {j: r for j, v in row.items() if (r := v % p)}
     else:
         row = {j: (v if type(v) is int or v.denominator != 1 else v.numerator)
                for j, v in row.items() if v}
-    return _shared(row)
+    return _shared(row, p) if len(row) == 1 else row
 
 
 def _pivot_order(rows):

@@ -353,7 +353,8 @@ def test_default_window_positive():
     assert default_window(named_datum("G21")) > 0
 
 
-@pytest.mark.parametrize("field", [Q, Field.prime(3), Field.prime(2)], ids=["QQ", "GF3", "GF2"])
+@pytest.mark.parametrize("field", [Q, Field.prime(32003), Field.prime(3), Field.prime(2)],
+                         ids=["QQ", "GF32003", "GF3", "GF2"])
 def test_the_auslander_reiten_formula_ties_ext1_to_both_translates(field):
     # battery modules are locally free, so pd <= 1 and id <= 1 (GLS I), and
     # Ext^1(M, N) = D Hom(N, tau M), Ext^1(N, M) = D Hom(tau^- M, N)

@@ -271,11 +271,17 @@ def test_from_rows_checks_the_row_count():
 # The shared unit rows and zero matrices
 
 
+def _minus_one(field):
+    return -1 if field.p is None else field.p - 1
+
+
 def _unit_rows(maps):
     """``(row, table row)`` for each row {k: 1} or {k: -1} of the given
-    matrices, the table row being ``_unit(k)`` or ``_neg_unit(k)``."""
-    return [(row, _unit(k) if v == 1 else _neg_unit(k)) for m in maps for row in m._data.values()
-            if len(row) == 1 for k, v in row.items() if v in (1, -1)]
+    matrices, -1 being p - 1 over GF(p), the table row being ``_unit(k)``
+    or ``_neg_unit(k, p)`` of the matrix's field."""
+    return [(row, _unit(k) if v == 1 else _neg_unit(k, m.field.p))
+            for m in maps for row in m._data.values()
+            if len(row) == 1 for k, v in row.items() if v in (1, _minus_one(m.field))]
 
 
 @pytest.mark.parametrize("field", [Field.rational(), Field.prime(7)], ids=_field_id)
@@ -319,6 +325,44 @@ def test_a_tau_inverse_walk_keeps_only_shared_unit_rows():
     assert zeros and all(m is Mat.zeros(Q, m.nrows, m.ncols) for m in zeros)
 
 
+@pytest.mark.parametrize("field", [Field.prime(32003), Field.prime(3), Field.prime(2)], ids=_field_id)
+def test_a_tau_inverse_walk_over_gfp_keeps_only_shared_unit_rows(field):
+    # over GF(p) the -1 of a kernel's pivot rows is stored as p - 1, and a
+    # row of it is the one row of the field's table; over GF(2) -1 is 1
+    P1 = build_projective(named_datum("A11"), field, 1)
+    mods = list(islice(tau_walk(P1, tau_inverse), 10))
+    assert len(mods) == 10
+    units = _unit_rows([m for M in mods for m in (*M.eps.values(), *M.arr.values())])
+    assert units and all(row is table for row, table in units)
+    if field.p != 2:
+        assert any(v == field.p - 1 for row, _ in units for v in row.values())
+    assert 2 not in _NEG_UNITS
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(7), Field.prime(2)], ids=_field_id)
+def test_from_dict_and_from_rows_take_unit_rows_from_the_table(field):
+    m1 = _minus_one(field)
+    rows = [[0, 1, 0], [m1, 0, 0], [1, 1, 0]]
+    A = Mat.from_rows(field, rows)
+    B = Mat.from_dict(field, (3, 3), {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
+    for M in (A, B):
+        assert M._data[0] is _unit(1) and M._data[1] is _neg_unit(0, field.p)
+        assert M._data[2] == {0: 1, 1: 1}
+    assert A == B
+
+
+def test_the_minus_one_rows_are_one_read_only_table_per_field():
+    row = _neg_unit(3, 7)
+    assert row == {3: 6} and row is _neg_unit(3, 7)
+    assert _neg_unit(3, None) == {3: -1} and _neg_unit(3, 32003) == {3: 32002}
+    with pytest.raises(TypeError):
+        row[3] = 1
+    assert row == {3: 6}
+    # over GF(2) -1 is 1: the row is _unit(k), and no second table is made
+    assert _neg_unit(3, 2) is _unit(3)
+    assert 2 not in _NEG_UNITS
+
+
 @pytest.mark.parametrize("field", [Field.rational(), Field.prime(32003), Field.prime(3)], ids=_field_id)
 def test_no_routine_writes_into_a_shared_unit_row(field):
     # a write into a shared row would change every matrix that holds it
@@ -336,7 +380,8 @@ def test_no_routine_writes_into_a_shared_unit_row(field):
             cocycle_is_coboundary(M, N, c)
     assert _UNITS
     assert all(row == {k: 1} for k, row in _UNITS.items())
-    assert all(row == {k: -1} for k, row in _NEG_UNITS.items())
+    assert all(row == {k: -1 if p is None else p - 1}
+               for p, table in _NEG_UNITS.items() for k, row in table.items())
     assert _ZEROS
     assert all(Z._data == {} and Z.shape == (m, n) and Z.field.p == p for (p, m, n), Z in _ZEROS.items())
 
