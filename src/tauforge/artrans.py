@@ -15,8 +15,7 @@ from itertools import islice
 from .cartan import build_quiver
 from .linalg import Mat
 from .modrep import Representation, dual_rep, is_isomorphic, kernel_rep, rank_vector, zero_rep
-from .pathalg import (AlgebraElement, _indecomposable_maps, algebra_basis, mono_target,
-                      transport_dual)
+from .pathalg import _indecomposable_maps, algebra_basis, mono_target, transport_dual
 from .rootsys import classify_positive_root, coxeter_data
 
 
@@ -106,7 +105,7 @@ def projective_cover(M):
 class PresentationData:
     gens0: tuple              # projective indices of P0
     gens1: tuple              # projective indices of P1
-    entries: dict             # (s, t) -> AlgebraElement in paths(gens0[t], gens1[s])
+    entries: dict             # (s, t) -> {path: coefficient}, paths(gens0[t], gens1[s])
     cover: dict               # w -> the block of the cover P0 -> M at w
     syzygy: Representation    # Omega M, the kernel of the cover; its top gives P1
     syzygy_pres: "PresentationData" = None    # that of Omega M, None until asked for
@@ -164,12 +163,11 @@ def _present(M):
         for r, k, x in incl[a].items():
             col.setdefault(k, []).append((r, x))
     owner = {a: [(t, p) for t, b in enumerate(gens0) for p in basis.paths(b, a)] for a in cols}
-    cells = {}
+    entries = {}
     for s, (a, k) in enumerate(kgens):
         for r, x in cols[a][k]:
             t, path = owner[a][r]
-            cells.setdefault((s, t), {})[path] = x
-    entries = {(s, t): AlgebraElement(gens0[t], gens1[s], terms) for (s, t), terms in cells.items()}
+            entries.setdefault((s, t), {})[path] = x
     return PresentationData(gens0, gens1, entries, blocks, K)
 
 

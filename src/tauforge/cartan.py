@@ -11,7 +11,7 @@ Vertices are 1-based everywhere, matching the file format.
 import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .linalg import Field, Mat
 
@@ -66,11 +66,10 @@ class CartanDatum:
 
 @dataclass(frozen=True)
 class QuiverSpec:
-    """Vertices, one loop per vertex, and g_ij parallel arrows j -> i per
-    orientation pair (i, j)."""
+    """Vertices, one loop eps_i at each vertex i, and g_ij parallel arrows
+    j -> i per orientation pair (i, j)."""
 
     vertices: tuple
-    loops: tuple          # (i, ...) one loop eps_i per vertex
     arrows: tuple         # ((i, j, g), ...) arrow alpha^(g)_{ij} : j -> i
 
     def arrows_into(self, v):
@@ -82,25 +81,19 @@ class QuiverSpec:
 
 def _primitive_positive_kernel(cartan):
     """Primitive strictly positive integer kernel vector of C, or None."""
-    n = len(cartan)
     F = Field.rational()
     C = Mat.from_rows(F, [list(r) for r in cartan])
     ker = C.nullspace_cols()
     if ker.ncols != 1:
         return None
     col = ker.col_vector(0)
-    denoms = [x.denominator for x in col]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(x * lcm) for x in col]
+    den = lcm(*(x.denominator for x in col))
+    ints = [int(x * den) for x in col]
     if all(x < 0 for x in ints):
         ints = [-x for x in ints]
     if not all(x > 0 for x in ints):
         return None
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -200,7 +193,7 @@ def build_quiver(datum):
         for g in range(1, datum.g(i, j) + 1):
             arrows.append((i, j, g))
     verts = tuple(datum.vertices)
-    return QuiverSpec(verts, verts, tuple(arrows))
+    return QuiverSpec(verts, tuple(arrows))
 
 
 def admissible_sequence(datum):

@@ -327,7 +327,7 @@ class _Row:
 
 def _mod_Bn_MlamB(datum, field, m, lam):
     try:
-        lam_value = field.to_scalar(field.convert(lam))
+        lam_value = field.convert(lam)
     except ValueError as exc:
         raise BadParams(str(exc))
     if lam_value == 0:

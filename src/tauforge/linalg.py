@@ -122,10 +122,6 @@ class Field:
             raise ValueError("%s has no value in %r" % (value, self))
         return value.numerator * pow(value.denominator, -1, self.p) % self.p
 
-    def to_scalar(self, elt):
-        """Stored value -> Fraction (rational) or canonical int in [0, p)."""
-        return Fraction(elt) if self.p is None else elt
-
     def __eq__(self, other):
         return isinstance(other, Field) and (self.kind, self.p) == (other.kind, other.p)
 
@@ -261,9 +257,6 @@ class Mat:
             and self._data == other._data
         )
 
-    def __hash__(self):
-        return hash((self.field, self.shape, tuple(map(tuple, self.rows()))))
-
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols} over {self.field})"
 
@@ -336,17 +329,18 @@ class Mat:
                 data.setdefault(j, {})[i] = v
         return _mat(self.field, self.ncols, self.nrows, _share_singles(data, self.field.p))
 
-    def power(self, k):
+    def powers(self, k):
+        """[self, self^2, ..., self^k], each power one product after the
+        last, so that a caller needing several powers runs them up once;
+        [] for k = 0."""
         if self.nrows != self.ncols:
-            raise ValueError("power of non-square matrix")
+            raise ValueError("powers of a non-square matrix")
         if k < 0:
             raise ValueError("negative power %d" % k)
-        if k == 0:
-            return Mat.identity(self.field, self.nrows)
-        acc = self
+        run = [self] if k else []
         for _ in range(k - 1):
-            acc = acc @ self
-        return acc
+            run.append(run[-1] @ self)
+        return run
 
     def hstack(self, *others):
         data = {i: dict(row) for i, row in self._data.items()}

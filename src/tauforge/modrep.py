@@ -64,7 +64,7 @@ def make_rep(datum, field, dims, eps=None, arr=None):
     eps = dict(eps or {})
     arr = dict(arr or {})
     for what, given, known in (("dimensions at non-existent vertices", dims, quiver.vertices),
-                               ("loops at non-existent vertices", eps, quiver.loops),
+                               ("loops at non-existent vertices", eps, quiver.vertices),
                                ("maps for non-existent arrows", arr, quiver.arrows)):
         extra = given.keys() - known
         if extra:
@@ -106,16 +106,6 @@ def free_simple(datum, field, vertex):
     return make_rep(datum, field, {vertex: d}, eps, {})
 
 
-def _running_powers(A, k):
-    """[A, A^2, ..., A^k] for a square A, each power one product after the
-    last, so that a caller needing several powers of one loop runs them up
-    once."""
-    run = [A]
-    for _ in range(k - 1):
-        run.append(run[-1] @ A)
-    return run
-
-
 def _relation_residuals(rep):
     """The relations of rep as matrices that vanish exactly where they hold,
     keyed like the cochain layout: {("eps", v): eps_v^d_v, ("arr", key):
@@ -125,7 +115,7 @@ def _relation_residuals(rep):
     for i, j, _ in rep.arr:
         top[i] = max(top[i], datum.f(j, i))
         top[j] = max(top[j], datum.f(i, j))
-    run = {v: _running_powers(rep.eps[v], top[v]) for v in datum.vertices}
+    run = {v: rep.eps[v].powers(top[v]) for v in datum.vertices}
     out = {("eps", v): run[v][datum.d(v) - 1] for v in datum.vertices}
     for (i, j, g), A in rep.arr.items():
         out[("arr", (i, j, g))] = run[i][datum.f(j, i) - 1] @ A - A @ run[j][datum.f(i, j) - 1]
@@ -156,13 +146,12 @@ def local_free_rank(rep, vertex):
     if dim % d != 0:
         return None
     r = dim // d
-    n = rep.eps[vertex]
-    top = n.power(d - 1)
-    if not (top @ n).is_zero():
+    run = rep.eps[vertex].powers(d)
+    if not run[-1].is_zero():
         return None
     if d == 1:
         return r
-    return r if top.rank() == r else None
+    return r if run[-2].rank() == r else None
 
 
 def rank_vector(rep):
@@ -314,20 +303,18 @@ def hom_basis(M, N):
         m = M.dims[w]
         if not m or not N.dims[w]:
             continue
-        # [cover | I] reduces to [R | S^-1], S the pivot columns of the cover
-        R, piv = cover.hstack(Mat.identity(field, m)).rref()
+        # a right inverse of the cover: S^-1 in the rows of its pivot columns S
         inverse = {}
-        for r, j, x in R.items():
-            if j >= cover.ncols:
-                inverse.setdefault(r, {})[j - cover.ncols] = x
+        for c, j, y in cover.solve(Mat.identity(field, m)).items():
+            inverse.setdefault(c, {})[j] = y
         # column c of the cover block is path p applied to generator t
         owner = [(t, k) for t, b in enumerate(pres.gens0) for k in range(len(walks[b][w]))]
         offset = psi_at[w][0]
-        for r, c in enumerate(piv):
+        for c in sorted(inverse):
             t, k = owner[c]
             images = walks[pres.gens0[t]][w][k] @ n[t]
             for i, col, x in images.items():
-                for j, y in inverse[r].items():
+                for j, y in inverse[c].items():
                     key = (offset + i * m + j, col)
                     cells[key] = cells[key] + x * y if key in cells else x * y
     V = Mat.from_dict(field, (_size(psi_at), e), cells)
@@ -522,7 +509,7 @@ def _relation_system(M, N):
     for (s, t), elt in pres.entries.items():
         a, b = pres.gens1[s], pres.gens0[t]
         acc = Mat.zeros(field, N.dims[a], N.dims[b])
-        for mono, coeff in elt.terms.items():
+        for mono, coeff in elt.items():
             acc = acc + walks[b][a][basis.index[mono]].scale(coeff)
         blocks[(s, t)] = acc
     rel = Mat.block(field, blocks, [N.dims[a] for a in pres.gens1], [N.dims[b] for b in pres.gens0])
@@ -573,11 +560,10 @@ def _invariants_differ(M, N):
     if M.dims != N.dims:
         return "dimension vectors differ"
     for v in M.datum.vertices:
-        m, n = M.eps[v], N.eps[v]      # running powers eps_v^k, k = 1 .. d-1
-        for _ in range(1, M.datum.d(v)):
+        k = M.datum.d(v) - 1
+        for m, n in zip(M.eps[v].powers(k), N.eps[v].powers(k)):
             if m.rank() != n.rank():
                 return f"loop rank profile differs at vertex {v}"
-            m, n = m @ M.eps[v], n @ N.eps[v]
     for key in M.arr:
         if M.arr[key].rank() != N.arr[key].rank():
             return f"arrow rank differs at {key}"

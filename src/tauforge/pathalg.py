@@ -12,7 +12,6 @@ nilpotency degree of its vertex.  ``None`` plays the role of the zero path.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -129,16 +128,6 @@ def algebra_basis(datum):
 
 
 # ---------------------------------------------------------------------------
-# linear combinations of parallel paths
-
-@dataclass
-class AlgebraElement:
-    src: int
-    tgt: int
-    terms: dict            # Monomial -> Fraction/int coefficient
-
-
-# ---------------------------------------------------------------------------
 # projective and injective representations
 
 @lru_cache(maxsize=None)
@@ -156,21 +145,6 @@ def _action(datum, mono, end, left):
     return tuple((basis.index[prod], c) for c, prod in enumerate(prods) if prod is not None)
 
 
-def _mult_matrix(datum, field, elt, end, left):
-    """Matrix of y -> elt.y on paths(end, elt.src) when ``left``, else of
-    y -> y.elt on paths(elt.tgt, end), in the basis order."""
-    basis = algebra_basis(datum)
-    if left:
-        rows, cols = basis.paths(end, elt.tgt), basis.paths(end, elt.src)
-    else:
-        rows, cols = basis.paths(elt.src, end), basis.paths(elt.tgt, end)
-    cells = {}
-    for mono, coeff in elt.terms.items():
-        for key in _action(datum, mono, end, left):
-            cells[key] = cells.get(key, 0) + coeff
-    return Mat.from_dict(field, (len(rows), len(cols)), cells)
-
-
 @lru_cache(maxsize=None)
 def _indecomposable_maps(datum, name, field, i, left):
     """P_i when ``left``, else I_i, one module kept per datum, ``name``
@@ -180,8 +154,13 @@ def _indecomposable_maps(datum, name, field, i, left):
     dims = {v: len(basis.paths(i, v) if left else basis.paths(v, i)) for v in datum.vertices}
 
     def action(mono):
-        m = _mult_matrix(datum, field, AlgebraElement(mono.src, mono_target(mono), {mono: 1}), i, left)
-        return m if left else m.transpose()
+        """The map of mono, dims[target] x dims[src], from the cells of its
+        action on the paths; I_i reads them transposed."""
+        shape = (dims[mono_target(mono)], dims[mono.src])
+        cells = dict.fromkeys(_action(datum, mono, i, left), 1)
+        if left:
+            return Mat.from_dict(field, shape, cells)
+        return Mat.from_dict(field, shape[::-1], cells).transpose()
 
     eps = {v: action(lv) for v in datum.vertices if (lv := loop(datum, v)) is not None}
     arr = {key: action(arrow(datum, *key)) for key in build_quiver(datum).arrows}
@@ -210,8 +189,8 @@ def transport_dual(datum, field, sources, targets, entries):
     """Carry a matrix of algebra elements between sums of projectives over
     to the corresponding map between sums of injectives.
 
-    ``entries[(s, t)]`` is an element of paths(targets[t], sources[s]), the
-    component P_{sources[s]} -> P_{targets[t]} given by right composition.
+    ``entries[(s, t)]``, {path: coefficient} on paths(targets[t], sources[s]),
+    is the component P_{sources[s]} -> P_{targets[t]} by right composition.
     Returns the per-vertex blocks of the induced map on injectives
     (+I over sources -> +I over targets): transposed left multiplication by
     each entry.
@@ -227,7 +206,7 @@ def transport_dual(datum, field, sources, targets, entries):
         cells = {}
         for (s, t), elt in entries.items():
             r0, c0 = roff[t], coff[s]
-            for mono, coeff in elt.terms.items():
+            for mono, coeff in elt.items():
                 for r, c in _action(datum, mono, v, True):
                     key = (r0 + c, c0 + r)
                     cells[key] = cells[key] + coeff if key in cells else coeff

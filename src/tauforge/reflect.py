@@ -24,7 +24,7 @@ map here and stays on ``is_isomorphic``.
 
 from .cartan import admissible_sequence, build_quiver, opposite_datum, reflect_orientation
 from .linalg import Mat
-from .modrep import Morphism, _running_powers, check_relations, dual_rep, make_rep, rank_vector
+from .modrep import Morphism, check_relations, dual_rep, make_rep, rank_vector
 from .rootsys import simple_reflection
 
 
@@ -60,7 +60,7 @@ def _slots(datum, k):
 def _multiplication(k, M, slots):
     """The multiplication map T -> M_k, slot (j, g, a) acting by
     M(eps_k)^a M(alpha^(g))."""
-    run = _running_powers(M.eps[k], max((a for _, _, a in slots), default=1))
+    run = M.eps[k].powers(max((a for _, _, a in slots), default=0))
     return Mat.block(M.field, {(0, t): run[a - 1] @ M.arr[(k, j, g)] if a else M.arr[(k, j, g)]
                                for t, (j, g, a) in enumerate(slots)},
                      [M.dims[k]], [M.dims[j] for (j, _, _) in slots])
@@ -97,7 +97,7 @@ def reflect_plus(datum, k, M, check_rank=True):
     mult = _multiplication(k, M, slots)
 
     # loop action on T: slot (j,g,a) -> (j,g,a+1), wrapping through eps_j^{f(k,j)}
-    wrap = {j: M.eps[j].power(datum.f(k, j)) for j in dict.fromkeys(j for j, _, _ in slots)}
+    wrap = {j: M.eps[j].powers(datum.f(k, j))[-1] for j in dict.fromkeys(j for j, _, _ in slots)}
     eps_grid = {}
     for t, (j, g, a) in enumerate(slots):
         if a + 1 < datum.f(j, k):

@@ -140,34 +140,30 @@ def coxeter_data(datum):
     return CoxeterData(seq, c, c_inv, tuple(beta), tuple(gamma), N, nu)
 
 
-@dataclass(frozen=True)
-class RootStatus:
-    kind: str          # 'real' | 'imaginary' | 'not_root'
-
-
 def is_positive_root(datum, v):
-    """Descent test: reflect towards the simples."""
+    """'real', 'imaginary' or 'not_root', by the descent test: reflect
+    towards the simples."""
     v = tuple(int(x) for x in v)
     if len(v) != datum.n or all(x == 0 for x in v):
-        return RootStatus("not_root")
+        return "not_root"
     if any(x < 0 for x in v):
-        return RootStatus("not_root")
+        return "not_root"
     while True:
         support = [i for i in datum.vertices if v[i - 1] != 0]
         if len(support) == 1 and v[support[0] - 1] == 1:
-            return RootStatus("real")
+            return "real"
         pairings = [sum(datum.c(i, j + 1) * v[j] for j in range(datum.n))
                     for i in datum.vertices]
         if all(p <= 0 for p in pairings):
             # v stays positive, so a multiple of delta here is k.delta with k > 0
             if (all(p == 0 for p in pairings) and datum.affine_kernel is not None
                     and _delta_multiple(datum.affine_kernel, v) is not None):
-                return RootStatus("imaginary")
-            return RootStatus("not_root")
+                return "imaginary"
+            return "not_root"
         i = next(i for i in datum.vertices if pairings[i - 1] > 0)
         v = simple_reflection(datum, i, v)
         if any(x < 0 for x in v):
-            return RootStatus("not_root")
+            return "not_root"
 
 
 @dataclass(frozen=True)
@@ -192,8 +188,7 @@ def c_period(datum, v):
 
 
 def classify_positive_root(datum, v):
-    status = is_positive_root(datum, v)
-    if status.kind == "not_root":
+    if is_positive_root(datum, v) == "not_root":
         return RootClass("not_root")
     cd = coxeter_data(datum)
     if datum.affine_kernel is not None:

@@ -191,7 +191,8 @@ def _check_typeBD2(check_id, field, family, *tube_indices, n):
     pairing = bilinear(datum, a, a)
     report.evidence["selfPairing"] = pairing
     if pairing != 1:
-        return _report(check_id, ["<rank M2, rank M2> = %d, expected 1" % pairing], report.evidence)
+        problems = report.evidence.get("problems", []) + ["<rank M2, rank M2> = %d, expected 1" % pairing]
+        return _report(check_id, problems, report.evidence)
     return report
 
 
@@ -358,9 +359,9 @@ def _check_main2(check_id, field, family, n=None):
     if ry is None or tuple(ry) != want:
         problems.append("Y: rank %s, expected delta + rank X = %s" % (ry, want))
     root_status = is_positive_root(datum, ry) if ry is not None else None
-    evidence["Y"]["rankRootStatus"] = root_status.kind if root_status else None
-    if root_status is None or root_status.kind != "not_root":
-        problems.append("Y: rank vector unexpectedly a root (%s)" % (root_status.kind if root_status else "?"))
+    evidence["Y"]["rankRootStatus"] = root_status
+    if root_status != "not_root":
+        problems.append("Y: rank vector unexpectedly a root (%s)" % (root_status or "?"))
 
     reproduced = _exact_sequence(X, Y, Z) is not None
     evidence["Y"]["extensionRoute"] = reproduced

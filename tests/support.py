@@ -12,8 +12,8 @@ from pathlib import Path
 from tauforge.linalg import Mat
 from tauforge.artrans import _walk_local_freeness, default_window, is_zero_rep
 from tauforge.modrep import Morphism, direct_sum, end_analysis, extension_cocycle_space, zero_rep
-from tauforge.pathalg import (AlgebraElement, Monomial, _absorb, _emit, algebra_basis, arrow,
-                              build_projective, loop, mono_mul, mono_target)
+from tauforge.pathalg import (Monomial, _absorb, _emit, algebra_basis, arrow, build_projective, loop,
+                              mono_mul)
 
 _TOKEN = re.compile(
     r"e\[(?P<unit>\d+)\]"
@@ -71,11 +71,6 @@ def format_mono(mono):
     if not parts:
         return f"e[{mono.src}]"
     return " ".join(reversed(parts))
-
-
-def element(mono):
-    """The path as an algebra element with coefficient 1."""
-    return AlgebraElement(mono.src, mono_target(mono), {mono: 1})
 
 
 def basis_dim(datum):
@@ -223,12 +218,12 @@ def apply_monomial(rep, mono):
     """Evaluate a canonical path on the representation, letter by letter: a
     matrix from dims[mono.src] to the path target."""
     m = Mat.identity(rep.field, rep.dims[mono.src])
-    v = mono.src
-    m = rep.eps[v].power(mono.exps[0]) @ m
+    for _ in range(mono.exps[0]):
+        m = rep.eps[mono.src] @ m
     for t, key in enumerate(mono.arrows):
         m = rep.arr[key] @ m
-        v = key[0]
-        m = rep.eps[v].power(mono.exps[t + 1]) @ m
+        for _ in range(mono.exps[t + 1]):
+            m = rep.eps[key[0]] @ m
     return m
 
 
@@ -243,8 +238,7 @@ def presentation_map(pres, P0):
     for s, a in enumerate(pres.gens1):
         cells, offset = {}, 0
         for t, b in enumerate(pres.gens0):
-            elt = pres.entries.get((s, t))
-            for mono, coeff in (elt.terms.items() if elt else ()):
+            for mono, coeff in pres.entries.get((s, t), {}).items():
                 cells[(offset + basis.index[mono], 0)] = coeff
             offset += len(basis.paths(b, a))
         images.append((a, Mat.from_dict(field, (P0.dims[a], 1), cells)))

@@ -227,10 +227,10 @@ def test_criterion_7_root_machinery_vs_enumeration():
             status = is_positive_root(cd, v)
             imaginary = all(x % dlt[t] == 0 for t, x in enumerate(v)) and \
                 len({x // dlt[t] for t, x in enumerate(v)}) == 1
-            if status.kind not in ("real", "imaginary"):
+            if status not in ("real", "imaginary"):
                 problems.append("%s: %s not recognised" % (cd.name, v))
                 continue
-            if (status.kind == "imaginary") != imaginary:
+            if (status == "imaginary") != imaginary:
                 problems.append("%s: %s real/imaginary mismatch" % (cd.name, v))
             cls = classify_positive_root(cd, v)
             if cls.kind not in kinds:
@@ -257,7 +257,7 @@ def test_criterion_7_root_machinery_vs_enumeration():
         probes = {"B3": [(1, 0, 0, 1), (2, 0, 0, 0), (1, 0, 1, 0)],
                   "A11": [(2, 2), (0, 2), (1, 2)]}[cd.name]
         for w in probes:
-            if is_positive_root(cd, w).kind != "not_root":
+            if is_positive_root(cd, w) != "not_root":
                 problems.append("%s: %s accepted" % (cd.name, w))
     _verdict(7, "trichotomy on %d roots" % total, not problems,
              "; ".join(problems[:4]))

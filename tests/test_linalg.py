@@ -226,6 +226,23 @@ def test_arithmetic_matches_domain_matrix(field):
         Mat.zeros(field, 2, 3).row_slice(1, 3)
 
 
+@pytest.mark.parametrize("field", [Field.rational(), Field.prime(3), Field.prime(32003)], ids=_field_id)
+def test_powers_are_repeated_products(field):
+    rng = random.Random(3100 + (field.p or 0))
+    for _ in range(20):
+        n, k = rng.randint(0, 5), rng.randint(1, 5)
+        A = _random_matrix(rng, field, n, n, rng.choice((0.3, 0.7)))
+        want = [A]
+        for _ in range(k - 1):
+            want.append(want[-1] @ A)
+        assert A.powers(k) == want
+        assert A.powers(0) == []
+    with pytest.raises(ValueError):
+        Mat.identity(field, 2).powers(-1)
+    with pytest.raises(ValueError):
+        Mat.zeros(field, 2, 3).powers(1)
+
+
 @pytest.mark.parametrize("p", [0, 1, 4, 9, 32004, 2**31 - 3])
 def test_prime_field_refuses_non_prime(p):
     with pytest.raises(ValueError):
@@ -247,7 +264,7 @@ def test_isprime_agrees_with_sympy():
 
 def test_prime_field_refuses_fraction_with_denominator_p():
     field = Field.prime(5)
-    assert field.to_scalar(field.convert(Fraction(3, 4))) == 2
+    assert field.convert(Fraction(3, 4)) == 2
     with pytest.raises(ValueError):
         field.convert(Fraction(1, 10))
 

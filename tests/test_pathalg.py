@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from support import basis_dim, element, format_mono, normalize_random, parse_path, unit
+from support import basis_dim, format_mono, normalize_random, parse_path, unit
 from tauforge.catalogue import named_datum
 from tauforge.linalg import Field, Mat
 from tauforge.modrep import rank_vector
 from tauforge.pathalg import (
-    AlgebraElement,
-    _mult_matrix,
+    _action,
     algebra_basis,
     arrow,
     build_injective,
@@ -116,38 +115,35 @@ def test_loop_checks_its_vertex():
             parse_path(datum, "eps[%d]" % v)
 
 
-def _mult_matrix_by_mono_mul(datum, field, elt, end, left):
-    """The matrix of _mult_matrix, one mono_mul per term and basis path."""
+def _mult_matrix(datum, src, tgt, mono, end, left):
+    """The matrix of y -> mono.y on paths(end, src) when ``left``, else of
+    y -> y.mono on paths(tgt, end), read off the cells of ``_action``; mono
+    runs from src to tgt, or is None, the zero path."""
     basis = algebra_basis(datum)
     if left:
-        rows, cols = basis.paths(end, elt.tgt), basis.paths(end, elt.src)
+        shape = (len(basis.paths(end, tgt)), len(basis.paths(end, src)))
     else:
-        rows, cols = basis.paths(elt.src, end), basis.paths(elt.tgt, end)
-    cells = {}
-    for mono, coeff in elt.terms.items():
-        for c, y in enumerate(cols):
-            prod = mono_mul(datum, mono, y) if left else mono_mul(datum, y, mono)
-            if prod is not None:
-                key = (basis.index[prod], c)
-                cells[key] = cells.get(key, 0) + coeff
-    return Mat.from_dict(field, (len(rows), len(cols)), cells)
+        shape = (len(basis.paths(src, end)), len(basis.paths(tgt, end)))
+    cells = dict.fromkeys(_action(datum, mono, end, left) if mono else (), 1)
+    return Mat.from_dict(Q, shape, cells)
 
 
 @pytest.mark.parametrize("family", ["Bn", "G21", "F41"])
 def test_mult_matrix_matches_mono_mul(family):
-    # every basis monomial alone, then the sum of all paths between two
-    # vertices with distinct coefficients, on both sides at every end vertex
+    # the cells of multiplication by every basis monomial, one mono_mul per
+    # basis path, on both sides at every end vertex
     datum = named_datum(family, n=3 if family == "Bn" else None)
     basis = algebra_basis(datum)
     for a in datum.vertices:
         for b in datum.vertices:
-            elts = [element(p) for p in basis.paths(a, b)]
-            elts.append(AlgebraElement(a, b, {p: k + 2 for k, p in enumerate(basis.paths(a, b))}))
-            for elt in elts:
+            for mono in basis.paths(a, b):
                 for end in datum.vertices:
                     for left in (True, False):
-                        assert _mult_matrix(datum, Q, elt, end, left) == \
-                            _mult_matrix_by_mono_mul(datum, Q, elt, end, left)
+                        cols = basis.paths(end, a) if left else basis.paths(b, end)
+                        prods = [mono_mul(datum, mono, y) if left else mono_mul(datum, y, mono)
+                                 for y in cols]
+                        assert _action(datum, mono, end, left) == tuple(
+                            (basis.index[prod], c) for c, prod in enumerate(prods) if prod is not None)
 
 
 def test_indecomposables_are_fresh_modules():
@@ -174,13 +170,13 @@ def test_mult_matrices_compose(family, n):
         y = rng.choice([p for c in datum.vertices for p in basis.paths(mono_target(x), c)])
         yx = mono_mul(datum, y, x)
         nonzero += yx is not None
-        elt = {z: element(z) for z in (x, y)}
-        elt["yx"] = element(yx) if yx is not None else AlgebraElement(x.src, mono_target(y), {})
+        paths = {"x": (x.src, mono_target(x), x), "y": (y.src, mono_target(y), y),
+                 "yx": (x.src, mono_target(y), yx)}
         for end in datum.vertices:
-            L = {k: _mult_matrix(datum, Q, e, end, left=True) for k, e in elt.items()}
-            R = {k: _mult_matrix(datum, Q, e, end, left=False) for k, e in elt.items()}
-            assert L["yx"] == L[y] @ L[x]
-            assert R["yx"] == R[x] @ R[y]
+            L = {k: _mult_matrix(datum, *z, end, left=True) for k, z in paths.items()}
+            R = {k: _mult_matrix(datum, *z, end, left=False) for k, z in paths.items()}
+            assert L["yx"] == L["y"] @ L["x"]
+            assert R["yx"] == R["x"] @ R["y"]
     assert nonzero >= 10
 
 

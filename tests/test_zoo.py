@@ -225,6 +225,16 @@ def test_type_b_parametrized():
     assert r4.evidence["period"] == 4
 
 
+def test_type_bd2_keeps_the_tube_problems_when_the_self_pairing_fails(monkeypatch):
+    monkeypatch.setattr(zoo, "_tube_check", lambda check_id, *args, **params:
+                        zoo._report(check_id, ["a tube problem"], {"datum": "BD4"}))
+    monkeypatch.setattr(zoo, "bilinear", lambda datum, a, b: 2)
+    report = verify_proposition("typeBD2")
+    assert not report.passed
+    assert report.evidence["selfPairing"] == 2
+    assert report.evidence["problems"] == ["a tube problem", "<rank M2, rank M2> = 2, expected 1"]
+
+
 def test_main2_bn_evidence():
     report = verify_proposition("main2.Bn", n=3)
     assert report.passed
