@@ -9,12 +9,12 @@ P0 and I1 are never assembled: both kernels read the maps of their
 summands, the projectives and injectives that pathalg keeps, one by one.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from .cartan import build_quiver
 from .linalg import Mat
-from .modrep import Representation, dual_rep, is_isomorphic, kernel_rep, rank_vector, zero_rep
+from .modrep import dual_rep, is_isomorphic, kernel_rep, rank_vector, zero_rep
 from .pathalg import _indecomposable_maps, algebra_basis, mono_target, transport_dual
 from .rootsys import classify_positive_root, coxeter_data
 
@@ -101,14 +101,24 @@ def projective_cover(M):
     return verts, blocks
 
 
-@dataclass
 class PresentationData:
-    gens0: tuple              # projective indices of P0
-    gens1: tuple              # projective indices of P1
-    entries: dict             # (s, t) -> {path: coefficient}, paths(gens0[t], gens1[s])
-    cover: dict               # w -> the block of the cover P0 -> M at w
-    syzygy: Representation    # Omega M, the kernel of the cover; its top gives P1
-    syzygy_pres: "PresentationData" = None    # that of Omega M, None until asked for
+    """The kept ``syzygy_pres`` takes no part in equality."""
+
+    __slots__ = ("gens0", "gens1", "entries", "cover", "syzygy", "syzygy_pres")
+
+    def __init__(self, gens0, gens1, entries, cover, syzygy):
+        self.gens0 = gens0        # projective indices of P0
+        self.gens1 = gens1        # projective indices of P1
+        self.entries = entries    # (s, t) -> {path: coefficient}, paths(gens0[t], gens1[s])
+        self.cover = cover        # w -> the block of the cover P0 -> M at w
+        self.syzygy = syzygy      # Omega M, the kernel of the cover; its top gives P1
+        self.syzygy_pres = None   # that of Omega M, None until asked for
+
+    def __eq__(self, other):
+        if type(other) is not PresentationData:
+            return NotImplemented
+        return ((self.gens0, self.gens1, self.entries, self.cover, self.syzygy)
+                == (other.gens0, other.gens1, other.entries, other.cover, other.syzygy))
 
 
 _presented = (None, None)     # the module presented last, and its presentation
@@ -171,9 +181,7 @@ def _present(M):
     return PresentationData(gens0, gens1, entries, blocks, K)
 
 
-@dataclass
-class TauResult:
-    module: Representation
+TauResult = namedtuple("TauResult", ["module"])
 
 
 def tau(M):

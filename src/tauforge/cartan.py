@@ -9,7 +9,7 @@ Vertices are 1-based everywhere, matching the file format.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -20,20 +20,39 @@ class DatumError(ValueError):
     """Raised when a Cartan datum fails validation."""
 
 
-@dataclass(frozen=True)
 class CartanDatum:
-    cartan: tuple
-    symmetriser: tuple
-    orientation: tuple
-    affine_kernel: tuple = field(default=None, compare=False)
-    name: str = field(default="", compare=False)
+    """An immutable datum.  Equality and hash are those of (C, D, Omega):
+    ``affine_kernel`` and ``name`` take no part in them."""
 
-    def __post_init__(self):
+    __slots__ = ("cartan", "symmetriser", "orientation", "affine_kernel", "name", "_hash")
+
+    def __init__(self, cartan, symmetriser, orientation, affine_kernel=None, name=""):
+        put = object.__setattr__
+        put(self, "cartan", cartan)
+        put(self, "symmetriser", symmetriser)
+        put(self, "orientation", orientation)
+        put(self, "affine_kernel", affine_kernel)
+        put(self, "name", name)
         # every lru_cache keyed on a datum hashes it: hash the tuples once
-        object.__setattr__(self, "_hash", hash((self.cartan, self.symmetriser, self.orientation)))
+        put(self, "_hash", hash((cartan, symmetriser, orientation)))
+
+    def __setattr__(self, *_):
+        raise AttributeError("a CartanDatum cannot be changed")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not CartanDatum:
+            return NotImplemented
+        return ((self.cartan, self.symmetriser, self.orientation)
+                == (other.cartan, other.symmetriser, other.orientation))
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return "CartanDatum(cartan=%r, symmetriser=%r, orientation=%r, affine_kernel=%r, name=%r)" % (
+            self.cartan, self.symmetriser, self.orientation, self.affine_kernel, self.name)
 
     @property
     def n(self):
@@ -64,13 +83,12 @@ class CartanDatum:
         return k in self.vertices and all(i != k for (i, _) in self.orientation)
 
 
-@dataclass(frozen=True)
-class QuiverSpec:
+class QuiverSpec(namedtuple("QuiverSpec", ["vertices", "arrows"])):
     """Vertices, one loop eps_i at each vertex i, and g_ij parallel arrows
-    j -> i per orientation pair (i, j)."""
+    j -> i per orientation pair (i, j): ``arrows`` is ((i, j, g), ...), the
+    arrow alpha^(g)_{ij} : j -> i."""
 
-    vertices: tuple
-    arrows: tuple         # ((i, j, g), ...) arrow alpha^(g)_{ij} : j -> i
+    __slots__ = ()
 
     def arrows_into(self, v):
         return [a for a in self.arrows if a[0] == v]

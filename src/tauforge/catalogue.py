@@ -26,7 +26,7 @@ corrupting downstream computations.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import validate_datum
 from .linalg import Field, Mat
@@ -117,27 +117,22 @@ def _datum_Atilde(n):
     return tuple(tuple(r) for r in rows), (1,) * n, orientation
 
 
-@dataclass(frozen=True)
-class _Tube:
-    """A stable tube as the paper states it, mouths in tau-order."""
+# A stable tube as the paper states it, mouths in tau-order:
+#   mouths   ((module id, stated rank), ...); see _spread for "..."
+#   end      stated dim End of every mouth, where the paper states one
+#   simples  k > 0: the tube opens with the simples E_k, ..., E_n
+_Tube = namedtuple("_Tube", ["mouths", "end", "simples"], defaults=(None, 0))
 
-    mouths: tuple      # ((module id, stated rank), ...); see _spread for "..."
-    end: int = None    # stated dim End of every mouth, where the paper states one
-    simples: int = 0   # k > 0: the tube opens with the simples E_k, ..., E_n
-
-
-@dataclass(frozen=True)
-class _Family:
-    """One datum family of the catalogue.  Rows hold ids and numbers rather
-    than public functions, which a tracer may rebind on the module."""
-
-    stem: str               # a name is the stem, then n if sized, then m<m> when m > 1
-    datum: object           # (cartan, symmetriser multipliers, orientation), or a function of n
-    size: tuple = None      # sized families: (least n, default n)
-    tubes: tuple = ()       # _Tube rows
-    spotcheck: bool = False
-    homog: str = None       # id of the homogeneous module
-    pair: tuple = None      # non-rigid pair: (Z id, Y id, id of the tube mouth X, dim End Y)
+# One datum family of the catalogue.  Rows hold ids and numbers rather than
+# public functions, which a tracer may rebind on the module.
+#   stem       a name is the stem, then n if sized, then m<m> when m > 1
+#   datum      (cartan, symmetriser multipliers, orientation), or a function of n
+#   size       sized families: (least n, default n)
+#   tubes      _Tube rows
+#   homog      id of the homogeneous module
+#   pair       non-rigid pair: (Z id, Y id, id of the tube mouth X, dim End Y)
+_Family = namedtuple("_Family", ["stem", "datum", "size", "tubes", "spotcheck", "homog", "pair"],
+                     defaults=(None, (), False, None, None))
 
 
 _FAMILIES = {
@@ -282,16 +277,14 @@ def _spread(rank, size):
     return head + rank[cut - 1:cut] * (size - len(head) - len(tail)) + tail
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(namedtuple("_Row", ["labels", "entries"], defaults=((),))):
     """A module stated as one `_MODULE_TABLE` row, in the format of the
     module docstring: `labels` per vertex, then the extra arrow `entries`.
     Called with the symmetriser multiple m of the datum, it builds the module
     whose labels are the pairs (label, t), t < m, and checks it against the
     algebra relations."""
 
-    labels: tuple
-    entries: tuple = ()
+    __slots__ = ()
 
     def __call__(self, datum, field, m=1):
         index = {}  # vertex -> {(label, t): basis position}

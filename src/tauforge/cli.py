@@ -19,10 +19,12 @@ from .artrans import classify_module, tau, tau_inverse, tau_orbit
 from .cartan import DatumError, datum_from_json, delta
 from .catalogue import BadParams, UnknownId, UnknownType, build_named, datum_from_name, named_module_ids
 from .linalg import Field
-from .modrep import check_relations, rank_vector, rep_from_json, rep_to_json
+from .modio import rep_from_json, rep_to_json
+from .modrep import check_relations, rank_vector
 from .reflect import ContractViolation, NotASink, NotASource, reflect_minus, reflect_plus
 from .rootsys import classify_positive_root, coxeter_data, enumerate_positive_roots
-from .zoo import UnknownCheck, all_check_ids, run_suite, select_check_ids, theorem_a_spotcheck
+from .spotcheck import theorem_a_spotcheck
+from .zoo import UnknownCheck, all_check_ids, run_suite, select_check_ids
 
 
 class UsageError(Exception):

@@ -28,29 +28,36 @@ psi -> psi.M - N.psi over QQ, which the tests build as the reference.  So
 ``basis_coords`` reads coordinates in it without an elimination.
 """
 
-import dataclasses
 import random
-import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .cartan import build_quiver, datum_from_json, datum_to_json, opposite_datum
-from .linalg import Field, Mat
+from .cartan import build_quiver, opposite_datum
+from .linalg import Mat
 
 
-@dataclass
 class Representation:
     """No module is changed once built, so ``tau`` and ``rank_vector`` keep
     their result on it; the kept values take no part in equality or repr."""
-    datum: object
-    field: Field
-    dims: dict           # vertex -> dimension
-    eps: dict            # vertex -> Mat
-    arr: dict            # (i, j, g) -> Mat
-    # the translate, None until taken; the rank vector, ... until taken (None
-    # is the rank vector of a module that is not locally free)
-    _tau: object = dataclasses.field(default=None, compare=False, repr=False)
-    _ranks: object = dataclasses.field(default=..., compare=False, repr=False)
+
+    __slots__ = ("datum", "field", "dims", "eps", "arr", "_tau", "_ranks")
+
+    def __init__(self, datum, field, dims, eps, arr):
+        # dims: vertex -> dimension; eps: vertex -> Mat; arr: (i, j, g) -> Mat
+        self.datum, self.field, self.dims, self.eps, self.arr = datum, field, dims, eps, arr
+        # the translate, None until taken; the rank vector, ... until taken
+        # (None is the rank vector of a module that is not locally free)
+        self._tau = None
+        self._ranks = ...
+
+    def _key(self):
+        return self.datum, self.field, self.dims, self.eps, self.arr
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Representation else NotImplemented
+
+    def __repr__(self):
+        return "Representation(datum=%r, field=%r, dims=%r, eps=%r, arr=%r)" % self._key()
 
     def total_dim(self):
         return sum(self.dims.values())
@@ -178,19 +185,15 @@ def direct_sum(reps):
     dims = {v: sum(r.dims[v] for r in reps) for v in datum.vertices}
     quiver = build_quiver(datum)
     row_dims = {v: [r.dims[v] for r in reps] for v in datum.vertices}
-    # a missing block is zero, so zero blocks are left out of each grid:
-    # they are about half of the blocks in the sums that tau builds
-    eps = {}
-    for v in quiver.vertices:
-        eps[v] = Mat.block(field, {(t, t): r.eps[v] for t, r in enumerate(reps)
-                                   if not r.eps[v].is_zero()},
-                           row_dims[v], row_dims[v])
-    arr = {}
-    for key in quiver.arrows:
-        i, j, _ = key
-        arr[key] = Mat.block(field, {(t, t): r.arr[key] for t, r in enumerate(reps)
-                                     if not r.arr[key].is_zero()},
-                             row_dims[i], row_dims[j])
+
+    def diagonal(maps, i, j):
+        # a missing block is zero, so zero blocks are left out of each grid:
+        # they are about half of the blocks in the sums that tau builds
+        grid = {(t, t): m for t, m in enumerate(maps) if not m.is_zero()}
+        return Mat.block(field, grid, row_dims[i], row_dims[j])
+
+    eps = {v: diagonal([r.eps[v] for r in reps], v, v) for v in quiver.vertices}
+    arr = {key: diagonal([r.arr[key] for r in reps], *key[:2]) for key in quiver.arrows}
     return make_rep(datum, field, dims, eps, arr)
 
 
@@ -205,11 +208,8 @@ def dual_rep(rep, datum=None):
 # ---------------------------------------------------------------------------
 # morphisms
 
-@dataclass
-class Morphism:
-    src: Representation
-    dst: Representation
-    blocks: dict          # vertex -> Mat (dims_dst[v] x dims_src[v])
+class Morphism(namedtuple("Morphism", ["src", "dst", "blocks"])):
+    __slots__ = ()      # blocks: vertex -> Mat (dims_dst[v] x dims_src[v])
 
     def is_iso(self):
         return all(b.is_invertible() for b in self.blocks.values())
@@ -368,10 +368,8 @@ def cokernel_rep(f):
 # ---------------------------------------------------------------------------
 # End-ring analysis
 
-@dataclass
-class EndData:
-    dim: int
-    local: bool         # End M is local with residue field k
+# local: End M is local with residue field k
+EndData = namedtuple("EndData", ["dim", "local"])
 
 
 def end_analysis(M):
@@ -549,11 +547,8 @@ def is_rigid(M):
 # ---------------------------------------------------------------------------
 # isomorphism testing
 
-@dataclass
-class IsoResult:
-    verdict: str             # 'yes' | 'no' | 'unknown'
-    certificate: object = None
-    reason: str = ""
+# verdict: 'yes' | 'no' | 'unknown'
+IsoResult = namedtuple("IsoResult", ["verdict", "certificate", "reason"], defaults=(None, ""))
 
 
 def _invariants_differ(M, N):
@@ -609,74 +604,3 @@ def is_isomorphic(M, N):
             return IsoResult("yes", certificate=cand)
     return IsoResult("unknown", reason="End M is not local and no invertible combination in 20 samples")
 
-
-# ---------------------------------------------------------------------------
-# JSON input/output
-
-_EPS_KEY = re.compile(r"^eps\[(\d+)\]$")
-_ARR_KEY = re.compile(r"^a\[(\d+)<-(\d+)\](?:#(\d+))?$")
-
-
-def _scalar_to_json(x):
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return int(x)
-
-
-def rep_to_json(rep, embed_datum=False):
-    named = ([(f"eps[{v}]", rep.eps[v]) for v in rep.datum.vertices]
-             + [(f"a[{i}<-{j}]#{g}", A) for (i, j, g), A in rep.arr.items()])
-    maps = {name: [[_scalar_to_json(x) for x in row] for row in A.rows()]
-            for name, A in named if not A.is_zero()}
-    if embed_datum or not rep.datum.name:
-        datum = datum_to_json(rep.datum)
-    else:
-        datum = rep.datum.name
-    return {
-        "datum": datum,
-        "field": rep.field.to_json(),
-        "dims": {str(v): rep.dims[v] for v in rep.datum.vertices if rep.dims[v]},
-        "maps": maps,
-    }
-
-
-def rep_from_json(obj, datum_resolver=None):
-    if not isinstance(obj, dict):
-        raise ValueError("a module document is a JSON object, got %s" % type(obj).__name__)
-    spec = obj["datum"]
-    if isinstance(spec, str):
-        if datum_resolver is None:
-            raise ValueError(f"named datum {spec!r} needs a resolver")
-        datum = datum_resolver(spec)
-    else:
-        datum = datum_from_json(spec)
-    field = Field.from_json(obj.get("field"))
-    dims, maps = obj.get("dims", {}), obj.get("maps", {})
-    for name, value in (("dims", dims), ("maps", maps)):
-        if not isinstance(value, dict):
-            raise ValueError("%r should be a JSON object, got %s" % (name, type(value).__name__))
-    if any(type(v) is not int for v in dims.values()):
-        raise ValueError("dimensions should be integers, got %r" % (dims,))
-    by_vertex, eps, arr = {}, {}, {}
-    for key, value in dims.items():
-        _put_once(by_vertex, int(key), value, key)
-    for key, rows in maps.items():
-        m = _EPS_KEY.match(key)
-        if m:
-            _put_once(eps, int(m.group(1)), rows, key)
-            continue
-        m = _ARR_KEY.match(key)
-        if m:
-            i, j = int(m.group(1)), int(m.group(2))
-            g = int(m.group(3)) if m.group(3) else 1
-            _put_once(arr, (i, j, g), rows, key)
-            continue
-        raise ValueError(f"unrecognised map key {key!r}")
-    return make_rep(datum, field, by_vertex, eps, arr)
-
-
-def _put_once(parsed, name, value, key):
-    """Two keys such as "a[2<-1]" and "a[2<-1]#1" name one map; refuse the second."""
-    if name in parsed:
-        raise ValueError(f"key {key!r} names a vertex or map that an earlier key gave")
-    parsed[name] = value

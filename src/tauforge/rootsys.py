@@ -6,7 +6,7 @@ action of the translation functors on rank vectors: projective P_{i_k}
 has rank beta_k, injective I_{i_k} has rank gamma_k.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .cartan import DatumError, admissible_sequence
@@ -72,15 +72,12 @@ def _iteration_cap(datum):
     return 10 * datum.n * maxd * maxc
 
 
-@dataclass(frozen=True)
-class CoxeterData:
-    sequence: tuple
-    c_matrix: tuple
-    c_inv_matrix: tuple
-    beta: tuple       # beta[k] = rank of P_{sequence[k]}
-    gamma: tuple      # gamma[k] = rank of I_{sequence[k]}
-    N: int            # None unless affine: smallest N with c^N = id + delta.nu^T
-    nu: tuple         # None unless affine
+class CoxeterData(namedtuple("CoxeterData", ["sequence", "c_matrix", "c_inv_matrix", "beta", "gamma", "N", "nu"])):
+    """beta[k] and gamma[k] are the ranks of P and I at sequence[k]; unless
+    the datum is affine, N and nu are None, and otherwise N is the smallest
+    N with c^N = id + delta.nu^T."""
+
+    __slots__ = ()
 
     def c_apply(self, v, power=1):
         """c^power (v), by square-and-multiply: one matrix-vector product
@@ -166,12 +163,10 @@ def is_positive_root(datum, v):
             return "not_root"
 
 
-@dataclass(frozen=True)
-class RootClass:
-    kind: str          # 'preprojective' | 'preinjective' | 'regular' | 'not_root'
-    r: int = None      # translation exponent (preprojective/preinjective)
-    vertex: int = None # which projective/injective
-    period: int = None # Coxeter period (regular)
+# kind is 'preprojective' | 'preinjective' | 'regular' | 'not_root'; r is the
+# translation exponent and vertex that of the projective or injective
+# (preprojective/preinjective), period the Coxeter period (regular)
+RootClass = namedtuple("RootClass", ["kind", "r", "vertex", "period"], defaults=(None, None, None))
 
 
 def c_period(datum, v):

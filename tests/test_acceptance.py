@@ -17,7 +17,8 @@ from tauforge.rootsys import (
     enumerate_positive_roots,
     is_positive_root,
 )
-from tauforge.zoo import theorem_a_spotcheck, verify_proposition
+from tauforge.spotcheck import theorem_a_spotcheck
+from tauforge.zoo import verify_proposition
 
 ALL_DATA = [
     ("A11", {}),

@@ -1,8 +1,7 @@
-import dataclasses
-
 import pytest
 
 from tauforge.cartan import (
+    CartanDatum,
     DatumError,
     admissible_sequence,
     datum_from_json,
@@ -128,11 +127,29 @@ def test_opposite_datum_is_built_once_per_datum_and_name():
     # the name takes no part in equality, so a cache keyed on the datum
     # alone would hand the renamed datum the opposite named "G22.op"
     datum = named_datum("G22")
-    renamed = dataclasses.replace(datum, name="")
+    renamed = CartanDatum(datum.cartan, datum.symmetriser, datum.orientation, datum.affine_kernel)
     assert opposite_datum(datum) is opposite_datum(named_datum("G22"))
     assert opposite_datum(datum).name == "G22.op"
     assert opposite_datum(renamed).name == ""
     assert opposite_datum(renamed) == opposite_datum(datum)
+
+
+def test_a_datum_cannot_be_changed():
+    datum = named_datum("G22")
+    with pytest.raises(AttributeError):
+        datum.name = "other"
+    with pytest.raises(AttributeError):
+        datum.extra = 1
+    with pytest.raises(AttributeError):
+        del datum.cartan
+    assert datum.name == "G22"
+
+
+def test_data_that_differ_only_in_name_are_equal_and_hash_equal():
+    datum = named_datum("Bn", n=3)
+    renamed = CartanDatum(datum.cartan, datum.symmetriser, datum.orientation, datum.affine_kernel, "other")
+    assert renamed == datum and hash(renamed) == hash(datum)
+    assert reflect_orientation(datum, 1) != datum
 
 
 def test_json_round_trip():

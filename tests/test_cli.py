@@ -23,7 +23,8 @@ from tauforge.cartan import datum_to_json
 from tauforge.catalogue import build_named, named_datum
 from tauforge.cli import main
 from tauforge.linalg import Field
-from tauforge.modrep import direct_sum, free_simple, rank_vector, rep_from_json, rep_to_json
+from tauforge.modio import rep_from_json, rep_to_json
+from tauforge.modrep import direct_sum, free_simple, rank_vector
 from tauforge.pathalg import build_projective
 from tauforge.zoo import all_check_ids, select_check_ids
 

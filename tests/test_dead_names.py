@@ -3,7 +3,8 @@ level, and every name it imports, is referenced in src/; every public method
 or property of a class in src/, and every public function a module defines
 at top level, is read in src/ or perfbench/ (whose tracer wraps public
 functions and methods by name), not only by the tests; every field of a
-dataclass in src/ is read as an attribute in src/ or perfbench/."""
+record in src/ (a ``namedtuple`` or a name in ``__slots__``) is read as an
+attribute in src/ or perfbench/."""
 
 import ast
 from pathlib import Path
@@ -82,24 +83,47 @@ def test_no_unread_public_methods():
     assert dead == []
 
 
-def _dataclass_fields(tree):
-    """(class, field, line) for every field of a top-level dataclass."""
-    def is_dataclass(node):
-        return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
-                   for d in node.decorator_list)
-    return [(node.name, item.target.id, item.lineno)
-            for node in tree.body if isinstance(node, ast.ClassDef) and is_dataclass(node)
-            for item in node.body
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+def _record_fields(tree):
+    """(class, field, line) for every field of a top-level record: a name in
+    the ``__slots__`` of a class, or a field of a ``namedtuple(name, fields)``
+    call, the fields given as a list or tuple of strings or as one string."""
+    fields = []
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "namedtuple"
+                    and len(sub.args) == 2):
+                names = ast.literal_eval(sub.args[1])
+                names = names.replace(",", " ").split() if isinstance(names, str) else names
+                fields += [(sub.args[0].value, name, sub.lineno) for name in names]
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.Assign) and len(item.targets) == 1
+                        and getattr(item.targets[0], "id", None) == "__slots__"):
+                    fields += [(node.name, name, item.lineno) for name in ast.literal_eval(item.value)]
+    return fields
 
 
-def test_no_unread_dataclass_fields():
+def _unread_fields(paths, read):
+    return ["%s:%d %s.%s" % (path.name, line, cls, name)
+            for path in paths for cls, name, line in _record_fields(ast.parse(path.read_text()))
+            if name not in read]
+
+
+def test_no_unread_record_fields():
     read = _attributes_read(sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("**/*.py")))
-    dead = []
-    for path in sorted(SRC.glob("*.py")):
-        dead += ["%s:%d %s.%s" % (path.name, line, cls, name)
-                 for cls, name, line in _dataclass_fields(ast.parse(path.read_text())) if name not in read]
-    assert dead == []
+    assert _unread_fields(sorted(SRC.glob("*.py")), read) == []
+
+
+def test_the_record_guard_sees_a_planted_unread_field(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("from collections import namedtuple\n"
+                       "Pair = namedtuple('Pair', 'left right')\n"
+                       "class Box(namedtuple('Box', ['width', 'depth'])):\n"
+                       "    __slots__ = ()\n"
+                       "class Cell:\n"
+                       "    __slots__ = ('value', 'note')\n")
+    read = {"left", "right", "width", "value"}
+    assert _unread_fields([planted], read) == ["planted.py:3 Box.depth", "planted.py:6 Cell.note"]
 
 
 def test_no_public_functions_only_tests_read():

@@ -1,7 +1,11 @@
 """The cost of compiling the package, which a cold start without a bytecode
-cache pays once per module, and the rows that kept modules hold."""
+cache pays once per module, what a cold start imports, and the rows that
+kept modules hold."""
 
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -16,14 +20,20 @@ SRC = Path(tauforge.__file__).resolve().parent
 
 
 def _compile_peak(path):
-    """Peak bytes that tracemalloc sees while ``compile`` runs on the file."""
+    """Peak bytes that tracemalloc sees while ``compile`` runs on the file,
+    the lesser of two runs: a run that interns a string when the table of
+    interned strings is full pays for the table's growth, however small the
+    file."""
     source = path.read_text()
-    tracemalloc.start()
-    try:
-        compile(source, str(path), "exec")
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
 
 
 def test_no_module_compiles_much_larger_than_linalg():
@@ -34,7 +44,16 @@ def test_no_module_compiles_much_larger_than_linalg():
     far raises the peak of every workload: split it instead."""
     base = _compile_peak(SRC / "linalg.py")
     ratios = {path.name: round(_compile_peak(path) / base, 2) for path in sorted(SRC.glob("*.py"))}
-    assert {name: r for name, r in ratios.items() if r > 1.3} == {}
+    assert {name: r for name, r in ratios.items() if r > 1.1} == {}
+
+
+def test_a_cold_start_loads_no_dataclasses_machinery():
+    """dataclasses imports inspect, and with it ast and dis: 0.88 MiB that a
+    fresh process would load before the package's modules compile."""
+    code = "import sys, tauforge.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _reachable_mats(*roots):

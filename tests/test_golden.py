@@ -22,7 +22,8 @@ import pytest
 from tauforge.artrans import tau, tau_inverse, tau_walk
 from tauforge.catalogue import _FAMILIES, _MODULE_TABLE, BadParams, build_named, named_datum, named_module_ids
 from tauforge.linalg import Field
-from tauforge.modrep import _cochain_layouts, _vec, extension_cocycle_space, make_rep, rep_to_json, zero_rep
+from tauforge.modio import rep_to_json
+from tauforge.modrep import _cochain_layouts, _vec, extension_cocycle_space, make_rep, zero_rep
 from tauforge.pathalg import build_injective, build_projective
 from tauforge.reflect import coxeter_functor
 from tauforge.zoo import _build_id, module_battery

@@ -20,6 +20,7 @@ from tauforge.artrans import is_zero_rep, tau, tau_inverse
 from tauforge.cartan import opposite_datum
 from tauforge.catalogue import build_named, named_datum
 from tauforge.linalg import Field, Mat
+from tauforge.modio import rep_from_json, rep_to_json
 from tauforge.modrep import (
     Morphism,
     build_extension,
@@ -38,8 +39,6 @@ from tauforge.modrep import (
     kernel_rep,
     make_rep,
     rank_vector,
-    rep_from_json,
-    rep_to_json,
     zero_rep,
 )
 from tauforge.pathalg import build_projective, loop
@@ -98,6 +97,14 @@ def test_hom_basis_mismatched_datum_rejected():
     F = free_simple(named_datum("Cn", n=3), Q, 1)
     with pytest.raises(ValueError):
         hom_basis(E, F)
+
+
+def test_representation_equality_ignores_the_kept_translate_and_ranks():
+    _, Z = build_named("Bn.Z", n=3)
+    _, fresh = build_named("Bn.Z", n=3)
+    Z._tau, Z._ranks = free_simple(Z.datum, Q, 1), (9, 9, 9, 9)
+    assert Z == fresh and fresh == Z and repr(Z) == repr(fresh)
+    assert Z != free_simple(Z.datum, Q, 1) and Z != Z.dims
 
 
 def test_duality_swaps_hom_spaces():

@@ -1,6 +1,5 @@
 """Catalogue construction, named checks, and the spot-check driver."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -10,18 +9,19 @@ from support import (plain, plain_datum, plain_module, reference, reference_cert
                      reference_monomorphism_problems)
 from tauforge import artrans, catalogue, modrep, zoo
 from tauforge.artrans import tau
-from tauforge.cartan import delta
+from tauforge.cartan import CartanDatum, delta
 from tauforge.catalogue import (BadParams, UnknownId, UnknownType, _Row, build_named, datum_from_name, named_datum,
                                 named_module_ids)
 from tauforge.linalg import Field
+from tauforge.modio import rep_to_json
 from tauforge.modrep import check_relations, rank_vector
+from tauforge.spotcheck import _tube_sum_covers, theorem_a_spotcheck
 from tauforge.zoo import (
     CheckReport,
     UnknownCheck,
     all_check_ids,
     module_battery,
     run_suite,
-    theorem_a_spotcheck,
     verify_proposition,
 )
 
@@ -158,7 +158,7 @@ def test_row_scales_by_m_with_interleaved_chains_and_per_t_entries(field):
     assert [list(r) for r in M.eps[1].rows()] == [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
     assert [list(r) for r in M.eps[2].rows()] == [[int(r == c + 1) for c in range(8)] for r in range(8)]
     assert check_relations(M) == []
-    assert modrep.rep_to_json(M) == modrep.rep_to_json(build_named("A11.homog", field=field, m=2)[1])
+    assert rep_to_json(M) == rep_to_json(build_named("A11.homog", field=field, m=2)[1])
     # only the two modules that check parameters are functions, ending in a row
     assert sorted(mid for mid, (_, builder, _) in catalogue._MODULE_TABLE.items()
                   if not isinstance(builder, _Row)) == ["Atilde.interval", "Bn.MlamB"]
@@ -414,7 +414,7 @@ def test_a_battery_is_a_prefix_of_every_larger_one(field):
 
 def test_equal_data_with_different_names_get_separate_batteries():
     named = named_datum("Bn", n=3)
-    renamed = dataclasses.replace(named, name="")
+    renamed = CartanDatum(named.cartan, named.symmetriser, named.orientation, named.affine_kernel)
     assert renamed == named
     Q = Field.rational()
     first, second = module_battery(named, Q, 20), module_battery(renamed, Q, 20)
@@ -455,20 +455,38 @@ def test_spotcheck_errors():
         theorem_a_spotcheck("Bn", n=3, height_bound=99)
 
 
+def test_a_tube_reaches_multiples_of_delta_only_by_whole_cycles():
+    # the mouths (1, 0) and (1, 2) sum to 2 delta: a module of the tube is a
+    # run of consecutive mouths plus whole cycles, so 4 delta and (1, 2) +
+    # 2 delta are reached, and 3 delta and (1, 2) + delta are not
+    cycles, dlt = [[(1, 0), (1, 2)]], (1, 1)
+    assert _tube_sum_covers((4, 4), cycles, dlt) == {"length": 2, "extraDelta": 2}
+    assert _tube_sum_covers((3, 4), cycles, dlt) == {"length": 1, "extraDelta": 2}
+    assert _tube_sum_covers((3, 3), cycles, dlt) is None
+    assert _tube_sum_covers((2, 3), cycles, dlt) is None
+
+
+def test_multiples_of_delta_no_tube_reaches_are_counted_as_homogeneous():
+    # G21's tube sums to 3 delta: of the multiples of delta up to height 25,
+    # 3 delta and 6 delta are tube roots, and delta, 2, 4 and 5 delta are not
+    ev = theorem_a_spotcheck("G21").evidence
+    assert (ev["regularViaTubes"], ev["regularViaHomogeneous"]) == (6, 4)
+
+
 # sha256 of json.dumps(theorem_a_spotcheck(T).to_json(), sort_keys=True) at
 # the default size and height over QQ; the stated tubes feed the mouth-rank
 # cycles that cover the regular roots
 SPOTCHECK_SHA256 = {
     "A11": "482d000df1c48af18faef3e71423a82a2e91779034b0c281f8c6598749cfed37",
     "A12": "35bbbe0d04c3f1f6413f7686377af95654d12cd3ba58e2b368edd23d7986db14",
-    "Bn": "a6780cf84c822db3f9f2180a2f1ddd8a35744919f8e1ff47f8083f6469660eef",
+    "Bn": "9a2578ae20918945a9899d049586ba77a2a2f89f7a556331641459f9dd60107d",
     "Cn": "5ff0ae1d3f55a90c2f99c149fa6e20ab2ef882aab8956eb8fcc99323349f7066",
     "BCn": "bb20ccfcd0aa0a1d0d01064f669499384265c9489dca9fbb33162f2de6e68264",
     "BDn": "25c8903c01645aad4107c996c1645ceadb7d4c9cc002ee80d448986a5fc19948",
     "CDn": "33e8511268dce8d88de997b382b5d018a0e581c36e3fd1b7d6aecd314c78fe8f",
     "F41": "59d04beacacd2e5d9c844fa233a2d404c237fb1d70fbfd8ef4a321164040464f",
     "F42": "091f32327b75868d246f40e60e586c32c679c675bcae3821f4b5dcafd1c8fc0b",
-    "G21": "60fe66f89f9374f77fc6d48ee968c7b55a2c0ffcd5ed52156627c6b207ef3411",
+    "G21": "a536af920d82b532083162f84e161dffc1e0633a8aa088006c9c0327664342ce",
     "G22": "9929a38ff0a3aae5d834dbb3135be7be27b49c8c84b34b01a8f5890c9850e784",
 }
 
