@@ -1,5 +1,12 @@
 """Catalogue of named Cartan data and distinguished modules.
 
+A datum family is one `_FAMILIES` row that states what GLS state: the
+symmetriser and the oriented edges (i, j), written (i, j, g) where g > 1
+arrows run j -> i.  The Cartan matrix is derived, c_ij = -g d_j /
+gcd(d_i, d_j).  A sized family names its graph instead, a chain or a fork
+on n + 1 vertices or a cycle on n, and a symmetriser that ``...`` spreads
+to that size: Bn is the chain with (1, 2, ..., 1).
+
 The catalogue states explicit bases and structure maps for a fixed
 collection of affine data: tube mouth modules, homogeneous-tube modules, and
 the non-rigid counterexample pairs (Z, Y).  Every module is one row of
@@ -27,6 +34,7 @@ corrupting downstream computations.
 
 import re
 from collections import namedtuple
+from math import gcd
 
 from .cartan import validate_datum
 from .linalg import Field, Mat
@@ -55,66 +63,27 @@ def _check_m(m):
     return m
 
 
-def _chain_cartan(size, sup, sub):
-    """Tridiagonal generalized Cartan matrix with the given off-diagonals."""
-    rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
-    for k in range(size - 1):
-        rows[k][k + 1] = sup[k]
-        rows[k + 1][k] = sub[k]
-    return tuple(tuple(r) for r in rows)
-
-
-def _chain_orientation(size):
-    return tuple((k + 1, k) for k in range(1, size))
-
-
-def _datum_Bn(n):
-    cartan = _chain_cartan(n + 1, [-2] + [-1] * (n - 1), [-1] * (n - 1) + [-2])
-    return cartan, (1,) + (2,) * (n - 1) + (1,), _chain_orientation(n + 1)
-
-
-def _datum_Cn(n):
-    cartan = _chain_cartan(n + 1, [-1] * (n - 1) + [-2], [-2] + [-1] * (n - 1))
-    return cartan, (2,) + (1,) * (n - 1) + (2,), _chain_orientation(n + 1)
-
-
-def _datum_BCn(n):
-    cartan = _chain_cartan(n + 1, [-2] + [-1] * (n - 2) + [-2], [-1] * n)
-    return cartan, (1,) + (2,) * (n - 1) + (4,), _chain_orientation(n + 1)
-
-
-def _branched_cartan(size, tail_sup, tail_sub):
-    """Vertices 1 and 2 both attach to 3; a chain runs from 3 to the end."""
-    rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
-    rows[0][2] = rows[1][2] = -1
-    rows[2][0] = rows[2][1] = -1
-    for k in range(2, size - 1):
-        rows[k][k + 1] = -1
-        rows[k + 1][k] = -1
-    rows[size - 2][size - 1] = tail_sup
-    rows[size - 1][size - 2] = tail_sub
-    return tuple(tuple(r) for r in rows)
-
-
-def _branch_orientation(size):
-    return ((3, 1), (3, 2)) + tuple((k + 1, k) for k in range(3, size))
-
-
-def _datum_BDn(n):
-    return _branched_cartan(n + 1, -1, -2), (2,) * n + (1,), _branch_orientation(n + 1)
-
-
-def _datum_CDn(n):
-    return _branched_cartan(n + 1, -2, -1), (1,) * n + (2,), _branch_orientation(n + 1)
-
-
-def _datum_Atilde(n):
+def _cartan(symmetriser, edges):
+    """C of the datum with this symmetriser and these edges (i, j) or
+    (i, j, g): d_i c_ij = d_j c_ji and gcd(f_ij, f_ji) = 1 leave
+    c_ij = -g d_j / gcd(d_i, d_j), g the number of arrows (default 1)."""
+    n = len(symmetriser)
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(n):
-        rows[k][(k + 1) % n] = -1
-        rows[(k + 1) % n][k] = -1
-    orientation = tuple((k + 1, k) for k in range(1, n)) + ((n, 1),)
-    return tuple(tuple(r) for r in rows), (1,) * n, orientation
+    for i, j, g in ((*edge, 1)[:3] for edge in edges):
+        di, dj = symmetriser[i - 1], symmetriser[j - 1]
+        rows[i - 1][j - 1] = -g * dj // gcd(di, dj)
+        rows[j - 1][i - 1] = -g * di // gcd(di, dj)
+    return rows
+
+
+def _shape_edges(shape, size):
+    """The oriented edges of a sized family on `size` vertices: a chain
+    1 <- 2 <- ... <- size, a fork whose vertices 1 and 2 both hang from 3
+    before the chain runs on, or a cycle that size -> 1 closes."""
+    chain = tuple((k + 1, k) for k in range(1, size))
+    if shape == "fork":
+        return ((3, 1),) + chain[1:]
+    return chain + ((size, 1),) if shape == "cycle" else chain
 
 
 # A stable tube as the paper states it, mouths in tau-order:
@@ -126,7 +95,8 @@ _Tube = namedtuple("_Tube", ["mouths", "end", "simples"], defaults=(None, 0))
 # One datum family of the catalogue.  Rows hold ids and numbers rather than
 # public functions, which a tracer may rebind on the module.
 #   stem       a name is the stem, then n if sized, then m<m> when m > 1
-#   datum      (cartan, symmetriser multipliers, orientation), or a function of n
+#   datum      (symmetriser, edges), the edges as `_cartan` reads them; a sized
+#              family (shape, symmetriser), for `_shape_edges` and `_spread`
 #   size       sized families: (least n, default n)
 #   tubes      _Tube rows
 #   homog      id of the homogeneous module
@@ -136,30 +106,30 @@ _Family = namedtuple("_Family", ["stem", "datum", "size", "tubes", "spotcheck", 
 
 
 _FAMILIES = {
-    "A11": _Family("A11", (((2, -4), (-1, 2)), (1, 4), ((2, 1),)), spotcheck=True, homog="A11.homog"),
-    "A12": _Family("A12", (((2, -2), (-2, 2)), (1, 1), ((2, 1),)), spotcheck=True, homog="A12.homog"),
+    "A11": _Family("A11", ((1, 4), ((2, 1),)), spotcheck=True, homog="A11.homog"),
+    "A12": _Family("A12", ((1, 1), ((2, 1, 2),)), spotcheck=True, homog="A12.homog"),
     "Bn": _Family(
-        "B", _datum_Bn, size=(2, 3), spotcheck=True, homog="Bn.MlamB",
+        "B", ("chain", (1, 2, ..., 1)), size=(2, 3), spotcheck=True, homog="Bn.MlamB",
         tubes=(_Tube((("Bn.MB", (2, 1, ..., 2)),), simples=2),),
         pair=("Bn.Z", "Bn.Y", "E2", 3),
     ),
     "Cn": _Family(
-        "C", _datum_Cn, size=(2, 3), spotcheck=True,
+        "C", ("chain", (2, 1, ..., 2)), size=(2, 3), spotcheck=True,
         tubes=(_Tube((("Cn.MC", (1, ...)),), simples=2),),
     ),
     "BCn": _Family(
-        "BC", _datum_BCn, size=(2, 3), spotcheck=True,
+        "BC", ("chain", (1, 2, ..., 4)), size=(2, 3), spotcheck=True,
         tubes=(_Tube((("BCn.MBC", (2, 1, ...)),), simples=2),),
     ),
     "BDn": _Family(
-        "BD", _datum_BDn, size=(3, 4), spotcheck=True,
+        "BD", ("fork", (2, ..., 1)), size=(3, 4), spotcheck=True,
         tubes=(
             _Tube((("BDn.M1", (1, ..., 2)),), simples=3),
             _Tube((("BDn.M2", (1, 0, 1, ...)), ("BDn.M3", (0, 1, 1, ...))), end=1),
         ),
     ),
     "CDn": _Family(
-        "CD", _datum_CDn, size=(3, 4), spotcheck=True,
+        "CD", ("fork", (1, ..., 2)), size=(3, 4), spotcheck=True,
         tubes=(
             _Tube((("CDn.M1", (1, ...)),), simples=3),
             _Tube((("CDn.M2", (0, 2, ..., 1)), ("CDn.M3", (2, 0, 2, ..., 1))), end=2),
@@ -167,13 +137,7 @@ _FAMILIES = {
         pair=("CDn.Z", "CDn.Y", "CDn.M3", 3),
     ),
     "F41": _Family(
-        "F41",
-        (
-            ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -2, 0), (0, 0, -1, 2, -1), (0, 0, 0, -1, 2)),
-            (1, 1, 1, 2, 2),
-            ((2, 1), (3, 2), (4, 3), (4, 5)),
-        ),
-        spotcheck=True,
+        "F41", ((1, 1, 1, 2, 2), ((2, 1), (3, 2), (4, 3), (4, 5))), spotcheck=True,
         tubes=(
             _Tube((("F41.T21", (1, 1, 2, 1, 0)), ("F41.T22", (0, 1, 1, 1, 1))), end=1),
             _Tube(
@@ -184,13 +148,7 @@ _FAMILIES = {
         pair=("F41.Z", "F41.Y", "F41.T31", 3),
     ),
     "F42": _Family(
-        "F42",
-        (
-            ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, 0), (0, 0, -2, 2, -1), (0, 0, 0, -1, 2)),
-            (2, 2, 2, 1, 1),
-            ((2, 1), (3, 2), (3, 4), (4, 5)),
-        ),
-        spotcheck=True,
+        "F42", ((2, 2, 2, 1, 1), ((2, 1), (3, 2), (3, 4), (4, 5))), spotcheck=True,
         tubes=(
             _Tube((("F42.T21", (1, 1, 2, 2, 2)), ("F42.T22", (0, 1, 1, 2, 0))), end=2),
             _Tube(
@@ -200,17 +158,15 @@ _FAMILIES = {
         ),
     ),
     "G21": _Family(
-        "G21", (((2, -1, 0), (-1, 2, -3), (0, -1, 2)), (1, 1, 3), ((2, 1), (3, 2))),
-        spotcheck=True, homog="G21.homog",
+        "G21", ((1, 1, 3), ((2, 1), (3, 2))), spotcheck=True, homog="G21.homog",
         tubes=(_Tube((("G21.T21", (3, 3, 2)), ("G21.T22", (0, 3, 1))), end=3),),
         pair=("G21.Z", "G21.Y", "G21.T22", 4),
     ),
     "G22": _Family(
-        "G22", (((2, -1, 0), (-1, 2, -1), (0, -3, 2)), (3, 3, 1), ((2, 1), (2, 3))),
-        spotcheck=True,
+        "G22", ((3, 3, 1), ((2, 1), (2, 3))), spotcheck=True,
         tubes=(_Tube((("G22.T21", (1, 1, 1)), ("G22.T22", (0, 1, 2))), end=1),),
     ),
-    "Atilde": _Family("At", _datum_Atilde, size=(3, 4)),
+    "Atilde": _Family("At", ("cycle", (1, ...)), size=(3, 4)),
 }
 
 
@@ -235,7 +191,7 @@ def named_datum(family, n=None, m=1):
     if row.size is None:
         if n is not None:
             raise BadParams("%s has fixed size; drop n" % family)
-        cartan, mult, orientation = row.datum
+        mult, edges = row.datum
     else:
         if n is None:
             raise BadParams("family %s needs the size parameter n" % family)
@@ -243,8 +199,11 @@ def named_datum(family, n=None, m=1):
             raise BadParams("family %s needs an integer n >= %d, got %r" % (family, row.size[0], n))
         if n > _MAX_N:
             raise BadParams("family %s takes n <= %d, got %d" % (family, _MAX_N, n))
-        cartan, mult, orientation = row.datum(n)
-    return validate_datum(cartan, tuple(k * m for k in mult), orientation, name=_name(row.stem, n, m))
+        shape, mult = row.datum
+        size = n if shape == "cycle" else n + 1
+        mult, edges = _spread(mult, size), _shape_edges(shape, size)
+    return validate_datum(_cartan(mult, edges), tuple(k * m for k in mult), tuple(edge[:2] for edge in edges),
+                          name=_name(row.stem, n, m))
 
 
 # stems longest first, so that BC is tried before B

@@ -10,8 +10,8 @@ from .linalg import Field
 from .modrep import make_rep
 
 
-_EPS_KEY = re.compile(r"^eps\[(\d+)\]$")
-_ARR_KEY = re.compile(r"^a\[(\d+)<-(\d+)\](?:#(\d+))?$")
+_EPS_KEY = re.compile(r"eps\[(\d+)\]")
+_ARR_KEY = re.compile(r"a\[(\d+)<-(\d+)\](?:#(\d+))?")
 
 
 def _scalar_to_json(x):
@@ -58,11 +58,13 @@ def rep_from_json(obj, datum_resolver=None):
     for key, value in dims.items():
         _put_once(by_vertex, int(key), value, key)
     for key, rows in maps.items():
-        m = _EPS_KEY.match(key)
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"map {key!r} should be a list of rows, each a list")
+        m = _EPS_KEY.fullmatch(key)
         if m:
             _put_once(eps, int(m.group(1)), rows, key)
             continue
-        m = _ARR_KEY.match(key)
+        m = _ARR_KEY.fullmatch(key)
         if m:
             i, j = int(m.group(1)), int(m.group(2))
             g = int(m.group(3)) if m.group(3) else 1

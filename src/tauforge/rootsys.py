@@ -53,16 +53,11 @@ def _matmul(a, b):
                  for i in range(n))
 
 
-def _reflection_matrix(datum, i):
-    n = datum.n
-    rows = []
-    for r in range(1, n + 1):
-        row = [1 if r == c else 0 for c in range(1, n + 1)]
-        if r == i:
-            for c in range(1, n + 1):
-                row[c - 1] -= datum.c(i, c)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _reflect_along(datum, order, v):
+    """s_{i_k} ... s_{i_1}(v) for order = (i_1, ..., i_k): s_{i_1} first."""
+    for i in order:
+        v = simple_reflection(datum, i, v)
+    return v
 
 
 def _iteration_cap(datum):
@@ -97,44 +92,28 @@ class CoxeterData(namedtuple("CoxeterData", ["sequence", "c_matrix", "c_inv_matr
 def coxeter_data(datum):
     seq = admissible_sequence(datum)
     n = datum.n
-    refl = {i: _reflection_matrix(datum, i) for i in seq}
-
-    ident = tuple(tuple(1 if a == b else 0 for b in range(n)) for a in range(n))
-    c = ident
-    for i in seq:                      # apply s_{i_1} first
-        c = _matmul(refl[i], c)
-    c_inv = ident
-    for i in reversed(seq):
-        c_inv = _matmul(refl[i], c_inv)
-
-    beta = []
-    for k, ik in enumerate(seq):
-        v = _unit(n, ik)
-        for i in reversed(seq[:k]):    # s_{i_1} ... s_{i_{k-1}} (alpha_{i_k})
-            v = _matvec(refl[i], v)
-        beta.append(v)
-    gamma = []
-    for k, ik in enumerate(seq):
-        v = _unit(n, ik)
-        for i in seq[k + 1:]:          # s_{i_n} ... s_{i_{k+1}} (alpha_{i_k})
-            v = _matvec(refl[i], v)
-        gamma.append(v)
+    # c = s_{i_n} ... s_{i_1} and c^-1 its reverse, column by column
+    c = tuple(zip(*(_reflect_along(datum, seq, _unit(n, j)) for j in datum.vertices)))
+    c_inv = tuple(zip(*(_reflect_along(datum, seq[::-1], _unit(n, j)) for j in datum.vertices)))
+    # beta_k = s_{i_1} ... s_{i_{k-1}} (alpha_{i_k}), gamma_k = s_{i_n} ... s_{i_{k+1}} (alpha_{i_k})
+    beta = tuple(_reflect_along(datum, seq[:k][::-1], _unit(n, ik)) for k, ik in enumerate(seq))
+    gamma = tuple(_reflect_along(datum, seq[k + 1:], _unit(n, ik)) for k, ik in enumerate(seq))
 
     N = nu = None
     if datum.affine_kernel is not None:
         dlt = datum.affine_kernel
-        power = ident
+        power = c
         for step in range(1, _iteration_cap(datum) + 1):
-            power = _matmul(c, power)
             nu = tuple(_delta_multiple(dlt, [power[r][j] - (r == j) for r in range(n)])
                        for j in range(n))
             if None not in nu:
                 N = step
                 break
+            power = _matmul(c, power)
         if N is None:
             raise DatumError("no Coxeter period found below the iteration cap")
 
-    return CoxeterData(seq, c, c_inv, tuple(beta), tuple(gamma), N, nu)
+    return CoxeterData(seq, c, c_inv, beta, gamma, N, nu)
 
 
 def is_positive_root(datum, v):
@@ -193,22 +172,15 @@ def classify_positive_root(datum, v):
         cap = cd.N * (height(v) + 2)
     else:
         cap = _iteration_cap(datum)
-    beta_index = {b: cd.sequence[k] for k, b in enumerate(cd.beta)}
-    gamma_index = {g: cd.sequence[k] for k, g in enumerate(cd.gamma)}
-    w = tuple(v)
-    for r in range(cap + 1):
-        if w in beta_index:
-            return RootClass("preprojective", r=r, vertex=beta_index[w])
-        if any(x < 0 for x in w):
-            break
-        w = cd.c_apply(w)
-    w = tuple(v)
-    for s in range(cap + 1):
-        if w in gamma_index:
-            return RootClass("preinjective", r=s, vertex=gamma_index[w])
-        if any(x < 0 for x in w):
-            break
-        w = cd.c_apply(w, -1)
+    for kind, ends, power in (("preprojective", cd.beta, 1), ("preinjective", cd.gamma, -1)):
+        index = {end: cd.sequence[k] for k, end in enumerate(ends)}
+        w = tuple(v)
+        for r in range(cap + 1):
+            if w in index:
+                return RootClass(kind, r=r, vertex=index[w])
+            if any(x < 0 for x in w):
+                break
+            w = cd.c_apply(w, power)
     return RootClass("not_root")
 
 

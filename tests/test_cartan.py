@@ -1,4 +1,8 @@
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauforge.cartan import (
     CartanDatum,
@@ -11,7 +15,7 @@ from tauforge.cartan import (
     reflect_orientation,
     validate_datum,
 )
-from tauforge.catalogue import named_datum
+from tauforge.catalogue import _cartan, named_datum
 
 
 DELTA_TABLE = [
@@ -156,3 +160,22 @@ def test_json_round_trip():
     for family, n in [("Bn", 4), ("BCn", 3), ("F42", None)]:
         datum = named_datum(family, n=n) if n else named_datum(family)
         assert datum_from_json(datum_to_json(datum)) == datum
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cartan_of_a_symmetriser_and_valued_tree_is_a_datum_with_those_arrows(data):
+    # a random tree on up to 6 vertices, each edge oriented either way and
+    # carrying g arrows: C = -g d_j / gcd(d_i, d_j) off the diagonal
+    size = data.draw(st.integers(2, 6))
+    sym = tuple(data.draw(st.lists(st.integers(1, 4), min_size=size, max_size=size)))
+    edges = []
+    for v in range(2, size + 1):
+        u = data.draw(st.integers(1, v - 1))
+        i, j = (u, v) if data.draw(st.booleans()) else (v, u)
+        edges.append((i, j, data.draw(st.sampled_from((1, 2, 3)))))
+    datum = validate_datum(_cartan(sym, edges), sym, [edge[:2] for edge in edges])
+    for i, j, g in edges:
+        for a, b in ((i, j), (j, i)):
+            assert datum.g(a, b) == g
+            assert datum.f(a, b) == sym[b - 1] // gcd(sym[a - 1], sym[b - 1])

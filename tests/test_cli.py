@@ -376,7 +376,7 @@ def test_oversized_datum_name_is_usage_error(capsys, monkeypatch):
         raise AssertionError("a refused datum was built")
 
     # without the n <= _MAX_N guard the Cartan matrix alone is 20001**2 entries
-    monkeypatch.setattr(catalogue, "_chain_cartan", built)
+    monkeypatch.setattr(catalogue, "_cartan", built)
     monkeypatch.setattr(catalogue, "validate_datum", built)
     code, out, err = run(capsys, "delta", "--datum", "B20000")
     assert code == 2
@@ -503,9 +503,14 @@ def test_module_file_holding_a_string_is_usage_error(tmp_path):
     {"maps": {"eps[1]": [[0]], "eps[01]": [[0]]}},
     {"dims": {"01": 1}},                       # the same vertex as "1"
     {"dims": {"4": -2}, "maps": {"a[4<-3]#1": None}},
+    {"maps": {"eps[2]": ["00", "10"]}},       # not read digit by digit as [[0, 0], [1, 0]]
+    {"maps": {"eps[1]": "0"}},                 # not read as the 1 x 1 zero map
+    {"maps": {"eps[9]": [[0]]}},
+    {"maps": {"eps[2]": None, "eps[2]\n": [[0, 0], [1, 0]]}},
 ], ids=["float-entry", "zero-denominator", "field-string", "float-p", "dims-list",
         "float-dim", "maps-list", "loop-at-no-vertex", "dim-at-no-vertex", "arrow-twice",
-        "loop-twice", "dim-twice", "negative-dim"])
+        "loop-twice", "dim-twice", "negative-dim", "string-rows", "string-map",
+        "listed-loop-at-no-vertex", "key-with-newline"])
 def test_module_file_with_a_bad_part_is_usage_error(tmp_path, change):
     # a None value drops the key
     _, Z = build_named("Bn.Z", n=3)

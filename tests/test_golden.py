@@ -4,13 +4,15 @@ per field over the whole parameter grid of the catalogue, one per field
 (QQ, GF(32003), GF(3)) over the projectives P_i and injectives I_i of every
 catalogued datum, one per field (the same three) over C+M and C-M of every
 catalogue module, one per field over the tau^-1 walks from every P_v and
-tau walks from every I_v of five data, four steps deep, and one per field
-(the same three) over the Ext^1 cocycle bases of a fixed grid of pairs.
+tau walks from every I_v of five data, four steps deep, one per field
+(the same three) over the Ext^1 cocycle bases of a fixed grid of pairs, and
+two over the catalogued data themselves: their Cartan data and their
+Coxeter data.
 
 A refactor must leave these bytes alone.  When a change of output is meant,
 print the new tables with ``PYTHONPATH=src python tests/test_golden.py`` and
 paste them over ``GOLDEN``, ``GRID``, ``PROJ_INJ``, ``COXETER``,
-``DEEP_WALKS`` and ``COCYCLES``.
+``DEEP_WALKS``, ``COCYCLES``, ``DATA`` and ``COXETER_DATA``.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ from tauforge.modio import rep_to_json
 from tauforge.modrep import _cochain_layouts, _vec, extension_cocycle_space, make_rep, zero_rep
 from tauforge.pathalg import build_injective, build_projective
 from tauforge.reflect import coxeter_functor
+from tauforge.rootsys import coxeter_data
 from tauforge.zoo import _build_id, module_battery
 
 # parameters by datum family, the prefix of the module id
@@ -168,6 +171,34 @@ def cocycle_digest(field):
                      for c in extension_cocycle_space(M, N)])
     text = json.dumps(docs)
     return sum(map(len, docs)), hashlib.sha256(text.encode()).hexdigest()
+
+
+def catalogued_data():
+    """Every datum family in sorted order, a sized one at each n from its
+    least to 8, each at m = 1, 2, 3."""
+    for family, row in sorted(_FAMILIES.items()):
+        for n in range(row.size[0], 9) if row.size else [None]:
+            for m in (1, 2, 3):
+                yield named_datum(family, n=n, m=m)
+
+
+def datum_digest():
+    """sha256 over name, C, D, Omega and delta of every catalogued datum."""
+    docs = [[d.name, d.cartan, d.symmetriser, d.orientation, d.affine_kernel] for d in catalogued_data()]
+    return len(docs), hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+
+
+def coxeter_data_digest():
+    """sha256 over the name and the Coxeter data (sequence, c, c^-1, beta,
+    gamma, N, nu) of every catalogued datum."""
+    docs = [[d.name, *coxeter_data(d)] for d in catalogued_data()]
+    return len(docs), hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+
+
+DATA = (135, "6c1e51b43afb1a145227e4532348df7838ed05d605f0d19a2b640a861731a645")
+
+
+COXETER_DATA = (135, "09529dd5cf920e2f1d514cca187fee21949694cbd2e46a9e56a232b6d059c743")
 
 
 GRID = {
@@ -601,7 +632,17 @@ def test_coxeter_translates_are_byte_stable(name):
     assert coxeter_digest(WITH_GF3[name]) == COXETER[name]
 
 
+def test_catalogued_data_are_byte_stable():
+    assert datum_digest() == DATA
+
+
+def test_coxeter_data_of_the_catalogued_data_are_byte_stable():
+    assert coxeter_data_digest() == COXETER_DATA
+
+
 if __name__ == "__main__":
+    print("DATA = %r" % (datum_digest(),))
+    print("COXETER_DATA = %r" % (coxeter_data_digest(),))
     print("GRID = {")
     for name in sorted(FIELDS):
         print("    %r: %r," % (name, grid_digest(FIELDS[name])))

@@ -95,7 +95,7 @@ def test_named_datum_refuses_a_large_n_before_building_it(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("a refused datum was built")
 
-    monkeypatch.setattr(catalogue, "_chain_cartan", built)
+    monkeypatch.setattr(catalogue, "_cartan", built)
     monkeypatch.setattr(catalogue, "validate_datum", built)
     with pytest.raises(BadParams, match="n <= %d" % catalogue._MAX_N):
         datum_from_name("B20000")
