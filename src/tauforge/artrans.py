@@ -85,19 +85,19 @@ def projective_cover(M):
     # side; _generators lists them vertex by vertex, so generator t at b
     # owns the columns start + t * (number of paths from b to w)
     gens_at = {b: [k for v, k in gens if v == b] for b in dict.fromkeys(verts)}
-    images = {b: _path_images(M, basis, b, Mat(field, (M.dims[b], len(ks)),
-                                               {k: {t: 1} for t, k in enumerate(ks)}))
+    images = {b: _path_images(M, basis, b, Mat.from_dict(field, (M.dims[b], len(ks)),
+                                                         {(k, t): 1 for t, k in enumerate(ks)}))
               for b, ks in gens_at.items()}
     blocks = {}
     for w in datum.vertices:
-        data, start = {}, 0
+        entries, start = {}, 0
         for b, ks in gens_at.items():
             n = len(basis.paths(b, w))
             for r, img in enumerate(images[b][w]):
                 for i, t, x in img.items():
-                    data.setdefault(i, {})[start + t * n + r] = x
+                    entries[i, start + t * n + r] = x
             start += len(ks) * n
-        blocks[w] = Mat(field, (M.dims[w], start), data)
+        blocks[w] = Mat.from_dict(field, (M.dims[w], start), entries)
     return verts, blocks
 
 

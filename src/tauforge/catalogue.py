@@ -207,7 +207,7 @@ def named_datum(family, n=None, m=1):
 
 
 # stems longest first, so that BC is tried before B
-_DATUM_NAME = re.compile(r"(%s)(\d+)?(?:m(\d+))?\Z" % "|".join(
+_DATUM_NAME = re.compile(r"(%s)([0-9]+)?(?:m([0-9]+))?\Z" % "|".join(
     sorted((row.stem for row in _FAMILIES.values()), key=len, reverse=True)))
 _STEMS = {row.stem: family for family, row in _FAMILIES.items()}
 

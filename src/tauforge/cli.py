@@ -38,7 +38,7 @@ class MathFailure(Exception):
 def _parse_field(text):
     if text is None or text == "rational":
         return Field.rational()
-    m = re.fullmatch(r"p:(\d+)", text)
+    m = re.fullmatch(r"p:([0-9]+)", text)
     if not m:
         raise UsageError("--field expects 'rational' or 'p:PRIME', got %r" % text)
     try:

@@ -18,11 +18,12 @@ The reduced row echelon form is unique, so the results do not depend on the
 order of the eliminations.  Nullspace bases are the canonical ones read off
 the RREF; over GF(p) they are scaled by the product of the raw pivots (see
 ``Mat.nullspace_cols``).  A map on a kernel is read in that canonical basis
-by ``Mat.basis_coords``, which runs no elimination: the basis is den times
-the identity on its free rows, so the coordinates are those rows of the
-right-hand side divided by den, and only the pivot rows of the product are
-multiplied out to check them.  So tau, whose two kernels (of the cover and
-of the transported presentation) carry all its maps, calls no ``solve``.
+by ``Mat._coords``, from what ``Mat._read_off`` finds of the basis once, and
+no elimination is run: the basis is den times the identity on its free
+rows, so the coordinates are those rows of the right-hand side divided by
+den, and only the pivot rows of the product are multiplied out to check
+them.  So tau, whose two kernels (of the cover and of the transported
+presentation) carry all its maps, calls no ``solve``.
 Their sources are direct sums, whose maps are block diagonal; the product
 of such a map with a kernel basis is ``Mat._diag_times``, which takes the
 blocks one by one and never assembles the sum.
@@ -30,7 +31,7 @@ blocks one by one and never assembles the sum.
 No stored row is ever changed after it is built, so rows may be shared:
 a product takes a left row that is a single 1 as the right row itself, and
 every row of one entry 1 or -1 that ``Mat.identity``, ``from_rows``,
-``from_dict``, ``rref``, ``transpose``, ``nullspace_cols``, ``basis_coords``
+``from_dict``, ``rref``, ``transpose``, ``nullspace_cols``, ``_coords``
 or ``_clean`` (products, sums, scalings) builds is the one row of a shared
 table: {k: 1} is ``_unit(k)`` over every field, and {k: -1} is
 ``_neg_unit(k, p)``, one table per field, as GF(p) stores -1 as p - 1.
@@ -411,20 +412,8 @@ class Mat:
             data[pc] = _shared(row, p) if len(row) == 1 else row
         return _mat(self.field, n, len(free), data)
 
-    def basis_coords(self, rhs):
-        """The X with self @ X = rhs, or None, for a basis ``self`` returned
-        by ``nullspace_cols``.  Row free[k] of that basis is den times the
-        unit row e_k, free[k] being the last nonzero row of column k, so X is
-        rows free[k] of rhs divided by den; no elimination is run.  Those
-        rows of self @ X equal rhs by construction, so only the other rows
-        (the pivot rows) are multiplied out and compared with rhs; X is
-        returned only if they agree.  For any other ``self`` the rows that
-        are not den times a unit row are checked too, so X is still returned
-        exactly when self @ X equals rhs."""
-        return self._coords(self._read_off(), rhs)
-
     def _read_off(self):
-        """What ``basis_coords`` needs of the basis, found once per basis:
+        """What ``_coords`` needs of the basis, found once per basis:
         ``(free, inv, checked)`` with free[k] the last nonzero row of column
         k, inv the inverse of den (of 1 over QQ), and checked the rows
         ``(i, row)`` that are not den times the unit row e_k at i = free[k]."""
@@ -441,8 +430,11 @@ class Mat:
         return free, 1 if p is None else pow(den, -1, p), checked
 
     def _coords(self, read_off, rhs):
-        """``basis_coords`` with ``_read_off()`` of self given."""
-        self._check(rhs, self.nrows == rhs.nrows, "basis_coords")
+        """The X with self @ X = rhs, or None, ``read_off`` being the
+        ``_read_off()`` of self: X is rows free[k] of rhs divided by den, and
+        the rows of self that are not den times a unit row are multiplied out
+        and compared with rhs, so X is returned exactly when self @ X = rhs."""
+        self._check(rhs, self.nrows == rhs.nrows, "coordinates")
         free, inv, checked = read_off
         rows = rhs._data
         if not rows.keys() <= self._data.keys():

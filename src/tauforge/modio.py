@@ -10,8 +10,9 @@ from .linalg import Field
 from .modrep import make_rep
 
 
-_EPS_KEY = re.compile(r"eps\[(\d+)\]")
-_ARR_KEY = re.compile(r"a\[(\d+)<-(\d+)\](?:#(\d+))?")
+_VERTEX = re.compile(r"[0-9]+")     # as rep_to_json writes a vertex: no sign, space or other digit
+_EPS_KEY = re.compile(r"eps\[([0-9]+)\]")
+_ARR_KEY = re.compile(r"a\[([0-9]+)<-([0-9]+)\](?:#([0-9]+))?")
 
 
 def _scalar_to_json(x):
@@ -56,6 +57,8 @@ def rep_from_json(obj, datum_resolver=None):
         raise ValueError("dimensions should be integers, got %r" % (dims,))
     by_vertex, eps, arr = {}, {}, {}
     for key, value in dims.items():
+        if not _VERTEX.fullmatch(key):
+            raise ValueError(f"dimension key {key!r} is not a vertex number")
         _put_once(by_vertex, int(key), value, key)
     for key, rows in maps.items():
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):

@@ -25,7 +25,7 @@ cokernel, for locally free M).
 of psi: map k is 1 at its last nonzero psi-coordinate j_k and 0 at every
 other j, the basis ``nullspace_cols`` reads off the coboundary map
 psi -> psi.M - N.psi over QQ, which the tests build as the reference.  So
-``basis_coords`` reads coordinates in it without an elimination.
+``Mat._coords`` reads coordinates in it without an elimination.
 """
 
 import random
@@ -338,7 +338,7 @@ def kernel_rep(summands, blocks):
     is never built: ``Mat._diag_times`` multiplies the summands' maps into
     incl[j] at their offsets.  The kernel at v has the canonical basis
     incl[v] from ``nullspace_cols``, its maps read in that basis by
-    ``basis_coords``, which needs ``_read_off`` of each basis once."""
+    ``Mat._coords``, from ``_read_off`` of each basis, taken once."""
     datum, field = summands[0].datum, summands[0].field
     incl = {v: blocks[v].nullspace_cols() for v in datum.vertices}
     dims = {v: incl[v].ncols for v in datum.vertices}

@@ -6,9 +6,11 @@ At a sink k the new space is the kernel of the multiplication map
 
 The tensor over H_j is materialized in slot form: e_k H e_j is free as a
 right H_j-module on the generators eps_k^a . alpha^(g) with a < f(j,k), so
-the tensor is a direct sum of copies of M_j indexed by slots (j, g, a).
+the tensor is a direct sum T of copies of M_j indexed by slots (j, g, a).
 The loop at k walks the slots cyclically, applying M(eps_j)^{f(k,j)} on
-wrap-around; the new arrows are the slot projections.
+wrap-around; the new arrows are the slot projections.  So F+M is
+``kernel_rep`` of the multiplication map W -> M_k, W being T at k and M
+elsewhere over the reflected datum: away from k the kernel is all of M.
 
 The contracts (rank transport by s_k, relations on the output) are checked
 on every call and failures abort: they are part of the interface.
@@ -24,7 +26,7 @@ map here and stays on ``is_isomorphic``.
 
 from .cartan import admissible_sequence, build_quiver, opposite_datum, reflect_orientation
 from .linalg import Mat
-from .modrep import Morphism, check_relations, dual_rep, make_rep, rank_vector
+from .modrep import Morphism, Representation, check_relations, dual_rep, kernel_rep, make_rep, rank_vector
 from .rootsys import simple_reflection
 
 
@@ -92,42 +94,30 @@ def reflect_plus(datum, k, M, check_rank=True):
     new_datum = reflect_orientation(datum, k)
     slots = _slots(datum, k)
     slot_dims = [M.dims[j] for (j, _, _) in slots]
-    pos = {s: t for t, s in enumerate(slots)}
 
-    mult = _multiplication(k, M, slots)
-
-    # loop action on T: slot (j,g,a) -> (j,g,a+1), wrapping through eps_j^{f(k,j)}
-    wrap = {j: M.eps[j].powers(datum.f(k, j))[-1] for j in dict.fromkeys(j for j, _, _ in slots)}
+    # loop on T: slot t = (j,g,a) -> t + 1 = (j,g,a+1), wrapping to t - a = (j,g,0) by eps_j^{f(k,j)}
     eps_grid = {}
     for t, (j, g, a) in enumerate(slots):
         if a + 1 < datum.f(j, k):
-            eps_grid[(pos[(j, g, a + 1)], t)] = Mat.identity(field, M.dims[j])
+            eps_grid[(t + 1, t)] = Mat.identity(field, M.dims[j])
         else:
-            eps_grid[(pos[(j, g, 0)], t)] = wrap[j]
-    eps_T = Mat.block(field, eps_grid, slot_dims, slot_dims)
-
-    U = mult.nullspace_cols()                 # basis of the new space at k
-    new_dim_k = U.ncols
-    new_eps_k = U.basis_coords(eps_T @ U)
-    if new_eps_k is None:
-        raise ContractViolation("kernel not stable under the loop at the sink")
-
-    dims = {v: (new_dim_k if v == k else M.dims[v]) for v in datum.vertices}
-    eps = {v: (new_eps_k if v == k else M.eps[v]) for v in datum.vertices}
+            eps_grid[(t - a, t)] = M.eps[j].powers(datum.f(k, j))[-1]
+    eps = {**M.eps, k: Mat.block(field, eps_grid, slot_dims, slot_dims)}
     arr = {}
-    quiver_new = build_quiver(new_datum)
-    offsets = [0]
-    for d in slot_dims:
-        offsets.append(offsets[-1] + d)
-    for key in quiver_new.arrows:
+    for key in build_quiver(new_datum).arrows:
         i, j, g = key
-        if j == k:
-            # projection onto slot (i, g, f(i,k)-1)
-            t = pos[(i, g, datum.f(i, k) - 1)]
-            arr[key] = U.row_slice(offsets[t], offsets[t + 1])
+        if j == k:      # the new arrow k -> i projects T onto slot (i, g, f(i,k)-1)
+            proj = {(0, slots.index((i, g, datum.f(i, k) - 1))): Mat.identity(field, M.dims[i])}
+            arr[key] = Mat.block(field, proj, [M.dims[i]], slot_dims)
         else:
             arr[key] = M.arr[key]
-    out = make_rep(new_datum, field, dims, eps, arr)
+    W = Representation(new_datum, field, {**M.dims, k: sum(slot_dims)}, eps, arr)
+    blocks = {v: _multiplication(k, M, slots) if v == k else Mat.zeros(field, 0, M.dims[v])
+              for v in datum.vertices}
+    try:
+        out, _ = kernel_rep([W], blocks)
+    except RuntimeError:
+        raise ContractViolation("kernel not stable under the loop at the sink") from None
 
     _check_contract(datum, k, M, out, check_rank, "sink")
     return out

@@ -1,8 +1,9 @@
 """Test-side helpers: a reader and writer for path literals, independent
 routes to results the package computes another way, which the tests
 compare, the independent checker of ``perfbench/reference.py`` with the
-conversions into its plain matrices and modules, and the End-checked orbit
-walk that only the tests call."""
+conversions into its plain matrices and modules, the End-checked orbit
+walk that only the tests call, and a broken multiplication map for the
+reflection functor's unstable-kernel branch."""
 
 import functools
 import importlib.util
@@ -248,3 +249,12 @@ def presentation_map(pres, P0):
         *(apply_monomial(P0, p) @ x for a, x in images for p in basis.paths(a, w)))
         for w in datum.vertices}
     return Morphism(P1, P0, blocks)
+
+
+def unstable_multiplication(k, M, slots):
+    """A stand-in for ``reflect._multiplication``: a map out of the tensor
+    space T at k whose kernel is spanned by the first unit vector of slot 0
+    alone.  Where slot 0 is (j, g, 0) with f(j, k) > 1, the loop of T takes
+    that vector into slot 1, so the kernel is not stable under the loop."""
+    n = sum(M.dims[j] for j, _, _ in slots)
+    return Mat.from_dict(M.field, (n - 1, n), {(r, r + 1): 1 for r in range(n - 1)})

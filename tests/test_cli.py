@@ -17,8 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import CHECK_SHA256
+from support import unstable_multiplication
 import tauforge
-from tauforge import cli
+from tauforge import cli, reflect
 from tauforge.cartan import datum_to_json
 from tauforge.catalogue import build_named, named_datum
 from tauforge.cli import main
@@ -369,6 +370,17 @@ def test_reflect_killing_a_summand_is_math_failure(tmp_path, vertex, direction):
     assert len(lines) == 1 and lines[0].startswith("fail: rank transport failed at ")
 
 
+def test_reflect_onto_a_kernel_the_loop_leaves_is_math_failure(capsys, tmp_path, monkeypatch):
+    _, Z = build_named("CDn.Z", n=3)
+    mod_file = tmp_path / "z.json"
+    mod_file.write_text(json.dumps(rep_to_json(Z, embed_datum=True)))
+    monkeypatch.setattr(reflect, "_multiplication", unstable_multiplication)
+    code, out, err = run(capsys, "reflect", str(mod_file), "--vertex", "4", "--dir", "+")
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if not line.startswith("#")] == \
+        ["fail: kernel not stable under the loop at the sink"]
+
+
 def test_oversized_datum_name_is_usage_error(capsys, monkeypatch):
     from tauforge import catalogue
 
@@ -507,10 +519,18 @@ def test_module_file_holding_a_string_is_usage_error(tmp_path):
     {"maps": {"eps[1]": "0"}},                 # not read as the 1 x 1 zero map
     {"maps": {"eps[9]": [[0]]}},
     {"maps": {"eps[2]": None, "eps[2]\n": [[0, 0], [1, 0]]}},
+    # each of these was read as vertex 2: only the ASCII digits that
+    # rep_to_json writes name a vertex
+    {"dims": {"2": None, " 2 ": 2}},
+    {"dims": {"2": None, "+2": 2}},
+    {"dims": {"2": None, "\u0662": 2}},       # an Arabic-Indic 2
+    {"maps": {"eps[2]": None, "eps[\u0662]": [[0, 0], [1, 0]]}},
+    {"maps": {"a[2<-1]#1": None, "a[\uff12<-1]#1": [[0], [1]]}},   # a fullwidth 2
 ], ids=["float-entry", "zero-denominator", "field-string", "float-p", "dims-list",
         "float-dim", "maps-list", "loop-at-no-vertex", "dim-at-no-vertex", "arrow-twice",
         "loop-twice", "dim-twice", "negative-dim", "string-rows", "string-map",
-        "listed-loop-at-no-vertex", "key-with-newline"])
+        "listed-loop-at-no-vertex", "key-with-newline", "dim-key-with-spaces", "dim-key-with-sign",
+        "dim-key-arabic-digit", "loop-key-arabic-digit", "arrow-key-fullwidth-digit"])
 def test_module_file_with_a_bad_part_is_usage_error(tmp_path, change):
     # a None value drops the key
     _, Z = build_named("Bn.Z", n=3)
@@ -524,6 +544,32 @@ def test_module_file_with_a_bad_part_is_usage_error(tmp_path, change):
     code, lines = _usage_error_lines("mod", "tau", str(doc))
     assert code == 2
     assert len(lines) == 1 and "malformed module file" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "paper", "--filter", "lem0", "--field", "p:\uff13"),   # a fullwidth 3
+    ("delta", "--datum", "B\u0663"),            # an Arabic-Indic 3
+    ("delta", "--datum", "CD4m\u0662"),
+], ids=["field-fullwidth-digit", "datum-arabic-digit", "datum-arabic-multiplier"])
+def test_digits_that_are_not_ascii_are_usage_errors(argv):
+    # each ran as GF(3), B3 or CD4m2 with exit 0
+    code, lines = _usage_error_lines(*argv)
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_module_file_naming_a_datum_with_digits_that_are_not_ascii_is_usage_error(tmp_path):
+    # the name B3 with an Arabic-Indic 3 was read as B3
+    _, Z = build_named("Bn.Z", n=3)
+    blob = rep_to_json(Z)
+    assert blob["datum"] == "B3"
+    blob["datum"] = "B\u0663"
+    doc = tmp_path / "named.json"
+    doc.write_text(json.dumps(blob))
+    code, lines = _usage_error_lines("mod", "tau", str(doc))
+    assert code == 2
+    assert lines == ["error: module file names datum 'B\u0663', which is not in the catalogue; "
+                     "embed the datum object instead"]
 
 
 @pytest.mark.parametrize("change", [

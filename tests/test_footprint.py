@@ -10,6 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import tauforge
+from tauforge import artrans
 from tauforge.artrans import tau
 from tauforge.catalogue import named_datum
 from tauforge.linalg import Field, Mat
@@ -74,16 +75,20 @@ def _reachable_mats(*roots):
 def test_no_module_map_or_hom_basis_over_gfp_keeps_an_unshared_unit_row():
     """A row {k: 1} or {k: p - 1} is the one row of its field's table
     wherever it is kept: in the modules of a battery, their translates and
-    the Hom bases between them.  Over GF(32003), with the first 30 modules
-    of the B3 battery, their translates and five Hom bases, 100 such rows
-    were not the table's while only the rows {k: 1} of some routines were
-    shared, and GF(p) rows {k: p - 1} never were."""
+    the Hom bases between them, and the cover blocks of a kept
+    presentation.  Over GF(32003), with the first 30 modules of the B3
+    battery, their translates and five Hom bases, 100 such rows were not the
+    table's while only the rows {k: 1} of some routines were shared, and
+    GF(p) rows {k: p - 1} never were; the kept cover held 2 more while its
+    blocks were built from raw rows."""
     F = Field.prime(32003)
     mods = [M for _, M in module_battery(named_datum("Bn", n=3), F, 30)]
     taus = [tau(M).module for M in mods]
     # the first five pairs i < j of the battery with Hom(M_i, M_j) != 0
     bases = [hom_basis(mods[i], mods[j]) for i, j in ((0, 8), (1, 9), (1, 16), (1, 17), (1, 18))]
     assert all(bases)
-    unshared = {id(row) for m in _reachable_mats(mods, taus, bases) for row in m._data.values()
+    # the cover of the module presented last, which minimal_presentation keeps
+    cover = artrans._presented[1].cover
+    unshared = {id(row) for m in _reachable_mats(mods, taus, bases, cover) for row in m._data.values()
                 if type(row) is dict and len(row) == 1 and next(iter(row.values())) in (1, F.p - 1)}
     assert len(unshared) == 0

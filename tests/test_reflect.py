@@ -2,7 +2,8 @@
 
 import pytest
 
-from tauforge import zoo
+from support import unstable_multiplication
+from tauforge import reflect, zoo
 from tauforge.artrans import is_zero_rep, tau
 from tauforge.cartan import admissible_sequence, reflect_orientation
 from tauforge.catalogue import build_named, named_datum
@@ -16,6 +17,7 @@ from tauforge.modrep import (
 )
 from tauforge.pathalg import build_projective
 from tauforge.reflect import (
+    ContractViolation,
     NotASink,
     NotASource,
     counit,
@@ -61,6 +63,15 @@ def test_reflection_transports_rank():
     assert out.datum == reflect_orientation(cd, k)
     assert check_relations(out) == []
     assert rank_vector(out) == tuple(simple_reflection(cd, k, rank_vector(Z)))
+
+
+def test_a_kernel_the_loop_leaves_is_a_contract_violation(monkeypatch):
+    cd, Z = build_named("CDn.Z", n=3)
+    k = admissible_sequence(cd)[0]
+    assert [(j, a) for j, _, a in reflect._slots(cd, k)] == [(3, 0), (3, 1)]
+    monkeypatch.setattr(reflect, "_multiplication", unstable_multiplication)
+    with pytest.raises(ContractViolation, match="^kernel not stable under the loop at the sink$"):
+        reflect_plus(cd, k, Z)
 
 
 def test_reflection_round_trip_certified():
