@@ -101,25 +101,10 @@ def projective_cover(M):
     return verts, blocks
 
 
-class PresentationData:
-    """The kept ``syzygy_pres`` takes no part in equality."""
-
-    __slots__ = ("gens0", "gens1", "entries", "cover", "syzygy", "syzygy_pres")
-
-    def __init__(self, gens0, gens1, entries, cover, syzygy):
-        self.gens0 = gens0        # projective indices of P0
-        self.gens1 = gens1        # projective indices of P1
-        self.entries = entries    # (s, t) -> {path: coefficient}, paths(gens0[t], gens1[s])
-        self.cover = cover        # w -> the block of the cover P0 -> M at w
-        self.syzygy = syzygy      # Omega M, the kernel of the cover; its top gives P1
-        self.syzygy_pres = None   # that of Omega M, None until asked for
-
-    def __eq__(self, other):
-        if type(other) is not PresentationData:
-            return NotImplemented
-        return ((self.gens0, self.gens1, self.entries, self.cover, self.syzygy)
-                == (other.gens0, other.gens1, other.entries, other.cover, other.syzygy))
-
+# gens0, gens1: P0 and P1 as projective indices; entries: (s, t) -> {path:
+# coefficient}, paths(gens0[t], gens1[s]); cover: w -> the block at w of the
+# cover P0 -> M; syzygy: Omega M, its kernel, whose top gives P1
+PresentationData = namedtuple("PresentationData", ["gens0", "gens1", "entries", "cover", "syzygy"])
 
 _presented = (None, None)     # the module presented last, and its presentation
 
@@ -127,20 +112,13 @@ _presented = (None, None)     # the module presented last, and its presentation
 def minimal_presentation(M):
     """The module presented last is kept with its presentation and matched
     by identity, so that Hom and Ext^1 dimensions out of one module, or an
-    isomorphism test and the translate of one module, present it once.  The
-    presentation of its syzygy is kept inside its own and leaves the module
-    in the slot, so that Ext^1 out of a module that is not locally free,
-    which reads Hom out of the syzygy, presents both once.  No module is
-    changed once built, and callers only read the presentation."""
+    isomorphism test and the translate of one module, present it once; Ext^1
+    out of a module that is not locally free presents it and its syzygy on
+    each call.  No module is changed once built, and callers only read the
+    presentation."""
     global _presented
-    held, pres = _presented
-    if held is M:
-        return pres
-    if pres is not None and pres.syzygy is M:
-        if pres.syzygy_pres is None:
-            pres.syzygy_pres = _present(M)
-        return pres.syzygy_pres
-    _presented = (M, _present(M))
+    if _presented[0] is not M:
+        _presented = (M, _present(M))
     return _presented[1]
 
 

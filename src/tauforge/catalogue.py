@@ -281,10 +281,10 @@ def _mod_Bn_MlamB(datum, field, m, lam):
     try:
         lam_value = field.convert(lam)
     except ValueError as exc:
-        raise BadParams(str(exc))
+        raise BadParams("lam: %s" % exc)
     if lam_value == 0:
         raise BadParams("the deformation parameter lam must be nonzero")
-    return _Row(("f", "f>p", ..., "f"), ((-1, -2, "p", "f", lam),))(datum, field, m)
+    return _Row(("f", "f>p", ..., "f"), ((-1, -2, "p", "f", lam_value),))(datum, field, m)
 
 
 def _mod_Atilde_interval(datum, field, m, i, j):

@@ -13,12 +13,11 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .artrans import classify_module, tau, tau_inverse, tau_orbit
 from .cartan import DatumError, datum_from_json, delta
 from .catalogue import BadParams, UnknownId, UnknownType, build_named, datum_from_name, named_module_ids
-from .linalg import Field
+from .linalg import Field, _ascii_int
 from .modio import rep_from_json, rep_to_json
 from .modrep import check_relations, rank_vector
 from .reflect import ContractViolation, NotASink, NotASource, reflect_minus, reflect_plus
@@ -47,11 +46,16 @@ def _parse_field(text):
         raise UsageError(str(exc))
 
 
-def _fraction_arg(text):
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)     # one line, not the usage as well
+
+
+def _int_arg(text):
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("expected an integer or p/q, got %r" % text)
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
 
 
 def _resolve_datum_name(name):
@@ -197,7 +201,7 @@ def _cmd_roots(args):
 
 def _parse_vector(text, size):
     try:
-        vec = tuple(int(x) for x in text.split(","))
+        vec = tuple(_ascii_int(x) for x in text.split(","))
     except ValueError:
         raise UsageError("--vector expects comma-separated integers, got %r" % text)
     if len(vec) != size:
@@ -315,7 +319,7 @@ def _cmd_verify(args):
 @functools.cache
 def _build_parser():
     """The parser, built once per process: a parse keeps no state in it."""
-    parser = argparse.ArgumentParser(prog="tauforge", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="tauforge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("check-cartan", help="validate a datum file")
@@ -328,13 +332,13 @@ def _build_parser():
 
     p = sub.add_parser("roots", help="enumerate positive roots up to a height")
     p.add_argument("--datum", required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--height", type=_int_arg, required=True)
     p.add_argument("--classify", action="store_true")
     p.set_defaults(run=_cmd_roots)
 
     p = sub.add_parser("coxeter", help="Coxeter transformation data")
     p.add_argument("--datum", required=True)
-    p.add_argument("--apply", type=int)
+    p.add_argument("--apply", type=_int_arg)
     p.add_argument("--vector")
     p.set_defaults(run=_cmd_coxeter)
 
@@ -342,14 +346,14 @@ def _build_parser():
     p.add_argument("op", choices=["tau"])
     p.add_argument("file")
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--orbit", type=int)
+    p.add_argument("--orbit", type=_int_arg)
     p.add_argument("--classify", action="store_true")
     p.add_argument("--json")
     p.set_defaults(run=_cmd_mod)
 
     p = sub.add_parser("reflect", help="apply a reflection functor")
     p.add_argument("file")
-    p.add_argument("--vertex", type=int, required=True)
+    p.add_argument("--vertex", type=_int_arg, required=True)
     p.add_argument("--dir", required=True)
     p.add_argument("--json")
     p.set_defaults(run=_cmd_reflect)
@@ -358,12 +362,12 @@ def _build_parser():
     p.add_argument("--list", action="store_true")
     p.add_argument("--build", metavar="ID")
     p.add_argument("--spotcheck", metavar="TYPE")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--lam", type=_fraction_arg)
-    p.add_argument("--height", type=int, default=25)
+    p.add_argument("--n", type=_int_arg)
+    p.add_argument("--m", type=_int_arg)
+    p.add_argument("--i", type=_int_arg)
+    p.add_argument("--j", type=_int_arg)
+    p.add_argument("--lam")
+    p.add_argument("--height", type=_int_arg, default=25)
     p.add_argument("--field")
     p.add_argument("--json")
     p.set_defaults(run=_cmd_zoo)
@@ -371,7 +375,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="run the named verification scenarios")
     p.add_argument("--suite", choices=["paper"], required=True)
     p.add_argument("--filter")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int_arg)
     p.add_argument("--field")
     p.add_argument("--json")
     p.set_defaults(run=_cmd_verify)
@@ -379,14 +383,12 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         _check_writable(getattr(args, "json", None))
         return args.run(args)
+    except SystemExit:      # --help
+        return 0
     except (UsageError, UnknownId, UnknownCheck, UnknownType, BadParams) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

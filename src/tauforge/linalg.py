@@ -56,11 +56,19 @@ there.
 No floating point is used anywhere: ``Field.convert`` refuses floats.
 """
 
+import re
 from fractions import Fraction
 from math import isqrt
 from types import MappingProxyType
 
 from .elim import _gfp_rref, _qq_rref
+
+
+def _ascii_int(text):
+    """int(text) for -?[0-9]+ only; int() also reads other digits, spaces and _."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError("%r is not an integer in ASCII digits" % (text,))
+    return int(text)
 
 
 class Field:
@@ -107,14 +115,14 @@ class Field:
     def convert(self, value):
         """The stored form of an int, a Fraction or a 'p/q' string: an int in
         [0, p) over GF(p); over QQ an int when integral, else a Fraction.
-        Anything inexact or malformed (floats, booleans, a zero denominator)
-        raises ValueError."""
+        Anything inexact or malformed (floats, booleans, digits that are not
+        ASCII, a zero denominator) raises ValueError."""
         kind = type(value)
         if kind is int:
             return value if self.p is None else value % self.p
         if kind is str:
-            num, _, den = value.partition("/")
-            num, den = int(num), int(den) if den else 1
+            num, slash, den = value.partition("/")
+            num, den = _ascii_int(num), _ascii_int(den) if slash else 1
             if den == 0:
                 raise ValueError("%r has a zero denominator" % value)
             value = Fraction(num, den)

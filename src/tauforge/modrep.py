@@ -338,13 +338,19 @@ def kernel_rep(summands, blocks):
     is never built: ``Mat._diag_times`` multiplies the summands' maps into
     incl[j] at their offsets.  The kernel at v has the canonical basis
     incl[v] from ``nullspace_cols``, its maps read in that basis by
-    ``Mat._coords``, from ``_read_off`` of each basis, taken once."""
+    ``Mat._coords``, from ``_read_off`` of each basis, taken once.  Where a
+    block has no rows (away from the sink of ``reflect_plus``) incl is the
+    identity, and one summand keeps its own maps between such vertices."""
     datum, field = summands[0].datum, summands[0].field
-    incl = {v: blocks[v].nullspace_cols() for v in datum.vertices}
+    whole = {v for v in datum.vertices if not blocks[v].nrows}
+    incl = {v: Mat.identity(field, blocks[v].ncols) if v in whole else blocks[v].nullspace_cols()
+            for v in datum.vertices}
     dims = {v: incl[v].ncols for v in datum.vertices}
     read = {v: incl[v]._read_off() for v in datum.vertices}
 
     def restrict(i, j, diag, what):
+        if len(diag) == 1 and i in whole and j in whole:
+            return diag[0]
         image = incl[j]._diag_times(diag, incl[i].nrows)
         if image.is_zero():
             return Mat.zeros(field, dims[i], dims[j])

@@ -128,8 +128,8 @@ def test_minimal_presentation_keeps_only_the_module_presented_last():
 
 
 def test_ext1_out_of_a_module_that_is_not_locally_free_presents_it_and_its_syzygy_once(monkeypatch):
-    # Ext^1(S, N) reads Hom(Omega S, N); the syzygy's presentation is kept
-    # in S's, so S stays in the slot: 2 covers for four calls, not 8
+    # Ext^1(S, N) reads Hom(Omega S, N): each call presents S and Omega S
+    # once, 8 covers for four calls, and the slot holds one module
     cd = b3()
     S = make_rep(cd, Q, {2: 1})
     mods = [M for _, M in module_battery(cd, Q, 4)]
@@ -144,10 +144,9 @@ def test_ext1_out_of_a_module_that_is_not_locally_free_presents_it_and_its_syzyg
 
     monkeypatch.setattr(artrans, "projective_cover", counted)
     assert [ext1_dim(S, N) for N in mods] == want
-    assert len(covers) == 2
-    pres = minimal_presentation(S)
-    assert len(covers) == 2 and covers[0] is S and covers[1] is pres.syzygy
-    assert minimal_presentation(pres.syzygy) is pres.syzygy_pres is not None
+    assert len(covers) == 8 and all(M is S for M in covers[::2])
+    held, pres = artrans._presented
+    assert held is covers[-1] is not S and minimal_presentation(held) is pres
 
 
 def test_minimal_presentation_is_presentation():

@@ -526,11 +526,18 @@ def test_module_file_holding_a_string_is_usage_error(tmp_path):
     {"dims": {"2": None, "\u0662": 2}},       # an Arabic-Indic 2
     {"maps": {"eps[2]": None, "eps[\u0662]": [[0, 0], [1, 0]]}},
     {"maps": {"a[2<-1]#1": None, "a[\uff12<-1]#1": [[0], [1]]}},   # a fullwidth 2
+    # each of these entries was read: int() takes other digits, spaces and
+    # underscores ("1_0" as 10), and "1/" was 1
+    {"maps": {"a[2<-1]#1": [["0"], ["\u0661"]]}},   # an Arabic-Indic 1
+    {"maps": {"a[2<-1]#1": [["0"], [" 1 "]]}},
+    {"maps": {"a[2<-1]#1": [["0"], ["1_0"]]}},
+    {"maps": {"a[2<-1]#1": [["0"], ["1/"]]}},
 ], ids=["float-entry", "zero-denominator", "field-string", "float-p", "dims-list",
         "float-dim", "maps-list", "loop-at-no-vertex", "dim-at-no-vertex", "arrow-twice",
         "loop-twice", "dim-twice", "negative-dim", "string-rows", "string-map",
         "listed-loop-at-no-vertex", "key-with-newline", "dim-key-with-spaces", "dim-key-with-sign",
-        "dim-key-arabic-digit", "loop-key-arabic-digit", "arrow-key-fullwidth-digit"])
+        "dim-key-arabic-digit", "loop-key-arabic-digit", "arrow-key-fullwidth-digit",
+        "entry-arabic-digit", "entry-with-spaces", "entry-with-underscore", "entry-without-denominator"])
 def test_module_file_with_a_bad_part_is_usage_error(tmp_path, change):
     # a None value drops the key
     _, Z = build_named("Bn.Z", n=3)
@@ -550,10 +557,28 @@ def test_module_file_with_a_bad_part_is_usage_error(tmp_path, change):
     ("verify", "--suite", "paper", "--filter", "lem0", "--field", "p:\uff13"),   # a fullwidth 3
     ("delta", "--datum", "B\u0663"),            # an Arabic-Indic 3
     ("delta", "--datum", "CD4m\u0662"),
-], ids=["field-fullwidth-digit", "datum-arabic-digit", "datum-arabic-multiplier"])
-def test_digits_that_are_not_ascii_are_usage_errors(argv):
-    # each ran as GF(3), B3 or CD4m2 with exit 0
-    code, lines = _usage_error_lines(*argv)
+    # each of these ran with exit 0: int() and Fraction() also read other
+    # digits, spaces and underscores, and Fraction() decimals
+    ("reflect", "{z}", "--vertex", "\u0664", "--dir", "+"),
+    ("zoo", "--build", "Bn.Z", "--n", "\u0663"),
+    ("roots", "--datum", "B3", "--height", "\u0663"),
+    ("mod", "tau", "{z}", "--orbit", "\u0662"),
+    ("coxeter", "--datum", "B3", "--apply", "\u0661", "--vector", "1,0,0,0"),
+    ("coxeter", "--datum", "B3", "--apply", "1", "--vector", "\u0661,0,0,0"),
+    ("coxeter", "--datum", "B3", "--apply", "1", "--vector", " 1, 0,0,0"),
+    ("zoo", "--build", "Bn.MlamB", "--n", "3", "--lam", "\u0663"),
+    ("zoo", "--build", "Bn.MlamB", "--n", "3", "--lam", "1_0"),
+    ("zoo", "--build", "Bn.MlamB", "--n", "3", "--lam", "0.5"),
+], ids=["field-fullwidth-digit", "datum-arabic-digit", "datum-arabic-multiplier",
+        "vertex-arabic-digit", "n-arabic-digit", "height-arabic-digit", "orbit-arabic-digit",
+        "apply-arabic-digit", "vector-arabic-digit", "vector-with-spaces", "lam-arabic-digit",
+        "lam-with-underscore", "lam-decimal"])
+def test_digits_that_are_not_ascii_are_usage_errors(tmp_path, argv):
+    # the first three ran as GF(3), B3 or CD4m2 with exit 0
+    _, Z = build_named("Bn.Z", n=3)
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps(rep_to_json(Z, embed_datum=True)))
+    code, lines = _usage_error_lines(*(str(z) if arg == "{z}" else arg for arg in argv))
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: ")
 

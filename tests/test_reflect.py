@@ -137,6 +137,34 @@ def test_coxeter_minus_inverts_coxeter_plus():
     assert is_isomorphic(back, Z).verdict == "yes"
 
 
+def test_coxeter_plus_takes_a_kernel_basis_only_where_a_block_has_rows(monkeypatch):
+    # away from the sink F+ is the kernel of a block with no rows, whose
+    # basis is the identity: one C+ pass over these 180 modules took 3,960
+    # bases while every block was eliminated, and 840 before F+ was a kernel
+    mods = [(cd, M) for cd in (b3(), named_datum("CDn", n=4), named_datum("F41"))
+            for _, M in module_battery(cd, Q, 60)]
+    calls = []
+    nullspace = Mat.nullspace_cols
+
+    def counted(self):
+        calls.append(self.shape)
+        return nullspace(self)
+
+    monkeypatch.setattr(Mat, "nullspace_cols", counted)
+    for cd, M in mods:
+        coxeter_functor(cd, "+", M)
+    assert len(calls) <= 840
+
+
+def test_reflect_plus_keeps_the_maps_away_from_the_sink():
+    for cd in (b3(), named_datum("G21")):
+        k = admissible_sequence(cd)[0]
+        for _, M in module_battery(cd, Q, 20):
+            out = reflect_plus(cd, k, M)
+            assert all(out.arr[key] is A for key, A in M.arr.items() if k not in key[:2])
+            assert all(out.eps[v] is M.eps[v] for v in cd.vertices if v != k)
+
+
 def _round_trips(cd, field, size):
     """(label, M, F-F+M at the sink, F+F-M at the source) over the battery."""
     sink = admissible_sequence(cd)[0]
